@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import kmeans
+from .clustering import kmeans, pca_basis, sq_distances
 from .data import EmbeddingMatrix, LabeledSplit, SliceScores, check_pair
 from .errors import DegenerateLoss, NotBinary, ProbOnBoundary, TooFewPoints
 from .seeding import derive_rng
@@ -29,7 +29,6 @@ class SpotlightConfig:
     steps: int = 1000
     learning_rate: float = 1e-3
     num_spotlights: int = 5
-    barrier_weights: tuple[float, ...] | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -37,17 +36,6 @@ class SpotlightConfig:
             raise ValueError("min_mass_fraction must lie in (0, 1)")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if self.barrier_weights is not None:
-            weights = tuple(float(w) for w in self.barrier_weights)
-            if any(w <= 0 for w in weights):
-                raise ValueError("barrier weights must be positive")
-            object.__setattr__(self, "barrier_weights", weights)
-
-    def barrier_weight(self, step: int) -> float:
-        if self.barrier_weights is not None:
-            return self.barrier_weights[min(step, len(self.barrier_weights) - 1)]
-        # Quadratic barrier whose weight doubles every 100 steps from 1.0.
-        return float(2.0 ** (step // 100))
 
 
 @dataclass(frozen=True)
@@ -201,7 +189,8 @@ class SpotlightSDM:
         trace: list[tuple[float, bool, bool]] = []
 
         for step in range(cfg.steps):
-            barrier = cfg.barrier_weight(step)
+            # Quadratic barrier whose weight doubles every 100 steps from 1.0.
+            barrier = float(2.0 ** (step // 100))
             sigma_sq = math.exp(2.0 * log_sigma)
             diff = values - mu
             r = (diff**2).sum(axis=1)
@@ -339,17 +328,6 @@ def multiaccuracy_fit(
 # --- george (class-conditional clustering) ----------------------------------
 
 
-def _pca_basis(values: np.ndarray, out_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    mean = values.mean(axis=0)
-    out_dim = max(1, min(out_dim, values.shape[1], values.shape[0] - 1))
-    _, _, vt = np.linalg.svd(values - mean, full_matrices=False)
-    basis = vt[:out_dim]
-    anchors = np.argmax(np.abs(basis), axis=1)
-    signs = np.sign(basis[np.arange(basis.shape[0]), anchors])
-    signs[signs == 0] = 1.0
-    return mean, basis * signs[:, None]
-
-
 class GeorgeSDM:
     """Per-class k-means over a 2-d principal-component reduction."""
 
@@ -372,7 +350,7 @@ class GeorgeSDM:
                     f"class {c} has {members.shape[0]} points for {k} clusters"
                 )
             subset = emb.values[members]
-            mean, basis = _pca_basis(subset, cfg.reduce_dim)
+            mean, basis = pca_basis(subset, cfg.reduce_dim)
             reduced = (subset - mean) @ basis.T
             rng = derive_rng(cfg.seed, "george", c)
             centers, _, _ = kmeans(
@@ -391,8 +369,7 @@ class GeorgeSDM:
             if members.shape[0] == 0:
                 continue
             reduced = (emb.values[members] - mean) @ basis.T
-            dist = ((reduced[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            assign = dist.argmin(axis=1)
+            assign = sq_distances(reduced, centers).argmin(axis=1)
             scores[members, c * k + assign] = 1.0
         return SliceScores(scores=scores, method="george-pca")
 

@@ -11,18 +11,20 @@ from __future__ import annotations
 import dataclasses
 import json
 import shutil
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import evaluate as ev
-from .baselines import GeorgeConfig, MultiaccuracyConfig, SpotlightConfig
-from .data import alpha_in_range
-from .errors import SchemaError, SliceKitError
+from .data import SLICE_TYPES, alpha_in_range
+from .errors import SliceKitError
 from .fileio import (
+    load_base_table,
     load_embeddings,
+    load_ingested_predictions,
+    load_manifest,
     load_scores,
     load_setting,
     save_scores,
@@ -30,50 +32,57 @@ from .fileio import (
     write_json,
 )
 from .describe import describe_slices, load_phrase_corpus
-from .mixture import FitConfig
 from .seeding import derive_seed
 from .settings import (
-    BaseTable,
     SyntheticModelSpec,
     apply_ingested_predictions,
     apply_synthetic_model,
-    build_correlation_setting,
-    build_noisy_setting,
-    build_rare_setting,
+    build_setting,
     make_synthetic_setting,
 )
-
-_CONFIG_CLASSES = {
-    "domino": FitConfig,
-    "spotlight": SpotlightConfig,
-    "multiacc": MultiaccuracyConfig,
-    "george": GeorgeConfig,
-}
 
 
 def _load_json(path: str | Path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise click.UsageError(f"{path}: expected a JSON object")
+    return doc
 
 
-def _build_method_cfg(method: str, section: dict, overrides: dict):
-    if method == "confusion":
-        return None
-    cfg_cls = _CONFIG_CLASSES[method]
-    fields = {f.name for f in dataclasses.fields(cfg_cls)}
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(merged) - fields
+def _method_section(file_cfg: dict, method: str) -> dict:
+    """The method's object under ``methods`` in a config file."""
+    section = file_cfg.get("methods", {})
+    section = section.get(method, {}) if isinstance(section, dict) else None
+    if not isinstance(section, dict):
+        raise click.UsageError("config 'methods' must map method names to objects")
+    return section
+
+
+def _build_method_cfg(method: str, values: dict):
+    """The method's config; None for a method without one, which takes only a seed."""
+    cfg_cls = ev.METHODS[method].config
+    fields = {f.name for f in dataclasses.fields(cfg_cls)} if cfg_cls else {"seed"}
+    unknown = set(values) - fields
     if unknown:
         raise click.UsageError(
             f"unknown {method} parameters: {', '.join(sorted(unknown))}"
         )
+    if cfg_cls is None:
+        return None
     try:
-        return cfg_cls(**merged)
+        return cfg_cls(**values)
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"bad {method} configuration: {exc}") from exc
+
+
+def _check_method(method: str) -> None:
+    if method not in ev.METHODS:
+        raise click.UsageError(
+            f"unknown method {method!r}; valid methods: {', '.join(ev.METHODS)}"
+        )
 
 
 def _model_spec_from_config(model: dict | None) -> SyntheticModelSpec | None:
@@ -87,10 +96,7 @@ def _model_spec_from_config(model: dict | None) -> SyntheticModelSpec | None:
     if missing:
         raise click.UsageError(f"model config missing {', '.join(sorted(missing))}")
     return SyntheticModelSpec(
-        sens_in=model["sens_in"],
-        spec_in=model["spec_in"],
-        sens_out=model["sens_out"],
-        spec_out=model["spec_out"],
+        **{key: model[key] for key in keys},
         kappa=model.get("kappa", 5.0),
         seed=int(model.get("seed", 0)),
     )
@@ -185,42 +191,6 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
 # --- gen --------------------------------------------------------------------
 
 
-def _load_base_table(path: Path, target: str, attribute: str) -> BaseTable:
-    import csv as _csv
-
-    with path.open(newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    if not header or header[0] != "id":
-        raise SchemaError(f"{path}: base table header must start with 'id'")
-    names = tuple(header[1:])
-    values = np.asarray([[int(v) for v in row[1:]] for row in rows], dtype=np.int64)
-    return BaseTable(names=names, values=values, target=target, attribute=attribute)
-
-
-def _load_ingested_predictions(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Predictions CSV aligned to base-table rows: id,y_hat[,p_0..p_{C-1}]."""
-    import csv as _csv
-
-    with path.open(newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    if header[:2] != ["id", "y_hat"]:
-        raise SchemaError(f"{path}: predictions header must start with id,y_hat")
-    prob_cols = header[2:]
-    preds = np.empty(len(rows), dtype=np.int64)
-    probs = np.empty((len(rows), len(prob_cols))) if prob_cols else None
-    for i, row in enumerate(rows):
-        if int(row[0]) != i:
-            raise SchemaError(f"{path}: id column must increase strictly from 0")
-        preds[i] = int(row[1])
-        if probs is not None:
-            probs[i] = [float(v) for v in row[2:]]
-    return preds, probs
-
-
 @main.command()
 @click.option("--base", "base_path", required=True, type=click.Path(exists=True))
 @click.option("--embeddings", "emb_path", required=True, type=click.Path(exists=True))
@@ -233,30 +203,23 @@ def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int
     for key in ("slice_type", "alpha", "target", "attribute", "n"):
         if key not in cfg:
             raise click.UsageError(f"gen config missing {key!r}")
-    slice_type = cfg["slice_type"]
+    if cfg["slice_type"] not in SLICE_TYPES:
+        raise click.UsageError(f"unknown slice_type {cfg['slice_type']!r}")
     run_seed = int(cfg.get("seed", 0) if seed is None else seed)
 
     try:
-        base = _load_base_table(Path(base_path), cfg["target"], cfg["attribute"])
+        base = load_base_table(base_path, cfg["target"], cfg["attribute"])
         embeddings = load_embeddings(emb_path)
-        if slice_type == "correlation":
-            setting = build_correlation_setting(
-                base, embeddings, float(cfg["alpha"]),
-                float(cfg.get("mu_a", 0.5)), float(cfg.get("mu_b", 0.5)),
-                int(cfg["n"]), run_seed,
-            )
-        elif slice_type == "rare":
-            setting = build_rare_setting(base, embeddings, float(cfg["alpha"]), int(cfg["n"]), run_seed)
-        elif slice_type == "noisy_label":
-            setting = build_noisy_setting(base, embeddings, float(cfg["alpha"]), int(cfg["n"]), run_seed)
-        else:
-            raise click.UsageError(f"unknown slice_type {slice_type!r}")
+        setting = build_setting(
+            cfg["slice_type"], base, embeddings, float(cfg["alpha"]), int(cfg["n"]),
+            run_seed, float(cfg.get("mu_a", 0.5)), float(cfg.get("mu_b", 0.5)),
+        )
         model = cfg.get("model")
         if model is not None and model.get("kind") == "ingested":
             preds_path = model.get("predictions")
             if not preds_path:
                 raise click.UsageError("ingested model config needs a 'predictions' path")
-            preds, probs = _load_ingested_predictions(Path(preds_path))
+            preds, probs = load_ingested_predictions(preds_path)
             setting = apply_ingested_predictions(setting, preds, probs)
         elif model is not None:
             setting = apply_synthetic_model(setting, _model_spec_from_config(model))
@@ -273,44 +236,26 @@ def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int
 # --- run --------------------------------------------------------------------
 
 
-_METHOD_FLAGS = [
-    # FitConfig
-    click.option("--k-bar", "--kbar", "k_bar", type=int, default=None),
-    click.option("--k-hat", "--khat", "k_hat", type=int, default=None),
-    click.option("--gamma", type=float, default=None),
-    click.option("--max-iter", "max_iter", type=int, default=None),
-    click.option("--rel-tol", "rel_tol", type=float, default=None),
-    click.option("--init-noise", "init_noise", type=float, default=None),
-    click.option("--pca-threshold", "pca_threshold", type=int, default=None),
-    click.option("--pca-dim", "pca_dim", type=int, default=None),
-    click.option("--cov-floor", "cov_floor", type=float, default=None),
-    # SpotlightConfig
-    click.option("--min-mass-fraction", "min_mass_fraction", type=float, default=None),
-    click.option("--steps", type=int, default=None),
-    click.option("--learning-rate", "learning_rate", type=float, default=None),
-    click.option("--num-spotlights", "num_spotlights", type=int, default=None),
-    # MultiaccuracyConfig
-    click.option("--eta", type=float, default=None),
-    click.option("--rounds", type=int, default=None),
-    click.option("--fit-fraction", "fit_fraction", type=float, default=None),
-    click.option("--ridge-lambda", "ridge_lambda", type=float, default=None),
-]
-
-_FLAG_FIELDS = {
-    "domino": (
-        "k_bar", "k_hat", "gamma", "max_iter", "rel_tol", "init_noise",
-        "pca_threshold", "pca_dim", "cov_floor",
-    ),
-    "spotlight": ("min_mass_fraction", "steps", "learning_rate", "num_spotlights"),
-    "multiacc": ("eta", "rounds", "fit_fraction", "ridge_lambda"),
-    "george": (),
-    "confusion": (),
-}
+def _flag_fields(method: str) -> tuple[dataclasses.Field, ...]:
+    """The config fields that ``run`` exposes as flags for ``method``."""
+    spec = ev.METHODS[method]
+    if not spec.cli_flags:
+        return ()
+    return tuple(f for f in dataclasses.fields(spec.config) if f.name != "seed")
 
 
-def _with_method_flags(command):
-    for flag in reversed(_METHOD_FLAGS):
-        command = flag(command)
+def _flag_name(field_name: str) -> str:
+    return "--" + field_name.replace("_", "-")
+
+
+def _config_flags(command):
+    """Add one flag per exposed config field, in registry then field order."""
+    for method in reversed(ev.METHODS):
+        fields = _flag_fields(method)
+        hints = typing.get_type_hints(ev.METHODS[method].config) if fields else {}
+        for f in reversed(fields):
+            names = (_flag_name(f.name), *f.metadata.get("cli_aliases", ()), f.name)
+            command = click.option(*names, type=hints[f.name], default=None)(command)
     return command
 
 
@@ -326,7 +271,7 @@ def _with_method_flags(command):
 @click.option("--phrase-embeddings", "phrase_emb_path", type=click.Path(exists=True), default=None)
 @click.option("--synonyms", "synonyms_path", type=click.Path(exists=True), default=None)
 @click.option("--top", type=int, default=10, show_default=True)
-@_with_method_flags
+@_config_flags
 def run(
     setting_dir: str,
     method: str,
@@ -342,16 +287,17 @@ def run(
     **flags,
 ) -> None:
     """Fit one method on a setting and write its scores document."""
-    if method not in ev.METHODS:
+    _check_method(method)
+    own = {f.name for f in _flag_fields(method)}
+    given = {name: value for name, value in flags.items() if value is not None}
+    foreign = [_flag_name(name) for name in given if name not in own]
+    if foreign:
         raise click.UsageError(
-            f"unknown method {method!r}; valid methods: {', '.join(ev.METHODS)}"
+            f"{', '.join(foreign)} not accepted by --method {method}"
         )
     file_cfg = _load_json(config_path) if config_path else {}
-    section = dict(file_cfg.get("methods", {}).get(method, {}))
-    overrides = {name: flags.get(name) for name in _FLAG_FIELDS[method]}
-    if method != "confusion":
-        section.setdefault("seed", seed)
-    method_cfg = _build_method_cfg(method, section, overrides)
+    section = _method_section(file_cfg, method)
+    method_cfg = _build_method_cfg(method, {"seed": seed, **section, **given})
 
     try:
         setting = load_setting(setting_dir)
@@ -372,15 +318,10 @@ def run(
             corpus = load_phrase_corpus(phrases_path, phrase_emb_path, synonyms_path)
             scores = describe_slices(emb, split, scores, corpus, top=top)
 
-        for u in range(split.num_slices):
-            per_col = [
-                ev.precision_at_k(scores.scores[:, v], split.slices[:, u], k)
-                for v in range(scores.k_hat)
-            ]
-            best = int(np.argmax(per_col))
+        precisions, best_columns = ev.score_setting(scores, split, k)
+        for name, precision, best in zip(split.slice_names, precisions, best_columns):
             click.echo(
-                f"slice {split.slice_names[u]!r}: precision@{k} = "
-                f"{per_col[best]:.4f} (discovered slice {best})"
+                f"slice {name!r}: precision@{k} = {precision:.4f} (discovered slice {best})"
             )
         if out_path is not None:
             save_scores(scores, out_path)
@@ -393,10 +334,9 @@ def run(
 
 
 def _eval_task(args: tuple) -> dict:
-    setting_path, setting_id, method, cfg_section, k, beta, task_seed = args
+    setting_path, setting_id, method, method_cfg, k, beta = args
     try:
         setting = load_setting(setting_path)
-        method_cfg = _build_method_cfg(method, dict(cfg_section, seed=task_seed), {})
         result = ev.run_setting(
             setting, method, method_cfg, k=k, beta=beta, setting_id=setting_id
         )
@@ -430,37 +370,33 @@ def eval_cmd(
     """Run every manifest setting through the selected methods and report."""
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
     for method in method_list:
-        if method not in ev.METHODS:
-            raise click.UsageError(
-                f"unknown method {method!r}; valid methods: {', '.join(ev.METHODS)}"
-            )
+        _check_method(method)
     if not method_list:
         raise click.UsageError("no methods selected")
     if jobs < 1:
         raise click.UsageError("--jobs must be at least 1")
 
-    manifest = _load_json(manifest_path)
-    entries = manifest.get("settings", [])
-    if not entries:
-        raise click.UsageError(f"{manifest_path}: manifest lists no settings")
-    root = Path(manifest_path).parent
+    try:
+        entries = load_manifest(manifest_path)
+    except SliceKitError as exc:
+        raise click.UsageError(str(exc)) from exc
     file_cfg = _load_json(config_path) if config_path else {}
     sections = file_cfg.get("methods", {})
+    # Every config is built before any task runs, so a bad section is a usage
+    # error; each task then replaces the seed with its own derived one.
+    configs = {
+        m: _build_method_cfg(m, {**_method_section(file_cfg, m), "seed": 0})
+        for m in method_list
+    }
 
     tasks = []
-    for entry in entries:
-        setting_id = entry["id"]
-        setting_path = str(root / entry.get("path", setting_id))
+    for setting_id, setting_path in entries:
         for method in method_list:
-            section = {
-                key: value
-                for key, value in dict(sections.get(method, {})).items()
-                if key != "seed"
-            }
             task_seed = derive_seed(seed, "eval", setting_id, method)
-            tasks.append(
-                (setting_path, setting_id, method, section, k, beta, task_seed)
-            )
+            cfg = configs[method]
+            if cfg is not None:
+                cfg = dataclasses.replace(cfg, seed=task_seed)
+            tasks.append((str(setting_path), setting_id, method, cfg, k, beta))
 
     if jobs == 1:
         outcomes = [_eval_task(task) for task in tasks]
@@ -523,11 +459,6 @@ def describe(
     try:
         setting = load_setting(setting_dir)
         scores = load_scores(scores_path)
-        if scores.n != setting.valid_emb.n:
-            raise click.ClickException(
-                f"scores cover {scores.n} examples but the validation split has "
-                f"{setting.valid_emb.n}; descriptions are built from validation data"
-            )
         corpus = load_phrase_corpus(phrases_path, phrase_emb_path, synonyms_path)
         described = describe_slices(
             setting.valid_emb, setting.valid_split, scores, corpus, top=top

@@ -1,4 +1,8 @@
-"""Seeded k-means used by the init refinement and the clustering baseline."""
+"""Kernels shared by the mixture and the clustering baseline.
+
+Seeded k-means (the mixture's init refinement and GEORGE's clustering), its
+squared-distance kernel, and principal components with a fixed sign.
+"""
 
 from __future__ import annotations
 
@@ -23,6 +27,31 @@ def kmeans_pp_init(values: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
+def sq_distances(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances from each row to each center."""
+    return ((values[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
+def pca_basis(values: np.ndarray, out_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row mean and the top ``out_dim`` principal directions of ``values``.
+
+    At most min(d, n - 1) directions (but at least one) are returned. Signs
+    follow a deterministic convention: each direction's largest-magnitude
+    entry is positive. Both arrays are read-only.
+    """
+    mean = values.mean(axis=0)
+    out_dim = max(1, min(out_dim, values.shape[1], values.shape[0] - 1))
+    _, _, vt = np.linalg.svd(values - mean, full_matrices=False)
+    basis = vt[:out_dim]
+    anchors = np.argmax(np.abs(basis), axis=1)
+    signs = np.sign(basis[np.arange(basis.shape[0]), anchors])
+    signs[signs == 0] = 1.0
+    basis = basis * signs[:, None]
+    mean.setflags(write=False)
+    basis.setflags(write=False)
+    return mean, basis
+
+
 def kmeans(
     values: np.ndarray,
     k: int,
@@ -43,7 +72,7 @@ def kmeans(
         centers = kmeans_pp_init(values, k, rng)
         assign = np.full(n, -1, dtype=np.int64)
         for _ in range(max_iter):
-            dist = ((values[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            dist = sq_distances(values, centers)
             new_assign = dist.argmin(axis=1)
             for j in range(k):
                 members = new_assign == j
@@ -54,7 +83,7 @@ def kmeans(
             if np.array_equal(new_assign, assign):
                 break
             assign = new_assign
-        dist = ((values[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dist = sq_distances(values, centers)
         assign = dist.argmin(axis=1)
         inertia = float(dist[np.arange(n), assign].sum())
         if best is None or inertia < best[2]:

@@ -8,7 +8,6 @@ dot product.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -18,8 +17,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import EmbeddingMatrix, LabeledSplit, SliceScores, check_pair
-from .errors import DimensionMismatch, EmptyClass, EmptyCorpus, ZeroMass
-from .fileio import load_embeddings
+from .errors import DimensionMismatch, EmptyClass, EmptyCorpus, SchemaError, ZeroMass
+from .fileio import load_embeddings, read_json, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -182,7 +181,8 @@ def describe_slices(
     check_pair(emb, split)
     if scores.n != emb.n:
         raise DimensionMismatch(
-            f"scores cover {scores.n} examples, embeddings {emb.n}"
+            f"scores cover {scores.n} examples but the split has {emb.n}; "
+            "descriptions are built from the validation split the method was fit on"
         )
     if corpus.embeddings.d != emb.d:
         raise DimensionMismatch(
@@ -211,16 +211,13 @@ def load_phrase_corpus(
     synonyms_path: str | Path | None = None,
 ) -> PhraseCorpus:
     """Read phrases.tsv plus aligned embeddings, and an optional synonym map."""
-    phrases = []
-    with Path(phrases_path).open() as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            phrases.append(line.split("\t")[0])
+    phrases = tuple(line.split("\t")[0] for line in read_lines(phrases_path) if line)
     embeddings = load_embeddings(embeddings_path)
-    synonyms = None
-    if synonyms_path is not None:
-        raw = json.loads(Path(synonyms_path).read_text())
-        synonyms = {k: frozenset(v) for k, v in raw.items()}
-    return PhraseCorpus(phrases=tuple(phrases), embeddings=embeddings, synonyms=synonyms)
+    raw = None if synonyms_path is None else read_json(synonyms_path)
+    if raw is not None and not isinstance(raw, dict):
+        raise SchemaError(f"{synonyms_path}: synonyms map names to phrase lists")
+    try:
+        synonyms = None if raw is None else {k: frozenset(v) for k, v in raw.items()}
+        return PhraseCorpus(phrases=phrases, embeddings=embeddings, synonyms=synonyms)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{phrases_path}: {exc}") from exc

@@ -25,7 +25,7 @@ class RowCountMismatch(SliceKitError):
 
 
 class SchemaError(SliceKitError):
-    """Labels CSV is missing required columns or violates the column contract."""
+    """An input file is malformed or violates its format's contract."""
 
 
 class ArgmaxInconsistent(SchemaError):
@@ -37,7 +37,7 @@ class LabelOutOfRange(SliceKitError):
 
 
 class IoError(SliceKitError):
-    """Underlying file write failed."""
+    """Underlying file read or write failed."""
 
 
 # --- setting generation -----------------------------------------------------

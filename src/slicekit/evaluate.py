@@ -28,25 +28,37 @@ from .errors import EmptyGroup, KTooLarge
 from .mixture import FitConfig, MixtureSDM
 from .seeding import derive_rng
 
-METHODS = ("domino", "confusion", "spotlight", "multiacc", "george")
 
-_METHOD_CLASSES = {
-    "domino": (MixtureSDM, FitConfig),
-    "confusion": (ConfusionSDM, type(None)),
-    "spotlight": (SpotlightSDM, SpotlightConfig),
-    "multiacc": (MultiaccuracySDM, MultiaccuracyConfig),
-    "george": (GeorgeSDM, GeorgeConfig),
+@dataclass(frozen=True)
+class Method:
+    """One registered slice discovery method.
+
+    ``config`` is the method's config dataclass (None when it takes no
+    settings). With ``cli_flags``, ``slicekit run`` gets one flag per config
+    field other than ``seed``.
+    """
+
+    sdm: type
+    config: type | None
+    cli_flags: bool
+
+
+# The single method registry, in the order the CLI lists methods. GEORGE is
+# configured through --config only: its max_iter would clash with domino's.
+METHODS: dict[str, Method] = {
+    "domino": Method(MixtureSDM, FitConfig, cli_flags=True),
+    "confusion": Method(ConfusionSDM, None, cli_flags=False),
+    "spotlight": Method(SpotlightSDM, SpotlightConfig, cli_flags=True),
+    "multiacc": Method(MultiaccuracySDM, MultiaccuracyConfig, cli_flags=True),
+    "george": Method(GeorgeSDM, GeorgeConfig, cli_flags=False),
 }
 
 
 def make_sdm(method: str, cfg: object = None):
-    """Instantiate the named method, building its default config when absent."""
-    if method not in _METHOD_CLASSES:
+    """Instantiate the named method; each method builds its default config."""
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid methods: {', '.join(METHODS)}")
-    cls, cfg_cls = _METHOD_CLASSES[method]
-    if cfg is None and cfg_cls is not type(None):
-        cfg = cfg_cls()
-    return cls(cfg)
+    return METHODS[method].sdm(cfg)
 
 
 def precision_at_k(scores: np.ndarray, truth: np.ndarray, k: int) -> float:

@@ -13,6 +13,9 @@ strictly increasing from 0.
 
 Scores document: JSON with fields ``method``, ``n``, ``k_hat``, ``scores``
 and optional ``slice_descriptions``.
+
+Every reader fails with a :class:`SliceKitError`: :class:`IoError` when the
+file cannot be read, :class:`SchemaError` or a subclass when it is malformed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import csv
 import json
 import struct
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -31,14 +34,54 @@ from .errors import (
     LabelOutOfRange,
     MagicMismatch,
     NonFiniteValue,
-    RowCountMismatch,
     SchemaError,
     TruncatedFile,
 )
+from .settings import BaseTable
 
 _MAGIC = b"EMB1"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQI")
+
+
+# --- raw reads --------------------------------------------------------------
+
+
+def read_lines(path: str | Path) -> Iterator[str]:
+    """A text file's lines without their newlines, read one at a time."""
+    try:
+        with Path(path).open() as fh:
+            for line in fh:
+                yield line.rstrip("\n")
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def read_json(path: str | Path) -> Any:
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """The header and the non-blank rows of a CSV file."""
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    if header is None:
+        raise SchemaError(f"{path}: empty file")
+    return header, rows
 
 
 # --- embeddings -------------------------------------------------------------
@@ -67,7 +110,10 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     path = Path(path)
     if path.suffix == ".csv":
         return _load_embeddings_csv(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
     if len(raw) < _HEADER.size:
         raise TruncatedFile(f"{path}: shorter than the {_HEADER.size}-byte header")
     magic, version, n, d = _HEADER.unpack_from(raw)
@@ -75,6 +121,8 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
         raise MagicMismatch(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
         raise MagicMismatch(f"{path}: unsupported version {version}")
+    if n < 1 or d < 1:
+        raise SchemaError(f"{path}: declares an empty {n} x {d} matrix")
     expected = _HEADER.size + 4 * n * d
     if len(raw) != expected:
         raise TruncatedFile(f"{path}: {len(raw)} bytes, expected {expected}")
@@ -86,15 +134,14 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
 
 def _load_embeddings_csv(path: Path) -> EmbeddingMatrix:
     rows: list[list[float]] = []
-    with path.open(newline="") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno + 1}: {exc}") from exc
+    for lineno, line in enumerate(read_lines(path)):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno + 1}: {exc}") from exc
     if not rows:
         raise TruncatedFile(f"{path}: no rows")
     widths = {len(r) for r in rows}
@@ -130,13 +177,7 @@ def save_split(split: LabeledSplit, path: str | Path) -> None:
 
 
 def _parse_split_csv(path: Path) -> LabeledSplit:
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        records = [row for row in reader if row]
+    header, records = _read_csv(path)
 
     required = ["id", "y", "y_hat"]
     if header[: len(required)] != required:
@@ -165,21 +206,24 @@ def _parse_split_csv(path: Path) -> LabeledSplit:
     probs = np.empty((n, len(prob_cols)), dtype=np.float64) if prob_cols else None
     slices = np.empty((n, len(slice_cols)), dtype=np.int64)
 
-    for i, row in enumerate(records):
-        if len(row) != len(header):
-            raise SchemaError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
-        if int(row[col_index["id"]]) != i:
-            raise SchemaError(f"{path}: id column must increase strictly from 0 (row {i})")
-        labels[i] = int(row[col_index["y"]])
-        preds[i] = int(row[col_index["y_hat"]])
-        if probs is not None:
-            for c, name in enumerate(prob_cols):
-                probs[i, c] = float(row[col_index[name]])
-        for j, name in enumerate(slice_cols):
-            value = row[col_index[name]]
-            if value not in ("0", "1"):
-                raise SchemaError(f"{path}: slice column {name} holds {value!r}, not 0/1")
-            slices[i, j] = int(value)
+    try:
+        for i, row in enumerate(records):
+            if len(row) != len(header):
+                raise SchemaError(f"{path}: row {i} has {len(row)} fields, not {len(header)}")
+            if int(row[col_index["id"]]) != i:
+                raise SchemaError(f"{path}: id column must increase strictly from 0 (row {i})")
+            labels[i] = int(row[col_index["y"]])
+            preds[i] = int(row[col_index["y_hat"]])
+            if probs is not None:
+                for c, name in enumerate(prob_cols):
+                    probs[i, c] = float(row[col_index[name]])
+            for j, name in enumerate(slice_cols):
+                value = row[col_index[name]]
+                if value not in ("0", "1"):
+                    raise SchemaError(f"{path}: slice column {name} holds {value!r}, not 0/1")
+                slices[i, j] = int(value)
+    except (OverflowError, ValueError) as exc:
+        raise SchemaError(f"{path}: row {i}: {exc}") from exc
 
     if probs is not None:
         num_classes = probs.shape[1]
@@ -190,14 +234,17 @@ def _parse_split_csv(path: Path) -> LabeledSplit:
     if preds.min() < 0 or preds.max() >= num_classes:
         raise LabelOutOfRange(f"{path}: prediction outside [0, {num_classes - 1}]")
 
-    return LabeledSplit(
-        labels=labels,
-        predictions=preds,
-        slices=slices,
-        slice_names=tuple(name[2:] for name in slice_cols),
-        num_classes=num_classes,
-        prediction_probs=probs,
-    )
+    try:
+        return LabeledSplit(
+            labels=labels,
+            predictions=preds,
+            slices=slices,
+            slice_names=tuple(name[2:] for name in slice_cols),
+            num_classes=num_classes,
+            prediction_probs=probs,
+        )
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def load_split(
@@ -227,19 +274,22 @@ def save_scores(scores: SliceScores, path: str | Path) -> None:
 
 
 def load_scores(path: str | Path) -> SliceScores:
-    doc = json.loads(Path(path).read_text())
-    for key in ("method", "n", "k_hat", "scores"):
-        if key not in doc:
-            raise SchemaError(f"{path}: scores document missing {key!r}")
-    scores = np.asarray(doc["scores"], dtype=np.float64)
-    if scores.ndim != 2 or scores.shape != (doc["n"], doc["k_hat"]):
-        raise SchemaError(
-            f"{path}: scores shape {scores.shape} does not match n/k_hat fields"
-        )
-    descriptions = doc.get("slice_descriptions")
-    if descriptions is not None:
-        descriptions = tuple(tuple(d) for d in descriptions)
-    return SliceScores(scores=scores, method=doc["method"], slice_descriptions=descriptions)
+    doc = read_json(path)
+    try:
+        for key in ("method", "n", "k_hat", "scores"):
+            if not isinstance(doc, dict) or key not in doc:
+                raise SchemaError(f"{path}: scores document missing {key!r}")
+        scores = np.asarray(doc["scores"], dtype=np.float64)
+        if scores.ndim != 2 or scores.shape != (doc["n"], doc["k_hat"]):
+            raise SchemaError(
+                f"{path}: scores shape {scores.shape} does not match n/k_hat fields"
+            )
+        descriptions = doc.get("slice_descriptions")
+        if descriptions is not None:
+            descriptions = tuple(tuple(d) for d in descriptions)
+        return SliceScores(scores, method=doc["method"], slice_descriptions=descriptions)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 # --- setting directories ----------------------------------------------------
@@ -278,17 +328,75 @@ def load_setting(directory: str | Path) -> SliceSetting:
     meta_path = directory / "setting.json"
     if not meta_path.exists():
         raise SchemaError(f"{directory}: missing setting.json")
-    meta = json.loads(meta_path.read_text())
+    meta = read_json(meta_path)
     valid_emb, valid_split = load_split(directory / "valid.csv", directory / "valid.emb")
     test_emb, test_split = load_split(directory / "test.csv", directory / "test.emb")
-    return SliceSetting(
-        valid_emb=valid_emb,
-        valid_split=valid_split,
-        test_emb=test_emb,
-        test_split=test_split,
-        slice_type=meta["slice_type"],
-        alpha=float(meta["alpha"]),
-        model_kind=meta["model_kind"],
-        seed=int(meta["seed"]),
-        provenance=meta.get("provenance", {}),
-    )
+    try:
+        return SliceSetting(
+            valid_emb=valid_emb,
+            valid_split=valid_split,
+            test_emb=test_emb,
+            test_split=test_split,
+            slice_type=meta["slice_type"],
+            alpha=float(meta["alpha"]),
+            model_kind=meta["model_kind"],
+            seed=int(meta["seed"]),
+            provenance=meta.get("provenance", {}),
+        )
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{directory}: bad setting: {type(exc).__name__}: {exc}") from exc
+
+
+def load_manifest(path: str | Path) -> list[tuple[str, Path]]:
+    """(id, directory) of every setting a manifest lists, in manifest order."""
+    path = Path(path)
+    doc = read_json(path)
+    entries = doc.get("settings") if isinstance(doc, dict) else None
+    if not entries or not isinstance(entries, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("id"), str) and isinstance(e.get("path", ""), str)
+        for e in entries
+    ):
+        raise SchemaError(
+            f"{path}: a manifest is a JSON object whose 'settings' list is non-empty "
+            "and holds a string 'id' (and optional 'path') per setting"
+        )
+    return [(e["id"], path.parent / e.get("path", e["id"])) for e in entries]
+
+
+# --- generator inputs -------------------------------------------------------
+
+
+def load_base_table(path: str | Path, target: str, attribute: str) -> BaseTable:
+    """Read a base table CSV with the given target and attribute columns."""
+    path = Path(path)
+    header, rows = _read_csv(path)
+    if header[:1] != ["id"]:
+        raise SchemaError(f"{path}: base table header must start with 'id'")
+    try:
+        values = np.asarray([[int(v) for v in row[1:]] for row in rows], dtype=np.int64)
+        return BaseTable(
+            names=tuple(header[1:]), values=values, target=target, attribute=attribute
+        )
+    except (OverflowError, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def load_ingested_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
+    """Predictions and optional class probabilities, one row per base-table row."""
+    path = Path(path)
+    header, rows = _read_csv(path)
+    if header[:2] != ["id", "y_hat"]:
+        raise SchemaError(f"{path}: predictions header must start with id,y_hat")
+    prob_cols = header[2:]
+    preds = np.empty(len(rows), dtype=np.int64)
+    probs = np.empty((len(rows), len(prob_cols))) if prob_cols else None
+    try:
+        for i, row in enumerate(rows):
+            if int(row[0]) != i:
+                raise SchemaError(f"{path}: id column must increase strictly from 0")
+            preds[i] = int(row[1])
+            if probs is not None:
+                probs[i] = [float(v) for v in row[2:]]
+    except (IndexError, OverflowError, ValueError) as exc:
+        raise SchemaError(f"{path}: row {i}: {exc}") from exc
+    return preds, probs

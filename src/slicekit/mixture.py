@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .clustering import kmeans
+from .clustering import kmeans, pca_basis
 from .data import EmbeddingMatrix, LabeledSplit, SliceScores, check_pair
 from .errors import (
     DimensionMismatch,
@@ -36,8 +36,9 @@ _SMOOTH = 1e-9
 class FitConfig:
     """Hyperparameters for one mixture fit."""
 
-    k_bar: int = 25
-    k_hat: int = 5
+    # ``cli_aliases`` are extra spellings of the field's ``slicekit run`` flag.
+    k_bar: int = field(default=25, metadata={"cli_aliases": ("--kbar",)})
+    k_hat: int = field(default=5, metadata={"cli_aliases": ("--khat",)})
     gamma: float = 10.0
     max_iter: int = 100
     rel_tol: float = 1e-6
@@ -170,19 +171,8 @@ def reduce_dim(
         record = ProjectionRecord(mean=None, basis=None, input_dim=d, output_dim=d)
         return train_emb, apply_emb, record
 
-    out_dim = min(cfg.pca_dim, train_emb.n - 1, d)
-    mean = train_emb.values.mean(axis=0)
-    centered = train_emb.values - mean
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    basis = vt[:out_dim]
-    # Deterministic sign convention: largest-magnitude entry positive.
-    anchors = np.argmax(np.abs(basis), axis=1)
-    signs = np.sign(basis[np.arange(out_dim), anchors])
-    signs[signs == 0] = 1.0
-    basis = basis * signs[:, None]
-    mean.setflags(write=False)
-    basis.setflags(write=False)
-    record = ProjectionRecord(mean=mean, basis=basis, input_dim=d, output_dim=out_dim)
+    mean, basis = pca_basis(train_emb.values, cfg.pca_dim)
+    record = ProjectionRecord(mean, basis, input_dim=d, output_dim=basis.shape[0])
     return record.apply(train_emb), record.apply(apply_emb), record
 
 
@@ -449,20 +439,12 @@ def save_model(
     doc = {
         "config": asdict(cfg),
         "projection": {
-            "mean": None if projection.mean is None else [float(v) for v in projection.mean],
-            "basis": None
-            if projection.basis is None
-            else [[float(v) for v in row] for row in projection.basis],
+            "mean": None if projection.mean is None else projection.mean.tolist(),
+            "basis": None if projection.basis is None else projection.basis.tolist(),
             "input_dim": projection.input_dim,
             "output_dim": projection.output_dim,
         },
-        "params": {
-            "weights": [float(v) for v in params.weights],
-            "means": [[float(v) for v in row] for row in params.means],
-            "variances": [[float(v) for v in row] for row in params.variances],
-            "label_probs": [[float(v) for v in row] for row in params.label_probs],
-            "pred_probs": [[float(v) for v in row] for row in params.pred_probs],
-        },
+        "params": {f.name: getattr(params, f.name).tolist() for f in fields(MixtureParams)},
     }
     try:
         Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -480,12 +462,5 @@ def load_model(path: str | Path) -> tuple[MixtureParams, ProjectionRecord, FitCo
         input_dim=int(proj["input_dim"]),
         output_dim=int(proj["output_dim"]),
     )
-    raw = doc["params"]
-    params = MixtureParams(
-        weights=np.asarray(raw["weights"]),
-        means=np.asarray(raw["means"]),
-        variances=np.asarray(raw["variances"]),
-        label_probs=np.asarray(raw["label_probs"]),
-        pred_probs=np.asarray(raw["pred_probs"]),
-    )
+    params = MixtureParams(**{k: np.asarray(v) for k, v in doc["params"].items()})
     return params, projection, cfg

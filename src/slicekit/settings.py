@@ -21,7 +21,6 @@ from .data import (
     LabeledSplit,
     SliceSetting,
     alpha_in_range,
-    check_pair,
 )
 from .errors import (
     AlphaOutOfRange,
@@ -30,6 +29,7 @@ from .errors import (
     InsufficientBase,
     NoConvergence,
     NotBinary,
+    RowCountMismatch,
 )
 from .seeding import derive_rng
 
@@ -177,14 +177,20 @@ def _materialize(
     chosen: np.ndarray,
     labels: np.ndarray,
     slice_col: np.ndarray,
-    slice_name: str,
     slice_type: str,
     alpha: float,
     seed: int,
     provenance: dict,
     original_labels: np.ndarray | None = None,
 ) -> SliceSetting:
-    check_pair(embeddings, _dummy_split(base))
+    """Split the chosen base rows 50/50; the slice is named after the attribute.
+
+    ``provenance`` adds generator-specific fields to the common ones.
+    """
+    if embeddings.n != base.n_base:
+        raise RowCountMismatch(
+            f"embeddings have {embeddings.n} rows, base table has {base.n_base}"
+        )
     rng = derive_rng(seed, "settings", slice_type, "split")
     valid_idx, test_idx = _split_indices(chosen.shape[0], rng)
 
@@ -194,14 +200,22 @@ def _materialize(
             labels=labels[idx],
             predictions=labels[idx].copy(),
             slices=slice_col[idx, None],
-            slice_names=(slice_name,),
+            slice_names=(base.attribute,),
             num_classes=2,
         )
         return EmbeddingMatrix(embeddings.values[rows]), split
 
     valid_emb, valid_split = build(valid_idx)
     test_emb, test_split = build(test_idx)
-    provenance = dict(provenance)
+    provenance = {
+        "generator": slice_type,
+        "alpha": alpha,
+        "n": chosen.shape[0],
+        "seed": seed,
+        "target": base.target,
+        "attribute": base.attribute,
+        **provenance,
+    }
     provenance["base_rows"] = {
         "valid": [int(v) for v in chosen[valid_idx]],
         "test": [int(v) for v in chosen[test_idx]],
@@ -221,18 +235,6 @@ def _materialize(
         model_kind="trained_ingested",
         seed=int(seed),
         provenance=provenance,
-    )
-
-
-def _dummy_split(base: BaseTable) -> LabeledSplit:
-    # Row-count surrogate so check_pair can compare embeddings with the base.
-    y = base.column(base.target)
-    return LabeledSplit(
-        labels=np.zeros_like(y),
-        predictions=np.zeros_like(y),
-        slices=np.zeros((y.shape[0], 1), dtype=np.int64),
-        slice_names=("base",),
-        num_classes=2,
     )
 
 
@@ -264,19 +266,12 @@ def build_correlation_setting(
     c = base.column(base.attribute)[chosen]
     slice_col = (y != c).astype(np.int64)
     provenance = {
-        "generator": "correlation",
-        "alpha": alpha,
         "mu_a": mu_a,
         "mu_b": mu_b,
-        "n": n,
-        "seed": seed,
-        "target": base.target,
-        "attribute": base.attribute,
         "cells": {"n11": counts.n11, "n10": counts.n10, "n01": counts.n01, "n00": counts.n00},
     }
     return _materialize(
-        base, embeddings, chosen, y, slice_col, base.attribute,
-        "correlation", alpha, seed, provenance,
+        base, embeddings, chosen, y, slice_col, "correlation", alpha, seed, provenance
     )
 
 
@@ -304,20 +299,8 @@ def build_rare_setting(
     chosen = np.sort(np.concatenate(chosen_parts))
     y = base.column(base.target)[chosen]
     slice_col = base.column(base.attribute)[chosen].astype(np.int64)
-    provenance = {
-        "generator": "rare",
-        "alpha": alpha,
-        "n": n,
-        "seed": seed,
-        "target": base.target,
-        "attribute": base.attribute,
-        "n_pos": n_pos,
-        "n_slice": n_slice,
-    }
-    return _materialize(
-        base, embeddings, chosen, y, slice_col, base.attribute,
-        "rare", alpha, seed, provenance,
-    )
+    provenance = {"n_pos": n_pos, "n_slice": n_slice}
+    return _materialize(base, embeddings, chosen, y, slice_col, "rare", alpha, seed, provenance)
 
 
 def build_noisy_setting(
@@ -357,20 +340,33 @@ def build_noisy_setting(
     flips = (flip_rng.random(chosen.shape[0]) < alpha) & (slice_col == 1)
     noisy = np.where(flips, 1 - y, y)
     provenance = {
-        "generator": "noisy_label",
-        "alpha": alpha,
-        "n": n,
-        "seed": seed,
-        "target": base.target,
-        "attribute": base.attribute,
         "cells": dict(zip(("n11", "n10", "n01", "n00"), counts)),
         "n_flipped": int(flips.sum()),
     }
     return _materialize(
-        base, embeddings, chosen, noisy, slice_col, base.attribute,
-        "noisy_label", alpha, seed, provenance,
+        base, embeddings, chosen, noisy, slice_col, "noisy_label", alpha, seed, provenance,
         original_labels=y,
     )
+
+
+def build_setting(
+    slice_type: str,
+    base: BaseTable,
+    embeddings: EmbeddingMatrix,
+    alpha: float,
+    n: int,
+    seed: int,
+    mu_a: float = 0.5,
+    mu_b: float = 0.5,
+) -> SliceSetting:
+    """Run the generator of ``slice_type``; mu_a/mu_b apply to correlation only."""
+    if slice_type == "correlation":
+        return build_correlation_setting(base, embeddings, alpha, mu_a, mu_b, n, seed)
+    if slice_type == "rare":
+        return build_rare_setting(base, embeddings, alpha, n, seed)
+    if slice_type == "noisy_label":
+        return build_noisy_setting(base, embeddings, alpha, n, seed)
+    raise ValueError(f"unknown slice type {slice_type!r}")
 
 
 # --- synthetic model --------------------------------------------------------
@@ -470,14 +466,7 @@ def synth_predictions(
     prob_one = np.clip(prob_one, 1e-12, 1.0 - 1e-12)
     probs = np.column_stack([1.0 - prob_one, prob_one])
     preds = (prob_one > 0.5).astype(np.int64)
-    return LabeledSplit(
-        labels=y,
-        predictions=preds,
-        slices=split.slices,
-        slice_names=split.slice_names,
-        num_classes=2,
-        prediction_probs=probs,
-    )
+    return replace(split, predictions=preds, prediction_probs=probs)
 
 
 def apply_synthetic_model(setting: SliceSetting, spec: SyntheticModelSpec) -> SliceSetting:
@@ -493,15 +482,11 @@ def apply_synthetic_model(setting: SliceSetting, spec: SyntheticModelSpec) -> Sl
         "kappa": spec.kappa,
         "seed": spec.seed,
     }
-    return SliceSetting(
-        valid_emb=setting.valid_emb,
+    return replace(
+        setting,
         valid_split=synth_predictions(setting.valid_split, model_spec, stream=("valid",)),
-        test_emb=setting.test_emb,
         test_split=synth_predictions(setting.test_split, model_spec, stream=("test",)),
-        slice_type=setting.slice_type,
-        alpha=setting.alpha,
         model_kind="synthetic",
-        seed=setting.seed,
         provenance=provenance,
     )
 
@@ -525,29 +510,18 @@ def apply_ingested_predictions(
     def rebuilt(split: LabeledSplit, part: str) -> LabeledSplit:
         idx = np.asarray(rows[part], dtype=np.int64)
         if idx.max() >= predictions.shape[0]:
-            raise ValueError(
+            raise RowCountMismatch(
                 f"predictions cover {predictions.shape[0]} base rows but the "
                 f"setting references row {int(idx.max())}"
             )
         probs = None if prediction_probs is None else prediction_probs[idx]
-        return LabeledSplit(
-            labels=split.labels,
-            predictions=predictions[idx],
-            slices=split.slices,
-            slice_names=split.slice_names,
-            num_classes=split.num_classes,
-            prediction_probs=probs,
-        )
+        return replace(split, predictions=predictions[idx], prediction_probs=probs)
 
-    return SliceSetting(
-        valid_emb=setting.valid_emb,
+    return replace(
+        setting,
         valid_split=rebuilt(setting.valid_split, "valid"),
-        test_emb=setting.test_emb,
         test_split=rebuilt(setting.test_split, "test"),
-        slice_type=setting.slice_type,
-        alpha=setting.alpha,
         model_kind="trained_ingested",
-        seed=setting.seed,
         provenance=dict(setting.provenance, model={"kind": "ingested"}),
     )
 
@@ -765,14 +739,7 @@ def make_synthetic_setting(
         sigma=sigma,
         attribute=attribute,
     )
-    if slice_type == "correlation":
-        setting = build_correlation_setting(base, emb, alpha, mu_a, mu_b, n, seed)
-    elif slice_type == "rare":
-        setting = build_rare_setting(base, emb, alpha, n, seed)
-    elif slice_type == "noisy_label":
-        setting = build_noisy_setting(base, emb, alpha, n, seed)
-    else:
-        raise ValueError(f"unknown slice type {slice_type!r}")
+    setting = build_setting(slice_type, base, emb, alpha, n, seed, mu_a, mu_b)
     if model is not None:
         setting = apply_synthetic_model(setting, model)
     return setting

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from slicekit import EmbeddingMatrix, FitConfig, MixtureSDM
 from slicekit.cli import main
+from slicekit.evaluate import METHODS, make_sdm
 from slicekit.fileio import load_scores, load_setting, save_embeddings
 
 
@@ -227,6 +228,17 @@ class TestRun:
         assert result.exit_code == 2
         assert "valid" in result.output
 
+    @pytest.mark.parametrize(
+        "method, flag, value",
+        [("george", "--max-iter", "1"), ("domino", "--steps", "0"), ("confusion", "--gamma", "1")],
+    )
+    def test_flag_of_another_method_exit_two(self, runner, setting_dir, method, flag, value):
+        result = runner.invoke(main, [
+            "run", "--setting", str(setting_dir), "--method", method, flag, value,
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"{flag} not accepted by --method {method}" in result.output
+
     def test_domino_flags_reproduce_library_fit(self, runner, setting_dir, tmp_path):
         out = tmp_path / "scores.json"
         result = runner.invoke(main, [
@@ -289,6 +301,32 @@ class TestEval:
             "--out", str(tmp_path / "o"),
         ])
         assert result.exit_code == 2
+
+    def test_bad_config_section_exit_two(self, runner, tmp_path):
+        cfg = synth_config(tmp_path, slice_types=["rare"], alphas={"rare": [0.1]}, seeds=1, n=200, d=4)
+        grid = tmp_path / "grid"
+        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(grid)])
+        assert result.exit_code == 0, result.output
+        method_cfg = tmp_path / "methods.json"
+        method_cfg.write_text(json.dumps({"methods": {"domino": {"bogus": 1}}}))
+        out = tmp_path / "report"
+        result = runner.invoke(main, [
+            "eval", "--manifest", str(grid / "manifest.json"), "--methods", "domino",
+            "--config", str(method_cfg), "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "bogus" in result.output
+        assert not out.exists()
+
+    def test_manifest_must_be_an_object(self, runner, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"id": "a", "path": "a"}]))
+        result = runner.invoke(main, [
+            "eval", "--manifest", str(manifest), "--methods", "confusion",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_all_settings_failing_exits_one(self, runner, tmp_path):
         manifest = tmp_path / "manifest.json"
@@ -385,3 +423,91 @@ class TestReportCommand:
         b = json.loads((again / "report.json").read_text())
         assert a["results"] == b["results"]
         assert a["aggregates"] == b["aggregates"]
+
+
+# ``slicekit run --help`` as the hand-written flag table printed it; the flags
+# generated from the method registry must keep these names, types and order.
+RUN_HELP = """\
+Usage: slicekit run [OPTIONS]
+
+  Fit one method on a setting and write its scores document.
+
+Options:
+  --setting PATH              [required]
+  --method TEXT               [required]
+  --out PATH
+  --config PATH
+  --score-split [test|valid]  [default: test]
+  --k INTEGER                 [default: 10]
+  --seed INTEGER              [default: 0]
+  --phrases PATH
+  --phrase-embeddings PATH
+  --synonyms PATH
+  --top INTEGER               [default: 10]
+  --k-bar, --kbar INTEGER
+  --k-hat, --khat INTEGER
+  --gamma FLOAT
+  --max-iter INTEGER
+  --rel-tol FLOAT
+  --init-noise FLOAT
+  --pca-threshold INTEGER
+  --pca-dim INTEGER
+  --cov-floor FLOAT
+  --min-mass-fraction FLOAT
+  --steps INTEGER
+  --learning-rate FLOAT
+  --num-spotlights INTEGER
+  --eta FLOAT
+  --rounds INTEGER
+  --fit-fraction FLOAT
+  --ridge-lambda FLOAT
+  --help                      Show this message and exit.
+"""
+
+
+class TestRegistry:
+    @pytest.fixture()
+    def grid(self, runner, tmp_path):
+        cfg = synth_config(
+            tmp_path, slice_types=["rare"], alphas={"rare": [0.1]}, seeds=1, n=200, d=4,
+        )
+        out = tmp_path / "grid"
+        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        return out
+
+    def test_run_help_is_unchanged(self, runner):
+        result = runner.invoke(main, ["run", "--help"], prog_name="slicekit", terminal_width=80)
+        assert result.exit_code == 0
+        assert result.output == RUN_HELP
+
+    def test_registry_order(self):
+        assert list(METHODS) == ["domino", "confusion", "spotlight", "multiacc", "george"]
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_default_config_fits_tiny_setting(self, grid, method):
+        setting = load_setting(grid / "rare_a0.1_r0")
+        sdm = make_sdm(method).fit(setting.valid_emb, setting.valid_split)
+        scores = sdm.transform(setting.test_emb, setting.test_split)
+        assert scores.n == setting.test_emb.n
+
+    def test_run_and_eval_accept_exactly_the_registry(self, runner, grid, tmp_path):
+        fast = tmp_path / "fast.json"
+        fast.write_text(json.dumps({"methods": {"spotlight": {"steps": 20}}}))
+        for method in METHODS:
+            result = runner.invoke(main, [
+                "run", "--setting", str(grid / "rare_a0.1_r0"), "--method", method,
+                "--config", str(fast),
+            ])
+            assert result.exit_code == 0, (method, result.output)
+        result = runner.invoke(main, [
+            "eval", "--manifest", str(grid / "manifest.json"), "--methods", ",".join(METHODS),
+            "--config", str(fast), "--out", str(tmp_path / "report"),
+        ])
+        assert result.exit_code == 0, result.output
+        for command in (["run", "--setting", str(grid / "rare_a0.1_r0"), "--method"],
+                        ["eval", "--manifest", str(grid / "manifest.json"),
+                         "--out", str(tmp_path / "o"), "--methods"]):
+            result = runner.invoke(main, command + ["george-pca"])
+            assert result.exit_code == 2
+            assert f"valid methods: {', '.join(METHODS)}" in result.output
