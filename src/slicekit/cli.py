@@ -9,7 +9,6 @@ failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import dataclasses
-import json
 import shutil
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +18,7 @@ import click
 
 from . import evaluate as ev
 from .data import SLICE_TYPES, alpha_in_range
-from .errors import SliceKitError
+from .errors import SchemaError, SliceKitError
 from .fileio import (
     load_base_table,
     load_embeddings,
@@ -27,6 +26,7 @@ from .fileio import (
     load_manifest,
     load_scores,
     load_setting,
+    read_json,
     save_scores,
     save_setting,
     write_json,
@@ -44,9 +44,9 @@ from .settings import (
 
 def _load_json(path: str | Path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise click.UsageError(f"cannot read config {path}: {exc}") from exc
+        doc = read_json(path)
+    except SliceKitError as exc:
+        raise click.UsageError(f"cannot read config: {exc}") from exc
     if not isinstance(doc, dict):
         raise click.UsageError(f"{path}: expected a JSON object")
     return doc
@@ -117,36 +117,46 @@ def main() -> None:
 def synth(config_path: str, out_dir: str, seed: int | None) -> None:
     """Generate a grid of fully synthetic slice discovery settings."""
     cfg = _load_json(config_path)
-    master_seed = int(cfg.get("seed", 0) if seed is None else seed)
-    slice_types = cfg.get("slice_types", ["rare", "correlation", "noisy_label"])
-    alphas = cfg.get("alphas")
-    if alphas is None:
+    if cfg.get("alphas") is None:
         raise click.UsageError("synth config requires an 'alphas' list or map")
-    if isinstance(alphas, list):
-        alphas = {t: alphas for t in slice_types}
-    replicates = cfg.get("seeds", 1)
-    if isinstance(replicates, int):
-        replicates = list(range(replicates))
-
-    grid = []
-    for slice_type in slice_types:
-        for alpha in alphas.get(slice_type, []):
-            if not alpha_in_range(slice_type, alpha):
-                raise click.UsageError(
-                    f"grid point ({slice_type}, alpha={alpha}) is outside the "
-                    f"legal range for {slice_type}"
-                )
-            for rep in replicates:
-                grid.append((slice_type, float(alpha), int(rep)))
+    try:
+        master_seed = int(cfg.get("seed", 0) if seed is None else seed)
+        slice_types = cfg.get("slice_types", ["rare", "correlation", "noisy_label"])
+        alphas = cfg["alphas"]
+        if isinstance(alphas, list):
+            alphas = {t: alphas for t in slice_types}
+        replicates = cfg.get("seeds", 1)
+        if isinstance(replicates, int):
+            replicates = list(range(replicates))
+        grid = []
+        for slice_type in slice_types:
+            if slice_type not in SLICE_TYPES:
+                raise click.UsageError(f"unknown slice type {slice_type!r}")
+            for alpha in alphas.get(slice_type, []):
+                if not alpha_in_range(slice_type, alpha):
+                    raise click.UsageError(
+                        f"grid point ({slice_type}, alpha={alpha}) is outside the "
+                        f"legal range for {slice_type}"
+                    )
+                grid += [(slice_type, float(alpha), int(rep)) for rep in replicates]
+        sizes = dict(
+            n=int(cfg.get("n", 2000)),
+            d=int(cfg.get("d", 32)),
+            offset_sigmas=float(cfg.get("offset_sigmas", 4.0)),
+            class_sep_sigmas=float(cfg.get("class_sep_sigmas", 4.0)),
+            sigma=float(cfg.get("sigma", 1.0)),
+            mu_a=float(cfg.get("mu_a", 0.5)),
+            mu_b=float(cfg.get("mu_b", 0.5)),
+        )
+        model = _model_spec_from_config(cfg.get("model"))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise click.UsageError(f"bad synth configuration: {exc}") from exc
     if not grid:
         raise click.UsageError("synth grid is empty")
 
-    model = _model_spec_from_config(cfg.get("model"))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = dict(cfg)
-    resolved["seed"] = master_seed
-    write_json(out / "synth_config.json", resolved)
+    write_json(out / "synth_config.json", {**cfg, "seed": master_seed})
 
     created: list[Path] = []
     manifest = []
@@ -156,15 +166,9 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
             setting = make_synthetic_setting(
                 slice_type,
                 alpha,
-                n=int(cfg.get("n", 2000)),
-                d=int(cfg.get("d", 32)),
                 seed=derive_seed(master_seed, "setting", slice_type, alpha, rep),
-                offset_sigmas=float(cfg.get("offset_sigmas", 4.0)),
-                class_sep_sigmas=float(cfg.get("class_sep_sigmas", 4.0)),
-                sigma=float(cfg.get("sigma", 1.0)),
-                mu_a=float(cfg.get("mu_a", 0.5)),
-                mu_b=float(cfg.get("mu_b", 0.5)),
                 model=model,
+                **sizes,
             )
             path = out / setting_id
             created.append(path)
@@ -205,29 +209,30 @@ def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int
             raise click.UsageError(f"gen config missing {key!r}")
     if cfg["slice_type"] not in SLICE_TYPES:
         raise click.UsageError(f"unknown slice_type {cfg['slice_type']!r}")
-    run_seed = int(cfg.get("seed", 0) if seed is None else seed)
+    model = cfg.get("model")
+    try:
+        run_seed = int(cfg.get("seed", 0) if seed is None else seed)
+        alpha, n = float(cfg["alpha"]), int(cfg["n"])
+        mu_a, mu_b = float(cfg.get("mu_a", 0.5)), float(cfg.get("mu_b", 0.5))
+        ingested = model is not None and model.get("kind") == "ingested"
+        spec = None if ingested else _model_spec_from_config(model)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise click.UsageError(f"bad gen configuration: {exc}") from exc
+    if ingested and not (isinstance(model.get("predictions"), str) and model["predictions"]):
+        raise click.UsageError("ingested model config needs a 'predictions' path")
 
     try:
         base = load_base_table(base_path, cfg["target"], cfg["attribute"])
         embeddings = load_embeddings(emb_path)
-        setting = build_setting(
-            cfg["slice_type"], base, embeddings, float(cfg["alpha"]), int(cfg["n"]),
-            run_seed, float(cfg.get("mu_a", 0.5)), float(cfg.get("mu_b", 0.5)),
-        )
-        model = cfg.get("model")
-        if model is not None and model.get("kind") == "ingested":
-            preds_path = model.get("predictions")
-            if not preds_path:
-                raise click.UsageError("ingested model config needs a 'predictions' path")
-            preds, probs = load_ingested_predictions(preds_path)
+        setting = build_setting(cfg["slice_type"], base, embeddings, alpha, n, run_seed, mu_a, mu_b)
+        if ingested:
+            preds, probs = load_ingested_predictions(model["predictions"])
             setting = apply_ingested_predictions(setting, preds, probs)
-        elif model is not None:
-            setting = apply_synthetic_model(setting, _model_spec_from_config(model))
+        elif spec is not None:
+            setting = apply_synthetic_model(setting, spec)
         out = Path(out_dir)
         save_setting(setting, out)
-        resolved = dict(cfg)
-        resolved["seed"] = run_seed
-        write_json(out / "gen_config.json", resolved)
+        write_json(out / "gen_config.json", {**cfg, "seed": run_seed})
     except SliceKitError as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"wrote setting to {out_dir}")
@@ -333,19 +338,14 @@ def run(
 # --- eval -------------------------------------------------------------------
 
 
-def _eval_task(args: tuple) -> dict:
+def _eval_task(args: tuple) -> ev.SettingResult | dict:
+    """The task's result, or the error record of its failure."""
     setting_path, setting_id, method, method_cfg, k, beta = args
     try:
         setting = load_setting(setting_path)
-        result = ev.run_setting(
-            setting, method, method_cfg, k=k, beta=beta, setting_id=setting_id
-        )
-        return {"ok": True, "result": ev.result_to_dict(result)}
+        return ev.run_setting(setting, method, method_cfg, k=k, beta=beta, setting_id=setting_id)
     except Exception as exc:  # per-setting failures must not abort the batch
-        return {
-            "ok": False,
-            "error": {"setting_id": setting_id, "method": method, "error": str(exc)},
-        }
+        return {"setting_id": setting_id, "method": method, "error": str(exc)}
 
 
 @main.command(name="eval")
@@ -404,8 +404,8 @@ def eval_cmd(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_eval_task, tasks))
 
-    results = [ev.result_from_dict(o["result"]) for o in outcomes if o["ok"]]
-    errors = [o["error"] for o in outcomes if not o["ok"]]
+    results = [o for o in outcomes if isinstance(o, ev.SettingResult)]
+    errors = [o for o in outcomes if isinstance(o, dict)]
     for error in errors:
         click.echo(
             f"error: {error['setting_id']} [{error['method']}]: {error['error']}",
@@ -414,9 +414,7 @@ def eval_cmd(
     if not results:
         raise click.ClickException("all settings failed")
 
-    reports = ev.aggregate(results, seed=seed)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     resolved = {
         "manifest": str(manifest_path),
         "methods": method_list,
@@ -425,10 +423,8 @@ def eval_cmd(
         "beta": beta,
         "method_configs": sections,
     }
+    _write_reports(out, results, errors, resolved)
     write_json(out / "eval_config.json", resolved)
-    document = ev.report_document(results, reports, errors=errors, config=resolved)
-    write_json(out / "report.json", document)
-    (out / "report.md").write_text(ev.report_markdown(reports, k=k))
     click.echo(
         f"evaluated {len(results)} of {len(tasks)} setting/method pairs; "
         f"report in {out}"
@@ -475,25 +471,25 @@ def describe(
 # --- report -----------------------------------------------------------------
 
 
+def _write_reports(out: Path, results: list, errors: list, config: dict) -> None:
+    """report.json and report.md; ``config`` holds ``k`` and the bootstrap ``seed``."""
+    reports = ev.aggregate(results, seed=config["seed"])
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "report.json", ev.report_document(results, reports, errors, config))
+    (out / "report.md").write_text(ev.report_markdown(reports, k=config["k"]))
+
+
 @main.command()
 @click.option("--results", "results_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--k", type=int, default=10, show_default=True)
-def report(results_path: str, out_dir: str, seed: int, k: int) -> None:
-    """Re-aggregate a per-setting results document into fresh report files."""
-    doc = _load_json(results_path)
-    rows = doc.get("results", [])
-    if not rows:
-        raise click.UsageError(f"{results_path}: no results to aggregate")
-    results = [ev.result_from_dict(row) for row in rows]
-    reports = ev.aggregate(results, seed=seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    document = ev.report_document(results, reports, errors=doc.get("errors", []), config=doc.get("config", {}))
-    write_json(out / "report.json", document)
-    (out / "report.md").write_text(ev.report_markdown(reports, k=k))
-    click.echo(f"aggregated {len(results)} results into {out}")
+def report(results_path: str, out_dir: str) -> None:
+    """Re-aggregate a report.json into fresh report files, with its own k and seed."""
+    try:
+        results, errors, config = ev.read_report_document(_load_json(results_path))
+    except SchemaError as exc:
+        raise click.UsageError(f"{results_path}: {exc}") from exc
+    _write_reports(Path(out_dir), results, errors, config)
+    click.echo(f"aggregated {len(results)} results into {out_dir}")
 
 
 if __name__ == "__main__":

@@ -93,9 +93,9 @@ class LabeledSplit:
             )
         if slices.shape[1] < 1:
             raise ValueError("at least one slice column is required")
-        if len(names) != slices.shape[1]:
+        if len(names) != slices.shape[1] or len(set(names)) != len(names):
             raise ValueError(
-                f"{len(names)} slice names for {slices.shape[1]} slice columns"
+                f"slice names {names} are not {slices.shape[1]} distinct names, one per column"
             )
         if c < 2:
             raise ValueError("num_classes must be >= 2")

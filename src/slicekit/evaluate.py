@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .baselines import (
     SpotlightSDM,
 )
 from .data import LabeledSplit, SliceScores, SliceSetting
-from .errors import EmptyGroup, KTooLarge
+from .errors import EmptyGroup, KTooLarge, SchemaError
 from .mixture import FitConfig, MixtureSDM
 from .seeding import derive_rng
 
@@ -258,18 +258,40 @@ def result_to_dict(result: SettingResult) -> dict:
 
 
 def result_from_dict(doc: Mapping) -> SettingResult:
+    precisions = tuple(float(p) for p in doc["precisions"])
+    if not precisions or not all(0.0 <= p <= 1.0 for p in precisions):
+        raise ValueError("precisions must be a non-empty list of values in [0, 1]")
     return SettingResult(
-        setting_id=doc["setting_id"],
-        method=doc["method"],
-        slice_type=doc["slice_type"],
+        setting_id=str(doc["setting_id"]),
+        method=str(doc["method"]),
+        slice_type=str(doc["slice_type"]),
         alpha=float(doc["alpha"]),
-        model_kind=doc["model_kind"],
-        precisions=tuple(float(p) for p in doc["precisions"]),
+        model_kind=str(doc["model_kind"]),
+        precisions=precisions,
         best_slices=tuple(int(b) for b in doc["best_slices"]),
         degraded=bool(doc["degraded"]),
         success_at_beta=bool(doc["success_at_beta"]),
         wall_time=0.0,
     )
+
+
+def read_report_document(doc: Any) -> tuple[list[SettingResult], list[dict], dict]:
+    """The results, errors and config of a ``report_document``; SchemaError if malformed.
+
+    The config holds the ``k`` and the bootstrap ``seed`` the report was built with.
+    """
+    try:
+        config = {**doc["config"], "k": int(doc["config"]["k"]), "seed": int(doc["config"]["seed"])}
+        errors = [
+            {**e, "setting_id": str(e["setting_id"]), "method": str(e["method"])}
+            for e in doc.get("errors", [])
+        ]
+        results = [result_from_dict(row) for row in doc["results"]]
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise SchemaError(f"bad report document: {type(exc).__name__}: {exc}") from exc
+    if not results:
+        raise SchemaError("no results to aggregate")
+    return results, errors, config
 
 
 def report_document(

@@ -8,8 +8,9 @@ dimensionality d; then n*d IEEE-754 float32 LE values in row-major order.
 Files with a ``.csv`` suffix fall back to headerless CSV with d decimal
 floats per row.
 
-Labels CSV: header ``id,y,y_hat[,p_0..p_{C-1}][,s_<name>...]`` with ``id``
-strictly increasing from 0.
+Tables (CSV with a header, ``id`` running 0..n-1, one row per example):
+the labels CSV ``id,y,y_hat[,p_0..p_{C-1}][,s_<name>...]``, the base table
+``id,<binary column>...`` and the ingested predictions ``id,y_hat[,p_0..]``.
 
 Scores document: JSON with fields ``method``, ``n``, ``k_hat``, ``scores``
 and optional ``slice_descriptions``.
@@ -31,10 +32,10 @@ import numpy as np
 from .data import EmbeddingMatrix, LabeledSplit, SliceScores, SliceSetting, check_pair
 from .errors import (
     IoError,
-    LabelOutOfRange,
     MagicMismatch,
     NonFiniteValue,
     SchemaError,
+    SliceKitError,
     TruncatedFile,
 )
 from .settings import BaseTable
@@ -66,22 +67,6 @@ def read_json(path: str | Path) -> Any:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # also UnicodeDecodeError
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    """The header and the non-blank rows of a CSV file."""
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = [row for row in reader if row]
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    if header is None:
-        raise SchemaError(f"{path}: empty file")
-    return header, rows
 
 
 # --- embeddings -------------------------------------------------------------
@@ -153,105 +138,107 @@ def _load_embeddings_csv(path: Path) -> EmbeddingMatrix:
     return EmbeddingMatrix(values)
 
 
-# --- labels CSV -------------------------------------------------------------
+# --- tables: the labels, base-table and predictions CSVs ---------------------
+
+
+def _read_table(path: Path, fixed: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
+    """A CSV table's columns by name, in header order, skipping blank lines.
+
+    The header starts with ``fixed`` and names each column once, every row has
+    the header's width, and ``id`` runs 0..n-1.
+    """
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    if header is None:
+        raise SchemaError(f"{path}: empty file")
+    if tuple(header[: len(fixed)]) != fixed or len(set(header)) != len(header):
+        raise SchemaError(
+            f"{path}: header must start with {','.join(fixed)} and name each column once"
+        )
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise SchemaError(f"{path}: row {i} has {len(row)} fields, not {len(header)}")
+    columns = dict(zip(header, zip(*rows)))
+    if not np.array_equal(_numeric(path, columns, ["id"], int)[:, 0], np.arange(len(rows))):
+        raise SchemaError(f"{path}: id column must run 0..n-1 in order")
+    return columns
+
+
+def _numeric(path: Path, columns: dict, names: list[str], kind: type) -> np.ndarray:
+    """The named columns as an n x len(names) array, each token converted by ``kind``."""
+    values = np.empty((len(columns["id"]), len(names)), dtype=kind)
+    try:
+        for j, name in enumerate(names):
+            values[:, j] = np.fromiter(map(kind, columns[name]), kind)
+    except (OverflowError, ValueError) as exc:
+        raise SchemaError(f"{path}: column {name}: {exc}") from exc
+    return values
 
 
 def save_split(split: LabeledSplit, path: str | Path) -> None:
-    """Write the labels CSV for one split."""
-    path = Path(path)
-    header = ["id", "y", "y_hat"]
+    """Write the labels CSV for one split, a whole column at a time."""
+    columns = {"id": np.arange(split.n), "y": split.labels, "y_hat": split.predictions}
     if split.prediction_probs is not None:
-        header += [f"p_{c}" for c in range(split.num_classes)]
-    header += [f"s_{name}" for name in split.slice_names]
+        columns.update((f"p_{c}", col) for c, col in enumerate(split.prediction_probs.T))
+    columns.update((f"s_{name}", col) for name, col in zip(split.slice_names, split.slices.T))
+    # Python ints and floats print as the shortest text that reads back exactly.
+    rows = zip(*(map(str, column.tolist()) for column in columns.values()))
     try:
-        with path.open("w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for i in range(split.n):
-                row = [str(i), str(int(split.labels[i])), str(int(split.predictions[i]))]
-                if split.prediction_probs is not None:
-                    row += [repr(float(v)) for v in split.prediction_probs[i]]
-                row += [str(int(v)) for v in split.slices[i]]
-                fh.write(",".join(row) + "\n")
+        with Path(path).open("w", newline="") as fh:
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in rows)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _parse_split_csv(path: Path) -> LabeledSplit:
-    header, records = _read_csv(path)
-
-    required = ["id", "y", "y_hat"]
-    if header[: len(required)] != required:
-        raise SchemaError(
-            f"{path}: header must start with {','.join(required)}, got {header[:3]}"
-        )
-    prob_cols = [h for h in header if h.startswith("p_")]
-    slice_cols = [h for h in header if h.startswith("s_")]
-    known = set(required) | set(prob_cols) | set(slice_cols)
-    unknown = [h for h in header if h not in known]
+def _load_labels(path: Path) -> LabeledSplit:
+    columns = _read_table(path, ("id", "y", "y_hat"))
+    prob_cols = [h for h in columns if h.startswith("p_")]
+    slice_cols = [h for h in columns if h.startswith("s_")]
+    unknown = [h for h in list(columns)[3:] if not h.startswith(("p_", "s_"))]
     if unknown:
         raise SchemaError(f"{path}: unknown columns {unknown}")
-    if prob_cols:
-        expected = [f"p_{c}" for c in range(len(prob_cols))]
-        if prob_cols != expected:
-            raise SchemaError(f"{path}: probability columns must be p_0..p_{{C-1}}")
+    if prob_cols != [f"p_{c}" for c in range(len(prob_cols))]:
+        raise SchemaError(f"{path}: probability columns must be p_0..p_{{C-1}}")
     if not slice_cols:
         raise SchemaError(f"{path}: at least one s_<name> slice column is required")
-    if not records:
-        raise SchemaError(f"{path}: no data rows")
+    for name in slice_cols:
+        other = set(columns[name]) - {"0", "1"}
+        if other:
+            raise SchemaError(f"{path}: slice column {name} holds {min(other)!r}, not 0/1")
 
-    col_index = {h: i for i, h in enumerate(header)}
-    n = len(records)
-    labels = np.empty(n, dtype=np.int64)
-    preds = np.empty(n, dtype=np.int64)
-    probs = np.empty((n, len(prob_cols)), dtype=np.float64) if prob_cols else None
-    slices = np.empty((n, len(slice_cols)), dtype=np.int64)
-
-    try:
-        for i, row in enumerate(records):
-            if len(row) != len(header):
-                raise SchemaError(f"{path}: row {i} has {len(row)} fields, not {len(header)}")
-            if int(row[col_index["id"]]) != i:
-                raise SchemaError(f"{path}: id column must increase strictly from 0 (row {i})")
-            labels[i] = int(row[col_index["y"]])
-            preds[i] = int(row[col_index["y_hat"]])
-            if probs is not None:
-                for c, name in enumerate(prob_cols):
-                    probs[i, c] = float(row[col_index[name]])
-            for j, name in enumerate(slice_cols):
-                value = row[col_index[name]]
-                if value not in ("0", "1"):
-                    raise SchemaError(f"{path}: slice column {name} holds {value!r}, not 0/1")
-                slices[i, j] = int(value)
-    except (OverflowError, ValueError) as exc:
-        raise SchemaError(f"{path}: row {i}: {exc}") from exc
-
-    if probs is not None:
-        num_classes = probs.shape[1]
-    else:
-        num_classes = max(2, int(labels.max()) + 1, int(preds.max()) + 1)
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise LabelOutOfRange(f"{path}: label outside [0, {num_classes - 1}]")
-    if preds.min() < 0 or preds.max() >= num_classes:
-        raise LabelOutOfRange(f"{path}: prediction outside [0, {num_classes - 1}]")
-
+    labels, preds = _numeric(path, columns, ["y", "y_hat"], int).T
+    probs = _numeric(path, columns, prob_cols, float) if prob_cols else None
+    num_classes = len(prob_cols) or max(2, int(labels.max()) + 1, int(preds.max()) + 1)
     try:
         return LabeledSplit(
             labels=labels,
             predictions=preds,
-            slices=slices,
+            slices=_numeric(path, columns, slice_cols, int),
             slice_names=tuple(name[2:] for name in slice_cols),
             num_classes=num_classes,
             prediction_probs=probs,
         )
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+    except SliceKitError as exc:  # LabelOutOfRange, NonFiniteValue, ArgmaxInconsistent
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def load_split(
     labels_path: str | Path, emb_path: str | Path
 ) -> tuple[EmbeddingMatrix, LabeledSplit]:
     """Read a labels CSV plus its companion embedding file as a validated pair."""
-    split = _parse_split_csv(Path(labels_path))
+    split = _load_labels(Path(labels_path))
     emb = load_embeddings(emb_path)
     check_pair(emb, split)
     return emb, split
@@ -367,36 +354,25 @@ def load_manifest(path: str | Path) -> list[tuple[str, Path]]:
 
 
 def load_base_table(path: str | Path, target: str, attribute: str) -> BaseTable:
-    """Read a base table CSV with the given target and attribute columns."""
+    """Read a base table CSV: ``id`` 0..n-1, then one binary column per attribute."""
     path = Path(path)
-    header, rows = _read_csv(path)
-    if header[:1] != ["id"]:
-        raise SchemaError(f"{path}: base table header must start with 'id'")
+    columns = _read_table(path, ("id",))
+    names = list(columns)[1:]
     try:
-        values = np.asarray([[int(v) for v in row[1:]] for row in rows], dtype=np.int64)
         return BaseTable(
-            names=tuple(header[1:]), values=values, target=target, attribute=attribute
+            names=tuple(names),
+            values=_numeric(path, columns, names, int),
+            target=target,
+            attribute=attribute,
         )
-    except (OverflowError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
 def load_ingested_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
     """Predictions and optional class probabilities, one row per base-table row."""
     path = Path(path)
-    header, rows = _read_csv(path)
-    if header[:2] != ["id", "y_hat"]:
-        raise SchemaError(f"{path}: predictions header must start with id,y_hat")
-    prob_cols = header[2:]
-    preds = np.empty(len(rows), dtype=np.int64)
-    probs = np.empty((len(rows), len(prob_cols))) if prob_cols else None
-    try:
-        for i, row in enumerate(rows):
-            if int(row[0]) != i:
-                raise SchemaError(f"{path}: id column must increase strictly from 0")
-            preds[i] = int(row[1])
-            if probs is not None:
-                probs[i] = [float(v) for v in row[2:]]
-    except (IndexError, OverflowError, ValueError) as exc:
-        raise SchemaError(f"{path}: row {i}: {exc}") from exc
-    return preds, probs
+    columns = _read_table(path, ("id", "y_hat"))
+    prob_cols = list(columns)[2:]
+    probs = _numeric(path, columns, prob_cols, float) if prob_cols else None
+    return _numeric(path, columns, ["y_hat"], int)[:, 0], probs

@@ -9,7 +9,6 @@ largest label/prediction divergence are returned as slices.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -21,10 +20,11 @@ from .clustering import kmeans, pca_basis
 from .data import EmbeddingMatrix, LabeledSplit, SliceScores, check_pair
 from .errors import (
     DimensionMismatch,
-    IoError,
     NumericalUnderflow,
+    SchemaError,
     TooFewSlices,
 )
+from .fileio import read_json, write_json
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -446,21 +446,22 @@ def save_model(
         },
         "params": {f.name: getattr(params, f.name).tolist() for f in fields(MixtureParams)},
     }
-    try:
-        Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_json(path, doc)
 
 
 def load_model(path: str | Path) -> tuple[MixtureParams, ProjectionRecord, FitConfig]:
-    doc = json.loads(Path(path).read_text())
-    cfg = FitConfig(**doc["config"])
-    proj = doc["projection"]
-    projection = ProjectionRecord(
-        mean=None if proj["mean"] is None else np.asarray(proj["mean"]),
-        basis=None if proj["basis"] is None else np.asarray(proj["basis"]),
-        input_dim=int(proj["input_dim"]),
-        output_dim=int(proj["output_dim"]),
-    )
-    params = MixtureParams(**{k: np.asarray(v) for k, v in doc["params"].items()})
+    """Read a ``save_model`` file; SchemaError when it is malformed."""
+    doc = read_json(path)
+    try:
+        cfg = FitConfig(**doc["config"])
+        proj = doc["projection"]
+        projection = ProjectionRecord(
+            mean=None if proj["mean"] is None else np.asarray(proj["mean"]),
+            basis=None if proj["basis"] is None else np.asarray(proj["basis"]),
+            input_dim=int(proj["input_dim"]),
+            output_dim=int(proj["output_dim"]),
+        )
+        params = MixtureParams(**{k: np.asarray(v) for k, v in doc["params"].items()})
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: bad model: {type(exc).__name__}: {exc}") from exc
     return params, projection, cfg

@@ -30,6 +30,7 @@ from .errors import (
     NoConvergence,
     NotBinary,
     RowCountMismatch,
+    SchemaError,
 )
 from .seeding import derive_rng
 
@@ -515,7 +516,10 @@ def apply_ingested_predictions(
                 f"setting references row {int(idx.max())}"
             )
         probs = None if prediction_probs is None else prediction_probs[idx]
-        return replace(split, predictions=predictions[idx], prediction_probs=probs)
+        try:
+            return replace(split, predictions=predictions[idx], prediction_probs=probs)
+        except ValueError as exc:
+            raise SchemaError(f"ingested predictions for the {part} split: {exc}") from exc
 
     return replace(
         setting,

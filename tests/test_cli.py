@@ -74,6 +74,26 @@ class TestSynth:
         assert result.exit_code == 2
         assert "rare" in result.output and "0.5" in result.output
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"n": "many"}, {"sigma": [1]}, {"alphas": {"rare": ["high"]}}, {"seeds": ["a"]},
+         {"model": {"kind": "synthetic", "sens_in": "high", "spec_in": 0.4,
+                    "sens_out": 0.75, "spec_out": 0.75}}],
+    )
+    def test_non_numeric_config_exit_two(self, runner, tmp_path, change):
+        cfg = synth_config(tmp_path, **{"slice_types": ["rare"], "alphas": {"rare": [0.05]}, **change})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "bad synth configuration" in result.output
+        assert not out.exists()
+
+    def test_unknown_slice_type_exit_two(self, runner, tmp_path):
+        cfg = synth_config(tmp_path, slice_types=["rare", "tiny"], alphas=[0.05])
+        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert "unknown slice type 'tiny'" in result.output
+
     def test_generation_failure_removes_partial_outputs(self, runner, tmp_path):
         # rare settings generate fine; the correlation grid point is
         # infeasible at these marginals, so the whole run must roll back
@@ -92,19 +112,33 @@ class TestSynth:
         assert [p for p in out.iterdir() if p.is_dir()] == []
 
 
+def write_base(tmp_path, n_base, d, seed):
+    """base.csv with a target and a ``tube`` attribute, and its embeddings."""
+    y = (np.arange(n_base) % 2).astype(int)
+    c = ((np.arange(n_base) // 2) % 2).astype(int)
+    base = tmp_path / "base.csv"
+    base.write_text(
+        "id,target,tube\n"
+        + "".join(f"{i},{y[i]},{c[i]}\n" for i in range(n_base))
+    )
+    emb_path = tmp_path / "base.emb"
+    rng = np.random.default_rng(seed)
+    save_embeddings(EmbeddingMatrix(rng.standard_normal((n_base, d))), emb_path)
+    return base, emb_path, c
+
+
+def run_gen(runner, tmp_path, base, emb_path, cfg):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(cfg))
+    return runner.invoke(main, [
+        "gen", "--base", str(base), "--embeddings", str(emb_path),
+        "--config", str(path), "--out", str(tmp_path / "setting"),
+    ])
+
+
 class TestGen:
     def test_generate_from_base_table(self, runner, tmp_path):
-        rng = np.random.default_rng(0)
-        n_base = 2000
-        y = (np.arange(n_base) % 2).astype(int)
-        c = ((np.arange(n_base) // 2) % 2).astype(int)
-        base = tmp_path / "base.csv"
-        base.write_text(
-            "id,target,tube\n"
-            + "".join(f"{i},{y[i]},{c[i]}\n" for i in range(n_base))
-        )
-        emb_path = tmp_path / "base.emb"
-        save_embeddings(EmbeddingMatrix(rng.standard_normal((n_base, 5))), emb_path)
+        base, emb_path, _ = write_base(tmp_path, 2000, 5, seed=0)
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({
             "slice_type": "correlation",
@@ -129,17 +163,8 @@ class TestGen:
         assert setting.model_kind == "synthetic"
 
     def test_ingested_predictions(self, runner, tmp_path):
-        rng = np.random.default_rng(1)
         n_base = 1200
-        y = (np.arange(n_base) % 2).astype(int)
-        c = ((np.arange(n_base) // 2) % 2).astype(int)
-        base = tmp_path / "base.csv"
-        base.write_text(
-            "id,target,tube\n"
-            + "".join(f"{i},{y[i]},{c[i]}\n" for i in range(n_base))
-        )
-        emb_path = tmp_path / "base.emb"
-        save_embeddings(EmbeddingMatrix(rng.standard_normal((n_base, 4))), emb_path)
+        base, emb_path, c = write_base(tmp_path, n_base, 4, seed=1)
         # a model that predicts the correlate: wrong exactly on the slice
         preds_path = tmp_path / "preds.csv"
         preds_path.write_text(
@@ -167,6 +192,44 @@ class TestGen:
         split = setting.test_split
         wrong = split.predictions != split.labels
         assert np.array_equal(wrong.astype(int), split.slices[:, 0])
+
+    def test_probabilities_not_summing_to_one_exit_one(self, runner, tmp_path):
+        base, emb_path, _ = write_base(tmp_path, 1200, 4, seed=1)
+        preds = tmp_path / "preds.csv"
+        preds.write_text("id,y_hat,p_0,p_1\n" + "".join(f"{i},0,0.9,0.3\n" for i in range(1200)))
+        result = run_gen(runner, tmp_path, base, emb_path, {
+            "slice_type": "rare", "alpha": 0.1, "target": "target", "attribute": "tube",
+            "n": 400, "model": {"kind": "ingested", "predictions": str(preds)},
+        })
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "ingested predictions for the valid split" in result.output
+        assert "sum to 1" in result.output
+
+    @pytest.mark.parametrize("model", [{}, {"predictions": ""}, {"predictions": 5}])
+    def test_ingested_model_needs_a_predictions_path(self, runner, tmp_path, model):
+        base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
+        result = run_gen(runner, tmp_path, base, emb_path, {
+            "slice_type": "rare", "alpha": 0.1, "target": "target", "attribute": "tube",
+            "n": 100, "model": {"kind": "ingested", **model},
+        })
+        assert result.exit_code == 2, result.output
+        assert "needs a 'predictions' path" in result.output
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"n": "many"}, {"alpha": "high"}, {"seed": "x"},
+         {"model": {"kind": "synthetic", "sens_in": "high", "spec_in": 0.4,
+                    "sens_out": 0.75, "spec_out": 0.75}},
+         {"model": "synthetic"}],
+    )
+    def test_non_numeric_config_exit_two(self, runner, tmp_path, change):
+        base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
+        cfg = {"slice_type": "rare", "alpha": 0.1, "target": "target",
+               "attribute": "tube", "n": 100, **change}
+        result = run_gen(runner, tmp_path, base, emb_path, cfg)
+        assert result.exit_code == 2, result.output
+        assert "bad gen configuration" in result.output
 
 
 class TestRun:
@@ -423,6 +486,50 @@ class TestReportCommand:
         b = json.loads((again / "report.json").read_text())
         assert a["results"] == b["results"]
         assert a["aggregates"] == b["aggregates"]
+
+    def test_report_takes_k_and_seed_from_the_document(self, runner, tmp_path):
+        # six settings whose precisions differ, so the bootstrap CIs depend on the seed
+        cfg = synth_config(
+            tmp_path, slice_types=["rare"], alphas={"rare": [0.05, 0.1]}, seeds=3, n=200, d=4,
+        )
+        grid = tmp_path / "grid"
+        runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(grid)])
+        out, again = tmp_path / "report", tmp_path / "again"
+        result = runner.invoke(main, [
+            "eval", "--manifest", str(grid / "manifest.json"), "--methods", "confusion",
+            "--seed", "3", "--k", "5", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["report", "--results", str(out / "report.json"), "--out", str(again)])
+        assert result.exit_code == 0, result.output
+        assert "mean p@5" in (again / "report.md").read_text()
+        for name in ("report.json", "report.md"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
+
+    def test_report_has_no_k_or_seed_option(self, runner, tmp_path):
+        for option in ("--k", "--seed"):
+            result = runner.invoke(main, ["report", option, "5", "--results", "x", "--out", "y"])
+            assert result.exit_code == 2
+            assert "No such option" in result.output and option in result.output
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"results": [{"setting_id": "a"}]}, "bad report document: KeyError: 'config'"),
+            ({"config": {"k": 10, "seed": 0}, "results": [{"setting_id": "a"}]},
+             "bad report document: KeyError: 'precisions'"),
+            ({"config": {"seed": 0}, "results": []}, "bad report document: KeyError: 'k'"),
+            ({"config": {"k": "five", "seed": 0}, "results": []}, "bad report document: ValueError"),
+            ({"config": {"k": 10, "seed": 0}, "results": []}, "no results"),
+        ],
+    )
+    def test_malformed_document_exit_two(self, runner, tmp_path, doc, message):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["report", "--results", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
 
 
 # ``slicekit run --help`` as the hand-written flag table printed it; the flags

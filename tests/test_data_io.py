@@ -161,7 +161,7 @@ class TestLabelsCsv:
         labels.write_text("id,y,y_hat,p_0,p_1,s_a\n0,2,1,0.3,0.7,0\n")
         emb_path = tmp_path / "s.emb"
         save_embeddings(EmbeddingMatrix(np.ones((1, 2))), emb_path)
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(LabelOutOfRange, match="s.csv: labels outside"):
             load_split(labels, emb_path)
 
 

@@ -9,10 +9,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
-from slicekit import EmbeddingMatrix, SliceScores
+from slicekit import EmbeddingMatrix, LabeledSplit, SliceScores
 from slicekit.cli import main
 from slicekit.describe import load_phrase_corpus
 from slicekit.errors import IoError, SchemaError, SliceKitError
+from slicekit.evaluate import SettingResult, aggregate, report_document
 from slicekit.fileio import (
     load_base_table,
     load_embeddings,
@@ -24,12 +25,46 @@ from slicekit.fileio import (
     save_embeddings,
     save_scores,
     save_setting,
+    save_split,
+    write_json,
 )
+from slicekit.mixture import FitConfig, MixtureParams, ProjectionRecord, load_model, save_model
 from slicekit.settings import make_synthetic_setting
 
 BASE_CSV = "id,target,attr\n0,0,1\n1,1,0\n2,1,1\n3,0,0\n"
 PREDS_CSV = "id,y_hat,p_0,p_1\n0,0,0.75,0.25\n1,1,0.5,0.5\n"
 LABELS_CSV = "id,y,y_hat,p_0,p_1,s_a\n0,0,0,0.75,0.25,0\n1,1,0,0.5,0.5,1\n"
+
+
+def _save_tiny_model(path):
+    params = MixtureParams(
+        weights=[0.5, 0.5],
+        means=[[0.0, 0.0], [1.0, 1.0]],
+        variances=np.ones((2, 2)),
+        label_probs=[[0.75, 0.25], [0.25, 0.75]],
+        pred_probs=[[0.5, 0.5], [0.5, 0.5]],
+    )
+    projection = ProjectionRecord(mean=None, basis=None, input_dim=2, output_dim=2)
+    save_model(params, projection, FitConfig(k_bar=2, k_hat=1), path)
+
+
+def _save_tiny_report(path):
+    results = [
+        SettingResult("a", "domino", "rare", 0.1, "synthetic", (0.5, 1.0), (0, 2), False, True, 0.0),
+        SettingResult("b", "domino", "rare", 0.05, "trained_ingested", (0.2,), (1,), True, False, 0.0),
+    ]
+    errors = [{"setting_id": "c", "method": "domino", "error": "missing"}]
+    config = {"k": 10, "seed": 0}
+    write_json(path, report_document(results, aggregate(results), errors=errors, config=config))
+
+
+def _run_report(results, out):
+    """``slicekit report`` as a reader: its usage errors come back as SchemaError."""
+    result = CliRunner().invoke(main, ["report", "--results", str(results), "--out", str(out)])
+    if result.exit_code == 2:
+        raise SchemaError(result.output)
+    if result.exception is not None:
+        raise result.exception
 
 
 def _setting_dir(root):
@@ -54,6 +89,8 @@ def _write_valid_inputs(root):
     (root / "phrases.tsv").write_text("red car\t0\nblue sky\t1\nsnow\t1\n")
     (root / "synonyms.json").write_text(json.dumps({"car": ["auto"]}))
     (root / "manifest.json").write_text(json.dumps({"settings": [{"id": "a", "path": "a"}]}))
+    _save_tiny_model(root / "model.json")
+    _save_tiny_report(root / "report.json")
     setting = _setting_dir(root)
     corpus = (root / "phrases.tsv", root / "e.emb")
     return {
@@ -72,6 +109,9 @@ def _write_valid_inputs(root):
         "synonyms": (root / "synonyms.json",
                      lambda: load_phrase_corpus(*corpus, root / "synonyms.json")),
         "manifest": (root / "manifest.json", lambda: load_manifest(root / "manifest.json")),
+        "model": (root / "model.json", lambda: load_model(root / "model.json")),
+        "report": (root / "report.json",
+                   lambda: _run_report(root / "report.json", root / "again")),
     }
 
 
@@ -136,6 +176,33 @@ def test_non_binary_base_table_cell(tmp_path):
         load_base_table(path, "target", "attr")
 
 
+def test_base_table_ids_must_run_from_zero(tmp_path):
+    path = tmp_path / "base.csv"
+    path.write_text("id,target,attr\n1,0,1\n2,1,0\n3,1,1\n4,0,0\n")
+    with pytest.raises(SchemaError, match="base.csv: id column"):
+        load_base_table(path, "target", "attr")
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("{", "invalid JSON"),
+        ('{"config": {}, "projection": {}}', "KeyError"),
+        (None, "TypeError"),  # an extra field in the params
+    ],
+)
+def test_corrupt_model_file(tmp_path, text, match):
+    path = tmp_path / "model.json"
+    if text is None:
+        _save_tiny_model(path)
+        doc = json.loads(path.read_text())
+        doc["params"]["extra"] = [1.0]
+        text = json.dumps(doc)
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=match):
+        load_model(path)
+
+
 def test_empty_base_csv(tmp_path):
     path = tmp_path / "base.csv"
     path.write_text("")
@@ -191,6 +258,73 @@ def test_gen_with_empty_base_exits_one(tmp_path):
     assert "empty file" in result.output
 
 
+# --- the table writer ------------------------------------------------------
+
+
+def test_save_split_golden_bytes(tmp_path):
+    split = LabeledSplit(
+        labels=[0, 1, 1],
+        predictions=[0, 1, 0],
+        slices=[[1, 0], [0, 1], [1, 1]],
+        slice_names=("a", "b"),
+        num_classes=2,
+        prediction_probs=[[0.75, 0.25], [0.1, 0.9], [2 / 3, 1 / 3]],
+    )
+    save_split(split, tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_bytes() == (
+        b"id,y,y_hat,p_0,p_1,s_a,s_b\n"
+        b"0,0,0,0.75,0.25,1,0\n"
+        b"1,1,1,0.1,0.9,0,1\n"
+        b"2,1,0,0.6666666666666666,0.3333333333333333,1,1\n"
+    )
+
+
+def test_repeated_slice_names_rejected():
+    # their columns would share one name in the labels CSV
+    with pytest.raises(ValueError, match="distinct"):
+        LabeledSplit([0, 1], [0, 1], [[0, 1], [1, 0]], ("a", "a"), 2)
+
+
+@st.composite
+def _splits(draw):
+    n = draw(st.integers(1, 6))
+    c = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 3))
+    ints = lambda hi, size: st.lists(st.integers(0, hi), min_size=size, max_size=size)
+    labels = draw(ints(c - 1, n))
+    slices = draw(st.lists(ints(1, k), min_size=n, max_size=n))
+    names = draw(st.lists(st.text("ab_09", min_size=1, max_size=3), min_size=k, max_size=k, unique=True))
+    probs = None
+    if draw(st.booleans()):
+        raw = np.asarray(draw(st.lists(
+            st.lists(st.floats(0.01, 1.0), min_size=c, max_size=c), min_size=n, max_size=n,
+        )))
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        preds = probs.argmax(axis=1)
+    else:
+        preds = draw(ints(c - 1, n))
+    return LabeledSplit(labels, preds, slices, tuple(names), c, probs)
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(split=_splits())
+def test_save_split_round_trip(tmp_path_factory, split):
+    root = tmp_path_factory.mktemp("split")
+    save_embeddings(EmbeddingMatrix(np.ones((split.n, 2))), root / "s.emb")
+    save_split(split, root / "a.csv")
+    _, loaded = load_split(root / "a.csv", root / "s.emb")
+    assert np.array_equal(loaded.labels, split.labels)
+    assert np.array_equal(loaded.predictions, split.predictions)
+    assert np.array_equal(loaded.slices, split.slices)
+    assert loaded.slice_names == split.slice_names
+    if split.prediction_probs is None:
+        assert loaded.prediction_probs is None
+    else:
+        assert np.array_equal(loaded.prediction_probs, split.prediction_probs)
+    save_split(loaded, root / "b.csv")
+    assert (root / "b.csv").read_bytes() == (root / "a.csv").read_bytes()
+
+
 # --- byte-level fuzzing ----------------------------------------------------
 
 # Bytes that keep a file parseable but change what it says come up as often
@@ -225,7 +359,7 @@ def _mutate(data: bytes, edits) -> bytes:
 @pytest.mark.parametrize(
     "name",
     ["emb1", "emb_csv", "labels", "scores", "setting_json", "valid_csv", "base",
-     "predictions", "phrases", "synonyms", "manifest"],
+     "predictions", "phrases", "synonyms", "manifest", "model", "report"],
 )
 @hsettings(max_examples=80, deadline=None)
 @given(edits=_EDITS)
@@ -255,7 +389,9 @@ def _json_paths(doc, prefix=()):
         yield from _json_paths(value, prefix + (key,))
 
 
-@pytest.mark.parametrize("name", ["scores", "setting_json", "synonyms", "manifest"])
+@pytest.mark.parametrize(
+    "name", ["scores", "setting_json", "synonyms", "manifest", "model", "report"]
+)
 @hsettings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_json_node_replaced_raises_only_slicekit_errors(inputs, name, data):
