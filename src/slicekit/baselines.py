@@ -3,6 +3,13 @@
 Four baselines: confusion-matrix cells, loss-seeking Gaussian spotlights,
 multiaccuracy-style residual boosting, and class-conditional clustering on a
 two-dimensional principal-component reduction (method id ``george-pca``).
+Each is one SDM class whose ``fit`` learns from the validation split and whose
+``transform`` scores any split; ``evaluate.METHODS`` registers them.
+
+The spotlight weights exp(-|x - mu|^2 / (2 sigma^2)) are computed in one
+place, ``_gaussian_weights``. Each ascent step weighs the data once, for the
+candidate point: the current point's mass and mean loss are kept from the
+step that accepted it.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 
 from .clustering import kmeans, pca_basis, sq_distances
 from .data import EmbeddingMatrix, LabeledSplit, SliceScores, check_pair
-from .errors import DegenerateLoss, NotBinary, ProbOnBoundary, TooFewPoints
+from .errors import DegenerateLoss, NotBinary, ProbOnBoundary, SchemaError, TooFewPoints
 from .seeding import derive_rng
 
 _PROB_EPS = 1e-6
@@ -93,12 +100,19 @@ class ConfusionSDM:
         return SliceScores(scores=scores, method="confusion")
 
 
-def confusion_sdm(split: LabeledSplit) -> SliceScores:
-    """Score the given split by its own confusion cells."""
-    return ConfusionSDM().fit(None, split).transform(None, split)
-
-
 # --- spotlight --------------------------------------------------------------
+
+
+def _gaussian_weights(
+    values: np.ndarray, mu: np.ndarray, log_sigma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``values - mu``, squared distances r and weights exp(-r / (2 sigma^2)).
+
+    The weights are not normalised and carry no downdate multiplier.
+    """
+    diff = values - mu
+    r = (diff**2).sum(axis=1)
+    return diff, r, np.exp(-r / (2.0 * math.exp(2.0 * log_sigma)))
 
 
 class SpotlightSDM:
@@ -111,23 +125,16 @@ class SpotlightSDM:
         # per spotlight: (mean loss, barrier active, step accepted) per step
         self.trace: list[list[tuple[float, bool, bool]]] = []
 
-    def fit(
-        self,
-        emb: EmbeddingMatrix,
-        split: LabeledSplit,
-        losses: np.ndarray | None = None,
-    ) -> "SpotlightSDM":
+    def fit(self, emb: EmbeddingMatrix, split: LabeledSplit) -> "SpotlightSDM":
+        self.spotlights, self.trace, self.degenerate = [], [], False
         check_pair(emb, split)
-        losses = example_losses(split) if losses is None else np.asarray(losses, float)
-        if not np.all(np.isfinite(losses)):
-            raise ValueError("per-example losses must be finite")
+        losses = example_losses(split)
         values = emb.values
         n = values.shape[0]
         cfg = self.cfg
         if n * cfg.min_mass_fraction < 1.0:
-            raise ValueError("min_mass_fraction admits no examples at this n")
+            raise TooFewPoints("min_mass_fraction admits no examples at this n")
 
-        self.spotlights = []
         if np.ptp(losses) == 0.0:
             self.degenerate = True
             warnings.warn(
@@ -138,39 +145,14 @@ class SpotlightSDM:
 
         min_mass = n * cfg.min_mass_fraction
         multiplier = np.ones(n)
-        self.trace = []
-        for t in range(cfg.num_spotlights):
+        for _ in range(cfg.num_spotlights):
             mu, log_sigma = self._ascend(values, losses, multiplier, min_mass)
             self.spotlights.append((mu, log_sigma))
-            w = self._weights(values, mu, log_sigma)
+            _, _, w = _gaussian_weights(values, mu, log_sigma)
             top = w.max()
             if top > 0:
                 multiplier = multiplier * (1.0 - w / top)
         return self
-
-    def _weights(self, values: np.ndarray, mu: np.ndarray, log_sigma: float) -> np.ndarray:
-        r = ((values - mu) ** 2).sum(axis=1)
-        return np.exp(-r / (2.0 * math.exp(2.0 * log_sigma)))
-
-    @staticmethod
-    def _objective(
-        values: np.ndarray,
-        losses: np.ndarray,
-        multiplier: np.ndarray,
-        mu: np.ndarray,
-        log_sigma: float,
-        min_mass: float,
-        barrier_weight: float,
-    ) -> float:
-        sigma_sq = math.exp(2.0 * log_sigma)
-        r = ((values - mu) ** 2).sum(axis=1)
-        w = np.exp(-r / (2.0 * sigma_sq)) * multiplier
-        total = w.sum()
-        if total <= 0:
-            return -np.inf
-        mean_loss = float((w * losses).sum() / total)
-        deficit = max(0.0, min_mass - total)
-        return mean_loss - barrier_weight * (deficit / min_mass) ** 2
 
     def _ascend(
         self,
@@ -188,17 +170,27 @@ class SpotlightSDM:
         t_lo, t_hi = log_sigma - 10.0, log_sigma + 10.0
         trace: list[tuple[float, bool, bool]] = []
 
+        def evaluate(mu: np.ndarray, log_sigma: float) -> tuple:
+            """diff, r, downdated weights, their total and the mean loss."""
+            diff, r, w = _gaussian_weights(values, mu, log_sigma)
+            w = w * multiplier
+            total = w.sum()
+            mean_loss = (w * losses).sum() / total if total > 0 else np.nan
+            return diff, r, w, total, mean_loss
+
+        def objective(total: float, mean_loss: float, barrier: float) -> float:
+            if total <= 0:
+                return -np.inf
+            deficit = max(0.0, min_mass - total)
+            return float(mean_loss) - barrier * (deficit / min_mass) ** 2
+
+        diff, r, w, total, mean_loss = evaluate(mu, log_sigma)
         for step in range(cfg.steps):
+            if total <= 0:
+                break
             # Quadratic barrier whose weight doubles every 100 steps from 1.0.
             barrier = float(2.0 ** (step // 100))
             sigma_sq = math.exp(2.0 * log_sigma)
-            diff = values - mu
-            r = (diff**2).sum(axis=1)
-            w = np.exp(-r / (2.0 * sigma_sq)) * multiplier
-            total = w.sum()
-            if total <= 0:
-                break
-            mean_loss = (w * losses).sum() / total
 
             # d(mean loss)/d(weight_i) = (loss_i - mean_loss) / total
             dl_dw = (losses - mean_loss) / total
@@ -211,17 +203,17 @@ class SpotlightSDM:
 
             new_mu = mu + cfg.learning_rate * grad_mu
             new_t = min(max(log_sigma + cfg.learning_rate * grad_t, t_lo), t_hi)
-            before = self._objective(
-                values, losses, multiplier, mu, log_sigma, min_mass, barrier
+            candidate = evaluate(new_mu, new_t)
+            # Only accepted ascent steps move the spotlight. The current point
+            # keeps its evaluation, so each step weighs the data once; the
+            # barrier is re-applied because its weight changes with the step.
+            accepted = objective(*candidate[3:], barrier) >= objective(
+                total, mean_loss, barrier
             )
-            after = self._objective(
-                values, losses, multiplier, new_mu, new_t, min_mass, barrier
-            )
-            # Only accepted ascent steps move the spotlight.
-            accepted = after >= before
             trace.append((float(mean_loss), deficit > 0.0, accepted))
             if accepted:
                 mu, log_sigma = new_mu, new_t
+                diff, r, w, total, mean_loss = candidate
         self.trace.append(trace)
         return mu, log_sigma
 
@@ -233,21 +225,10 @@ class SpotlightSDM:
             )
         columns = []
         for mu, log_sigma in self.spotlights:
-            w = self._weights(emb.values, mu, log_sigma)
+            _, _, w = _gaussian_weights(emb.values, mu, log_sigma)
             top = w.max()
             columns.append(w / top if top > 0 else np.zeros(n))
         return SliceScores(scores=np.column_stack(columns), method="spotlight")
-
-
-def spotlight_fit(
-    emb: EmbeddingMatrix,
-    split: LabeledSplit,
-    losses: np.ndarray | None,
-    cfg: SpotlightConfig | None = None,
-) -> SliceScores:
-    """Fit spotlights on the given data and score that same data."""
-    model = SpotlightSDM(cfg).fit(emb, split, losses)
-    return model.transform(emb, split)
 
 
 # --- multiaccuracy boost ----------------------------------------------------
@@ -280,7 +261,7 @@ class MultiaccuracySDM:
         if split.num_classes != 2:
             raise NotBinary("multiaccuracy requires a binary split")
         if split.prediction_probs is None:
-            raise ValueError("multiaccuracy requires prediction probabilities")
+            raise SchemaError("multiaccuracy requires prediction probabilities")
         cfg = self.cfg
         values = emb.values
         y = split.labels.astype(np.float64)
@@ -313,16 +294,6 @@ class MultiaccuracySDM:
             raise RuntimeError("fit must be called before transform")
         columns = [_rank_normalize(np.abs(emb.values @ coef)) for coef in self.coefs]
         return SliceScores(scores=np.column_stack(columns), method="multiacc")
-
-
-def multiaccuracy_fit(
-    emb: EmbeddingMatrix,
-    split: LabeledSplit,
-    cfg: MultiaccuracyConfig | None = None,
-) -> SliceScores:
-    """Fit multiaccuracy rounds on the given data and score that same data."""
-    model = MultiaccuracySDM(cfg).fit(emb, split)
-    return model.transform(emb, split)
 
 
 # --- george (class-conditional clustering) ----------------------------------
@@ -372,13 +343,3 @@ class GeorgeSDM:
             assign = sq_distances(reduced, centers).argmin(axis=1)
             scores[members, c * k + assign] = 1.0
         return SliceScores(scores=scores, method="george-pca")
-
-
-def george_fit(
-    emb: EmbeddingMatrix,
-    split: LabeledSplit,
-    cfg: GeorgeConfig | None = None,
-) -> SliceScores:
-    """Cluster each class on the given data and score that same data."""
-    model = GeorgeSDM(cfg).fit(emb, split)
-    return model.transform(emb, split)

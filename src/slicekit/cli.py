@@ -102,6 +102,14 @@ def _model_spec_from_config(model: dict | None) -> SyntheticModelSpec | None:
     )
 
 
+def _check_ranges(n: int, mu_a: float, mu_b: float) -> None:
+    """Reject a setting size or class marginal the generators cannot honour."""
+    if n < 4:
+        raise ValueError(f"n must be at least 4, got {n}")
+    if not (0.0 < mu_a < 1.0 and 0.0 < mu_b < 1.0):
+        raise ValueError(f"mu_a and mu_b must lie in (0, 1), got {mu_a} and {mu_b}")
+
+
 @click.group()
 def main() -> None:
     """Slice discovery benchmark generation, fitting, and evaluation."""
@@ -148,6 +156,12 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
             mu_a=float(cfg.get("mu_a", 0.5)),
             mu_b=float(cfg.get("mu_b", 0.5)),
         )
+        _check_ranges(sizes["n"], sizes["mu_a"], sizes["mu_b"])
+        # synthetic_base writes the slice offset into dimension 1
+        if sizes["d"] < 2:
+            raise ValueError(f"d must be at least 2, got {sizes['d']}")
+        if not sizes["sigma"] > 0:
+            raise ValueError(f"sigma must be positive, got {sizes['sigma']}")
         model = _model_spec_from_config(cfg.get("model"))
     except (AttributeError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad synth configuration: {exc}") from exc
@@ -214,6 +228,7 @@ def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int
         run_seed = int(cfg.get("seed", 0) if seed is None else seed)
         alpha, n = float(cfg["alpha"]), int(cfg["n"])
         mu_a, mu_b = float(cfg.get("mu_a", 0.5)), float(cfg.get("mu_b", 0.5))
+        _check_ranges(n, mu_a, mu_b)
         ingested = model is not None and model.get("kind") == "ingested"
         spec = None if ingested else _model_spec_from_config(model)
     except (AttributeError, TypeError, ValueError) as exc:

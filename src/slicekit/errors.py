@@ -86,7 +86,7 @@ class DimensionMismatch(SliceKitError):
 
 
 class TooFewPoints(SliceKitError):
-    """A class has fewer members than the requested cluster count."""
+    """Too few examples for the requested clusters, components or slice mass."""
 
 
 class DegenerateLoss(UserWarning):

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     NumericalUnderflow,
     SchemaError,
+    TooFewPoints,
     TooFewSlices,
 )
 from .fileio import read_json, write_json
@@ -153,27 +154,21 @@ class FitDiagnostics:
     responsibilities: Responsibilities
 
 
-def reduce_dim(
-    train_emb: EmbeddingMatrix, apply_emb: EmbeddingMatrix, cfg: FitConfig
-) -> tuple[EmbeddingMatrix, EmbeddingMatrix, ProjectionRecord]:
-    """Project both matrices onto the top principal directions of train_emb.
+def reduce_dim(emb: EmbeddingMatrix, cfg: FitConfig) -> tuple[EmbeddingMatrix, ProjectionRecord]:
+    """Project emb onto its top principal directions; the record projects others.
 
     Identity when d does not exceed ``cfg.pca_threshold``. When fewer than
     ``cfg.pca_dim`` directions exist, the projection uses min(n - 1, pca_dim)
     directions and records the actual output dimension.
     """
-    if train_emb.d != apply_emb.d:
-        raise DimensionMismatch(
-            f"train d={train_emb.d} but apply d={apply_emb.d}"
-        )
-    d = train_emb.d
+    d = emb.d
     if d <= cfg.pca_threshold:
         record = ProjectionRecord(mean=None, basis=None, input_dim=d, output_dim=d)
-        return train_emb, apply_emb, record
+        return emb, record
 
-    mean, basis = pca_basis(train_emb.values, cfg.pca_dim)
+    mean, basis = pca_basis(emb.values, cfg.pca_dim)
     record = ProjectionRecord(mean, basis, input_dim=d, output_dim=basis.shape[0])
-    return record.apply(train_emb), record.apply(apply_emb), record
+    return record.apply(emb), record
 
 
 def init_confusion(
@@ -340,8 +335,8 @@ def fit(
     """
     check_pair(valid_emb, valid_split)
     if valid_emb.n < cfg.k_bar:
-        raise ValueError(f"need at least k_bar={cfg.k_bar} examples, got {valid_emb.n}")
-    emb, _, projection = reduce_dim(valid_emb, valid_emb, cfg)
+        raise TooFewPoints(f"need at least k_bar={cfg.k_bar} examples, got {valid_emb.n}")
+    emb, projection = reduce_dim(valid_emb, cfg)
     q = init_confusion(valid_split, cfg, emb)
     params = m_step(emb, valid_split, q, cfg)
     rescues = 0

@@ -1,6 +1,7 @@
 """Baseline slice discovery methods."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,20 +13,17 @@ from slicekit import (
     MultiaccuracyConfig,
     SpotlightConfig,
     SyntheticModelSpec,
-    confusion_sdm,
-    george_fit,
     make_synthetic_setting,
-    multiaccuracy_fit,
-    spotlight_fit,
 )
 from slicekit.baselines import (
+    ConfusionSDM,
     GeorgeSDM,
     MultiaccuracySDM,
     SpotlightSDM,
     example_losses,
 )
 from slicekit.clustering import kmeans
-from slicekit.errors import DegenerateLoss, ProbOnBoundary, TooFewPoints
+from slicekit.errors import DegenerateLoss, ProbOnBoundary, SchemaError, TooFewPoints
 from slicekit.seeding import derive_rng
 
 
@@ -45,6 +43,68 @@ def split_with_probs(labels, prob_one, slices=None):
     )
 
 
+class ThreePassSpotlight(SpotlightSDM):
+    """The ascent as first written: it weighs the data three times per step.
+
+    Kept as the reference that the one-evaluation ascent must reproduce bit
+    for bit.
+    """
+
+    @staticmethod
+    def _objective(values, losses, multiplier, mu, log_sigma, min_mass, barrier_weight):
+        sigma_sq = math.exp(2.0 * log_sigma)
+        r = ((values - mu) ** 2).sum(axis=1)
+        w = np.exp(-r / (2.0 * sigma_sq)) * multiplier
+        total = w.sum()
+        if total <= 0:
+            return -np.inf
+        mean_loss = float((w * losses).sum() / total)
+        deficit = max(0.0, min_mass - total)
+        return mean_loss - barrier_weight * (deficit / min_mass) ** 2
+
+    def _ascend(self, values, losses, multiplier, min_mass):
+        cfg = self.cfg
+        eff_loss = multiplier * losses + 1e-12
+        mu = (eff_loss @ values) / eff_loss.sum()
+        center = values.mean(axis=0)
+        log_sigma = 0.5 * math.log(((values - center) ** 2).sum(axis=1).mean() + 1e-12)
+        t_lo, t_hi = log_sigma - 10.0, log_sigma + 10.0
+        trace = []
+
+        for step in range(cfg.steps):
+            barrier = float(2.0 ** (step // 100))
+            sigma_sq = math.exp(2.0 * log_sigma)
+            diff = values - mu
+            r = (diff**2).sum(axis=1)
+            w = np.exp(-r / (2.0 * sigma_sq)) * multiplier
+            total = w.sum()
+            if total <= 0:
+                break
+            mean_loss = (w * losses).sum() / total
+
+            dl_dw = (losses - mean_loss) / total
+            deficit = max(0.0, min_mass - total)
+            dpen_dw = -2.0 * barrier * deficit / min_mass**2
+            coeff = w * (dl_dw - dpen_dw)
+            grad_mu = (coeff[None, :] @ diff)[0] / sigma_sq
+            grad_t = float((coeff * r).sum() / sigma_sq)
+
+            new_mu = mu + cfg.learning_rate * grad_mu
+            new_t = min(max(log_sigma + cfg.learning_rate * grad_t, t_lo), t_hi)
+            before = self._objective(
+                values, losses, multiplier, mu, log_sigma, min_mass, barrier
+            )
+            after = self._objective(
+                values, losses, multiplier, new_mu, new_t, min_mass, barrier
+            )
+            accepted = after >= before
+            trace.append((float(mean_loss), deficit > 0.0, accepted))
+            if accepted:
+                mu, log_sigma = new_mu, new_t
+        self.trace.append(trace)
+        return mu, log_sigma
+
+
 class TestConfusionSDM:
     def test_binary_partition(self):
         split = LabeledSplit(
@@ -54,7 +114,7 @@ class TestConfusionSDM:
             slice_names=("s",),
             num_classes=2,
         )
-        scores = confusion_sdm(split)
+        scores = ConfusionSDM().fit(None, split).transform(None, split)
         assert scores.k_hat == 4
         assert np.array_equal(scores.scores.sum(axis=1), np.ones(4))
         assert np.array_equal(np.diag(scores.scores[:, [0, 1, 2, 3]]), np.ones(4))
@@ -68,7 +128,7 @@ class TestConfusionSDM:
             slice_names=("s",),
             num_classes=2,
         )
-        scores = confusion_sdm(split)
+        scores = ConfusionSDM().fit(None, split).transform(None, split)
         assert (scores.scores.sum(axis=1) == 1).all()
         assert set(np.unique(scores.scores)) <= {0.0, 1.0}
 
@@ -79,7 +139,7 @@ class TestConfusionSDM:
             model=SyntheticModelSpec(seed=5, **rates),
         )
         split = setting.test_split
-        scores = confusion_sdm(split)
+        scores = ConfusionSDM().fit(None, split).transform(None, split)
         s = split.slices[:, 0]
         prevalence = s.mean()
 
@@ -116,8 +176,30 @@ class TestSpotlight:
             num_classes=2,
         )
         with pytest.warns(DegenerateLoss):
-            scores = spotlight_fit(emb, split, None, SpotlightConfig(steps=5))
-        assert np.all(scores.scores == 0.5)
+            model = SpotlightSDM(SpotlightConfig(steps=5)).fit(emb, split)
+        assert np.all(model.transform(emb, split).scores == 0.5)
+
+    def test_refit_after_degenerate_losses_clears_the_flag(self):
+        rng = np.random.default_rng(1)
+        emb = EmbeddingMatrix(rng.standard_normal((100, 3)))
+        flat = LabeledSplit(
+            labels=np.zeros(100, dtype=int),
+            predictions=np.zeros(100, dtype=int),
+            slices=np.zeros((100, 1), dtype=int),
+            slice_names=("s",),
+            num_classes=2,
+        )
+        model = SpotlightSDM(SpotlightConfig(steps=5, num_spotlights=2))
+        with pytest.warns(DegenerateLoss):
+            model.fit(emb, flat)
+        varied = split_with_probs(rng.integers(2, size=100), rng.uniform(0.05, 0.95, size=100))
+        model.fit(emb, varied)
+        assert not model.degenerate
+        assert len(model.spotlights) == 2 and len(model.trace) == 2
+        assert not np.all(model.transform(emb, varied).scores == 0.5)
+        with pytest.warns(DegenerateLoss):
+            model.fit(emb, flat)
+        assert model.degenerate and model.spotlights == [] and model.trace == []
 
     def test_finds_planted_error_cluster(self):
         # two 2-d blobs; all errors concentrated in blob B
@@ -157,6 +239,42 @@ class TestSpotlight:
             ):
                 if accepted and not barrier_active:
                     assert next_loss >= loss - 1e-12
+
+    @pytest.mark.parametrize("with_probs", [True, False])
+    def test_one_evaluation_ascent_matches_three_pass_reference(self, with_probs):
+        rng = np.random.default_rng(11)
+        emb = EmbeddingMatrix(rng.standard_normal((150, 4)))
+        labels = rng.integers(2, size=150)
+        if with_probs:
+            split = split_with_probs(labels, rng.uniform(0.05, 0.95, size=150))
+        else:
+            split = LabeledSplit(
+                labels=labels, predictions=rng.integers(2, size=150),
+                slices=np.zeros((150, 1), dtype=int), slice_names=("s",), num_classes=2,
+            )
+        rejected = barrier_active = doubled = 0
+        for min_mass_fraction, learning_rate in [(0.02, 1e-3), (0.9, 5e-2), (0.3, 1.0)]:
+            cfg = SpotlightConfig(
+                min_mass_fraction=min_mass_fraction, steps=250,
+                learning_rate=learning_rate, num_spotlights=3, seed=0,
+            )
+            fast = SpotlightSDM(cfg).fit(emb, split)
+            reference = ThreePassSpotlight(cfg).fit(emb, split)
+            assert len(fast.spotlights) == len(reference.spotlights) == 3
+            for (mu, log_sigma), (ref_mu, ref_log_sigma) in zip(
+                fast.spotlights, reference.spotlights
+            ):
+                assert np.array_equal(mu, ref_mu) and log_sigma == ref_log_sigma
+            assert fast.trace == reference.trace
+            assert np.array_equal(
+                fast.transform(emb, split).scores, reference.transform(emb, split).scores
+            )
+            steps = [step for trace in fast.trace for step in trace]
+            rejected += sum(not accepted for _, _, accepted in steps)
+            barrier_active += sum(active for _, active, _ in steps)
+            doubled += sum(len(trace) > 100 for trace in fast.trace)
+        # the inputs exercise every branch the cached evaluation must honour
+        assert rejected > 0 and barrier_active > 0 and doubled > 0
 
     def test_objective_uses_cross_entropy_when_probs_present(self):
         split = split_with_probs([0, 1], [0.2, 0.9])
@@ -232,7 +350,7 @@ class TestMultiaccuracy:
             labels=[0, 1], predictions=[0, 1], slices=[[0], [0]],
             slice_names=("s",), num_classes=2,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError, match="requires prediction probabilities"):
             MultiaccuracySDM().fit(emb, split)
 
     def test_heldout_residual_correlation_nonnegative(self):
@@ -280,7 +398,7 @@ class TestGeorge:
             num_classes=2,
         )
         # interleave blobs so each class holds both blobs
-        scores = george_fit(emb, split1, cfg)
+        scores = GeorgeSDM(cfg).fit(emb, split1).transform(emb, split1)
         assert scores.method == "george-pca"
         assert scores.k_hat == 4
         for c in (0, 1):
@@ -351,12 +469,13 @@ class TestSharedContract:
             model=SyntheticModelSpec.natural_defaults(seed=3),
         )
         emb, split = setting.valid_emb, setting.valid_split
-        outputs = [
-            confusion_sdm(split),
-            spotlight_fit(emb, split, None, SpotlightConfig(steps=50, num_spotlights=2, seed=0)),
-            multiaccuracy_fit(emb, split, MultiaccuracyConfig(rounds=2, seed=0)),
-            george_fit(emb, split, GeorgeConfig(clusters_per_class=3, seed=0)),
+        models = [
+            ConfusionSDM(),
+            SpotlightSDM(SpotlightConfig(steps=50, num_spotlights=2, seed=0)),
+            MultiaccuracySDM(MultiaccuracyConfig(rounds=2, seed=0)),
+            GeorgeSDM(GeorgeConfig(clusters_per_class=3, seed=0)),
         ]
+        outputs = [model.fit(emb, split).transform(emb, split) for model in models]
         for scores in outputs:
             assert np.isfinite(scores.scores).all()
             assert scores.scores.min() >= 0.0 and scores.scores.max() <= 1.0

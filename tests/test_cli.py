@@ -78,7 +78,9 @@ class TestSynth:
         "change",
         [{"n": "many"}, {"sigma": [1]}, {"alphas": {"rare": ["high"]}}, {"seeds": ["a"]},
          {"model": {"kind": "synthetic", "sens_in": "high", "spec_in": 0.4,
-                    "sens_out": 0.75, "spec_out": 0.75}}],
+                    "sens_out": 0.75, "spec_out": 0.75}},
+         {"n": -5}, {"n": 0}, {"n": 3}, {"d": 0}, {"d": 1}, {"sigma": -1}, {"sigma": 0},
+         {"mu_a": 2}, {"mu_b": 0}],
     )
     def test_non_numeric_config_exit_two(self, runner, tmp_path, change):
         cfg = synth_config(tmp_path, **{"slice_types": ["rare"], "alphas": {"rare": [0.05]}, **change})
@@ -221,7 +223,9 @@ class TestGen:
         [{"n": "many"}, {"alpha": "high"}, {"seed": "x"},
          {"model": {"kind": "synthetic", "sens_in": "high", "spec_in": 0.4,
                     "sens_out": 0.75, "spec_out": 0.75}},
-         {"model": "synthetic"}],
+         {"model": "synthetic"},
+         {"n": -4}, {"n": 0}, {"n": 3}, {"mu_a": 2}, {"mu_b": 1.0},
+         {"slice_type": "correlation", "alpha": 0.4, "mu_a": 2}],
     )
     def test_non_numeric_config_exit_two(self, runner, tmp_path, change):
         base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
@@ -301,6 +305,36 @@ class TestRun:
         ])
         assert result.exit_code == 2, result.output
         assert f"{flag} not accepted by --method {method}" in result.output
+
+    @pytest.mark.parametrize(
+        "method, flag, value, message",
+        [("domino", "--k-bar", "2000", "need at least k_bar=2000 examples"),
+         ("spotlight", "--min-mass-fraction", "0.0005",
+          "min_mass_fraction admits no examples at this n")],
+    )
+    def test_fit_precondition_exit_one(self, runner, setting_dir, method, flag, value, message):
+        result = runner.invoke(main, [
+            "run", "--setting", str(setting_dir), "--method", method, flag, value,
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+
+    def test_multiacc_without_probabilities_exit_one(self, runner, tmp_path):
+        base, emb_path, c = write_base(tmp_path, 1200, 4, seed=1)
+        preds = tmp_path / "preds.csv"
+        preds.write_text("id,y_hat\n" + "".join(f"{i},{c[i]}\n" for i in range(1200)))
+        result = run_gen(runner, tmp_path, base, emb_path, {
+            "slice_type": "rare", "alpha": 0.1, "target": "target", "attribute": "tube",
+            "n": 400, "model": {"kind": "ingested", "predictions": str(preds)},
+        })
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, [
+            "run", "--setting", str(tmp_path / "setting"), "--method", "multiacc",
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "multiaccuracy requires prediction probabilities" in result.output
 
     def test_domino_flags_reproduce_library_fit(self, runner, setting_dir, tmp_path):
         out = tmp_path / "scores.json"

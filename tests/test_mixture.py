@@ -69,15 +69,15 @@ class TestReduceDim:
     def test_identity_below_threshold(self):
         rng = np.random.default_rng(0)
         emb = EmbeddingMatrix(rng.standard_normal((50, 128)))
-        train, apply_, record = reduce_dim(emb, emb, FitConfig())
+        train, record = reduce_dim(emb, FitConfig())
         assert record.basis is None
-        assert train is emb and apply_ is emb
+        assert train is emb and record.apply(emb) is emb
 
     def test_projection_reconstruction_error_matches_eigenvalues(self):
         rng = np.random.default_rng(1)
         values = rng.standard_normal((1000, 512)) * rng.uniform(0.5, 3.0, size=512)
         emb = EmbeddingMatrix(values)
-        train, _, record = reduce_dim(emb, emb, FitConfig())
+        train, record = reduce_dim(emb, FitConfig())
         assert record.output_dim == 128
         centered = values - values.mean(axis=0)
         recon = train.values @ record.basis
@@ -90,24 +90,26 @@ class TestReduceDim:
     def test_rank_deficient_uses_fewer_directions(self):
         rng = np.random.default_rng(2)
         emb = EmbeddingMatrix(rng.standard_normal((40, 300)))
-        _, _, record = reduce_dim(emb, emb, FitConfig())
+        _, record = reduce_dim(emb, FitConfig())
         assert record.output_dim == 39
 
     def test_projection_reuse_deterministic(self):
         rng = np.random.default_rng(3)
         train = EmbeddingMatrix(rng.standard_normal((200, 400)))
         other = EmbeddingMatrix(rng.standard_normal((50, 400)))
-        _, a1, record1 = reduce_dim(train, other, FitConfig())
-        _, a2, record2 = reduce_dim(train, other, FitConfig())
-        assert np.array_equal(a1.values, a2.values)
+        reduced, record1 = reduce_dim(train, FitConfig())
+        _, record2 = reduce_dim(train, FitConfig())
+        assert np.array_equal(record1.apply(other).values, record2.apply(other).values)
+        assert np.array_equal(record1.apply(train).values, reduced.values)
         assert np.array_equal(record1.basis, record2.basis)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(4)
         a = EmbeddingMatrix(rng.standard_normal((10, 8)))
         b = EmbeddingMatrix(rng.standard_normal((10, 9)))
+        _, record = reduce_dim(a, FitConfig())
         with pytest.raises(DimensionMismatch):
-            reduce_dim(a, b, FitConfig())
+            record.apply(b)
 
 
 class TestInitConfusion:
