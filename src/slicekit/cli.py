@@ -170,7 +170,6 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "synth_config.json", {**cfg, "seed": master_seed})
 
     created: list[Path] = []
     manifest = []
@@ -202,6 +201,7 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
             shutil.rmtree(path, ignore_errors=True)
         raise click.ClickException(f"generation failed: {exc}") from exc
 
+    write_json(out / "synth_config.json", {**cfg, "seed": master_seed})
     write_json(out / "manifest.json", {"settings": manifest})
     click.echo(f"wrote {len(manifest)} settings to {out}")
 

@@ -27,9 +27,40 @@ def kmeans_pp_init(values: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-def sq_distances(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances from each row to each center."""
-    return ((values[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+def sq_distances(
+    values: np.ndarray, centers: np.ndarray, values_sq: np.ndarray | None = None
+) -> np.ndarray:
+    """(n, k) squared Euclidean distances from each row to each center.
+
+    Expanded quadratic |x|^2 - 2 x.c + |c|^2 with one matrix product, so
+    entries differ from the direct sum of (x - c)^2 by rounding and may dip
+    below 0 by as much. ``values_sq`` holds the rows' |x|^2 when the caller
+    reuses them across many sets of centers.
+    """
+    if values_sq is None:
+        values_sq = (values**2).sum(axis=1)
+    return values_sq[:, None] - 2.0 * (values @ centers.T) + (centers**2).sum(axis=1)[None, :]
+
+
+def update_centers(values: np.ndarray, assign: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """One Lloyd update of the (k, d) centers behind ``dist``'s k columns.
+
+    A center moves to the mean of its members. One weighted ``bincount``
+    over (cluster, column) cells adds each cell's entries in row order, as
+    ``values[assign == j].mean(axis=0)`` adds them when d >= 2, so the two
+    agree bit for bit there (at d = 1 numpy's mean sums pairwise). A center
+    without members moves to the point farthest from its assigned center.
+    """
+    k = dist.shape[1]
+    d = values.shape[1]
+    counts = np.bincount(assign, minlength=k)
+    cells = (assign[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(cells, weights=values.ravel(), minlength=k * d).reshape(k, d)
+    centers = sums / np.maximum(counts, 1)[:, None]
+    empty = counts == 0
+    if empty.any():
+        centers[empty] = values[dist.min(axis=1).argmax()]
+    return centers
 
 
 def pca_basis(values: np.ndarray, out_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -61,29 +92,26 @@ def kmeans(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Seeded Lloyd iterations; returns the best (centers, assignments, inertia).
 
-    Assignment ties go to the lower center index; an emptied cluster is
-    re-seeded at the point farthest from its assigned center.
+    Assignments are the argmin of ``sq_distances``, so ties on those
+    rounded distances go to the lower center index; ``update_centers`` moves
+    the centers, re-seeding an emptied cluster.
     """
     n = values.shape[0]
     if k > n:
         raise TooFewPoints(f"{k} clusters requested for {n} points")
+    values_sq = (values**2).sum(axis=1)
     best: tuple[np.ndarray, np.ndarray, float] | None = None
     for _ in range(restarts):
         centers = kmeans_pp_init(values, k, rng)
         assign = np.full(n, -1, dtype=np.int64)
         for _ in range(max_iter):
-            dist = sq_distances(values, centers)
+            dist = sq_distances(values, centers, values_sq)
             new_assign = dist.argmin(axis=1)
-            for j in range(k):
-                members = new_assign == j
-                if members.any():
-                    centers[j] = values[members].mean(axis=0)
-                else:
-                    centers[j] = values[dist.min(axis=1).argmax()]
+            centers = update_centers(values, new_assign, dist)
             if np.array_equal(new_assign, assign):
                 break
             assign = new_assign
-        dist = sq_distances(values, centers)
+        dist = sq_distances(values, centers, values_sq)
         assign = dist.argmin(axis=1)
         inertia = float(dist[np.arange(n), assign].sum())
         if best is None or inertia < best[2]:

@@ -21,6 +21,7 @@ from .data import EmbeddingMatrix, LabeledSplit, SliceScores, check_pair
 from .errors import (
     DimensionMismatch,
     NumericalUnderflow,
+    RowCountMismatch,
     SchemaError,
     TooFewPoints,
     TooFewSlices,
@@ -217,18 +218,36 @@ def init_confusion(
     return Responsibilities(raw / raw.sum(axis=1, keepdims=True))
 
 
-def _log_gaussian(values: np.ndarray, params: MixtureParams) -> np.ndarray:
-    """(n, k_bar) diagonal-Gaussian log densities via the expanded quadratic."""
-    inv_var = 1.0 / params.variances
-    quad = (
-        values**2 @ inv_var.T
-        - 2.0 * values @ (params.means * inv_var).T
-        + (params.means**2 * inv_var).sum(axis=1)[None, :]
-    )
-    log_norm = -0.5 * (
-        values.shape[1] * np.log(2.0 * np.pi) + np.log(params.variances).sum(axis=1)
-    )
-    return log_norm[None, :] - 0.5 * quad
+@dataclass(frozen=True)
+class _EMInputs:
+    """What the E and M steps derive from a fixed batch, once per fit."""
+
+    squares: np.ndarray       # values**2
+    cells: np.ndarray         # (n,) confusion cell, labels * C + predictions
+    label_onehot: np.ndarray  # (n, C)
+    pred_onehot: np.ndarray   # (n, C)
+
+    @classmethod
+    def of(cls, emb: EmbeddingMatrix, split: LabeledSplit) -> "_EMInputs":
+        c = split.num_classes
+        return cls(
+            squares=emb.values**2,
+            cells=split.labels * c + split.predictions,
+            label_onehot=np.eye(c)[split.labels],
+            pred_onehot=np.eye(c)[split.predictions],
+        )
+
+
+def _unchecked(cls, **values):
+    """A frozen dataclass instance built without running its ``__post_init__``.
+
+    The EM loop passes its own intermediate params and responsibilities
+    between the steps this way; ``fit`` validates the ones it returns.
+    """
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def e_step(
@@ -236,20 +255,44 @@ def e_step(
     split: LabeledSplit,
     params: MixtureParams,
     gamma: float,
+    *,
+    inputs: _EMInputs | None = None,
 ) -> tuple[Responsibilities, float]:
-    """Posterior responsibilities and the total log-likelihood of the batch."""
-    check_pair(emb, split)
-    if emb.d != params.means.shape[1]:
-        raise DimensionMismatch(
-            f"model has d={params.means.shape[1]}, embeddings have d={emb.d}"
-        )
-    with np.errstate(divide="ignore"):
-        log_joint = np.log(params.weights)[None, :] + _log_gaussian(emb.values, params)
-        if gamma != 0.0:
-            log_joint = log_joint + gamma * (
-                np.log(params.label_probs)[:, split.labels].T
-                + np.log(params.pred_probs)[:, split.predictions].T
+    """Posterior responsibilities and the total log-likelihood of the batch.
+
+    ``fit`` passes its per-fit ``inputs`` and gets unvalidated
+    responsibilities back; every other caller has its arguments checked and
+    its result validated.
+    """
+    validate = inputs is None
+    if validate:
+        check_pair(emb, split)
+        if emb.d != params.means.shape[1]:
+            raise DimensionMismatch(
+                f"model has d={params.means.shape[1]}, embeddings have d={emb.d}"
             )
+        if split.num_classes != params.num_classes:
+            raise DimensionMismatch(
+                f"model has {params.num_classes} classes, split has {split.num_classes}"
+            )
+        inputs = _EMInputs.of(emb, split)
+    # Diagonal-Gaussian log densities via the expanded quadratic. Doubling
+    # is exact, so 2 * (x @ m) is bit for bit (2 * x) @ m, at n*k multiplies.
+    inv_var = 1.0 / params.variances
+    quad = (
+        inputs.squares @ inv_var.T
+        - 2.0 * (emb.values @ (params.means * inv_var).T)
+        + (params.means**2 * inv_var).sum(axis=1)[None, :]
+    )
+    log_norm = -0.5 * (emb.d * np.log(2.0 * np.pi) + np.log(params.variances).sum(axis=1))
+    with np.errstate(divide="ignore"):
+        log_joint = np.log(params.weights)[None, :] + (log_norm[None, :] - 0.5 * quad)
+        if gamma != 0.0:
+            # One (k_bar, C^2) table of categorical terms, gathered by cell.
+            c = params.num_classes
+            pair = np.log(params.label_probs)[:, :, None] + np.log(params.pred_probs)[:, None, :]
+            table = gamma * pair.reshape(params.k_bar, c * c)
+            log_joint = log_joint + table[:, inputs.cells].T
     row_max = log_joint.max(axis=1, keepdims=True)
     if np.isneginf(row_max).any():
         raise NumericalUnderflow("a responsibility row lost all mass in log space")
@@ -257,7 +300,7 @@ def e_step(
     totals = shifted.sum(axis=1, keepdims=True)
     log_lik = float((np.log(totals) + row_max).sum())
     q = shifted / totals
-    return Responsibilities(q), log_lik
+    return (Responsibilities(q) if validate else _unchecked(Responsibilities, q=q)), log_lik
 
 
 def m_step(
@@ -265,6 +308,9 @@ def m_step(
     split: LabeledSplit,
     q: Responsibilities,
     cfg: FitConfig,
+    *,
+    inputs: _EMInputs | None = None,
+    mass: np.ndarray | None = None,
 ) -> MixtureParams:
     """Closed-form parameter update from weighted moments and frequencies.
 
@@ -272,37 +318,41 @@ def m_step(
     categoricals are the plain weighted frequencies; gamma enters the E-step
     only. Components whose total weight falls below 1e-12 are re-seeded at a
     random data point with prior mass 1/k_bar.
+
+    ``fit`` passes its per-fit ``inputs`` and the column sums ``mass`` of
+    ``q`` and gets unvalidated params back; every other caller has its
+    arguments checked and its result validated.
     """
-    check_pair(emb, split)
+    validate = inputs is None
+    if validate:
+        check_pair(emb, split)
+        if q.q.shape[0] != emb.n:
+            raise RowCountMismatch(
+                f"responsibilities have {q.q.shape[0]} rows, embeddings have {emb.n}"
+            )
+        inputs = _EMInputs.of(emb, split)
+    if mass is None:
+        mass = q.q.sum(axis=0)
     values = emb.values
     n, k = q.q.shape
-    c = split.num_classes
-    mass = q.q.sum(axis=0)
     empty = mass < 1e-12
     safe_mass = np.where(empty, 1.0, mass)
 
     weights = mass / n
     means = (q.q.T @ values) / safe_mass[:, None]
-    second = (q.q.T @ values**2) / safe_mass[:, None]
+    second = (q.q.T @ inputs.squares) / safe_mass[:, None]
     variances = np.maximum(second - means**2, cfg.cov_floor)
 
-    label_onehot = np.eye(c)[split.labels]
-    pred_onehot = np.eye(c)[split.predictions]
-    label_counts = q.q.T @ label_onehot + _SMOOTH
-    pred_counts = q.q.T @ pred_onehot + _SMOOTH
+    label_counts = q.q.T @ inputs.label_onehot + _SMOOTH
+    pred_counts = q.q.T @ inputs.pred_onehot + _SMOOTH
     label_probs = label_counts / label_counts.sum(axis=1, keepdims=True)
     pred_probs = pred_counts / pred_counts.sum(axis=1, keepdims=True)
 
     if empty.any():
         rng = derive_rng(cfg.seed, "rescue")
         global_var = np.maximum(values.var(axis=0), cfg.cov_floor)
-        global_label = label_onehot.mean(axis=0) + _SMOOTH
-        global_pred = pred_onehot.mean(axis=0) + _SMOOTH
-        means = means.copy()
-        variances = variances.copy()
-        label_probs = label_probs.copy()
-        pred_probs = pred_probs.copy()
-        weights = weights.copy()
+        global_label = inputs.label_onehot.mean(axis=0) + _SMOOTH
+        global_pred = inputs.pred_onehot.mean(axis=0) + _SMOOTH
         for j in np.flatnonzero(empty):
             anchor = int(rng.integers(n))
             logger.debug("re-seeding empty component %d at example %d", j, anchor)
@@ -313,13 +363,14 @@ def m_step(
             weights[j] = 1.0 / k
         weights = weights / weights.sum()
 
-    return MixtureParams(
+    arrays = dict(
         weights=weights,
         means=means,
         variances=variances,
         label_probs=label_probs,
         pred_probs=pred_probs,
     )
+    return MixtureParams(**arrays) if validate else _unchecked(MixtureParams, **arrays)
 
 
 def fit(
@@ -337,15 +388,16 @@ def fit(
     if valid_emb.n < cfg.k_bar:
         raise TooFewPoints(f"need at least k_bar={cfg.k_bar} examples, got {valid_emb.n}")
     emb, projection = reduce_dim(valid_emb, cfg)
+    inputs = _EMInputs.of(emb, valid_split)
     q = init_confusion(valid_split, cfg, emb)
-    params = m_step(emb, valid_split, q, cfg)
+    params = m_step(emb, valid_split, q, cfg, inputs=inputs)
     rescues = 0
 
     log_liks: list[float] = []
     converged = False
     prev = -np.inf
     for iteration in range(cfg.max_iter):
-        q, log_lik = e_step(emb, valid_split, params, cfg.gamma)
+        q, log_lik = e_step(emb, valid_split, params, cfg.gamma, inputs=inputs)
         log_liks.append(log_lik)
         if np.isfinite(prev) and log_lik - prev < cfg.rel_tol * abs(prev):
             converged = True
@@ -356,9 +408,13 @@ def fit(
         # The returned params are always the ones that produced the last
         # recorded responsibilities, so frozen-parameter scoring of the
         # validation set reproduces them exactly.
-        rescues += int((q.q.sum(axis=0) < 1e-12).sum())
-        params = m_step(emb, valid_split, q, cfg)
+        mass = q.q.sum(axis=0)
+        rescues += int((mass < 1e-12).sum())
+        params = m_step(emb, valid_split, q, cfg, inputs=inputs, mass=mass)
 
+    # The loop passes unvalidated values between the steps; check what leaves.
+    params = MixtureParams(**{f.name: getattr(params, f.name) for f in fields(MixtureParams)})
+    q = Responsibilities(q.q)
     diagnostics = FitDiagnostics(
         log_likelihoods=tuple(log_liks),
         n_iter=len(log_liks),

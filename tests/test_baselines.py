@@ -22,7 +22,7 @@ from slicekit.baselines import (
     SpotlightSDM,
     example_losses,
 )
-from slicekit.clustering import kmeans
+from slicekit.clustering import kmeans, sq_distances, update_centers
 from slicekit.errors import DegenerateLoss, ProbOnBoundary, SchemaError, TooFewPoints
 from slicekit.seeding import derive_rng
 
@@ -432,23 +432,43 @@ class TestGeorge:
         assert inertia <= best + 1e-6
 
     def test_kmeans_inertia_never_increases(self):
-        rng = np.random.default_rng(6)
-        values = rng.standard_normal((80, 2))
-        gen = derive_rng(3, "lloyd")
-        from slicekit.clustering import kmeans_pp_init
-
-        centers = kmeans_pp_init(values, 4, gen)
+        values = np.random.default_rng(6).standard_normal((80, 2))
         prev = np.inf
-        for _ in range(20):
-            dist = ((values[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            assign = dist.argmin(axis=1)
-            inertia = float(dist[np.arange(80), assign].sum())
+        for max_iter in range(1, 21):
+            _, _, inertia = kmeans(
+                values, 4, derive_rng(3, "lloyd"), restarts=1, max_iter=max_iter
+            )
             assert inertia <= prev + 1e-9
             prev = inertia
-            for j in range(4):
+
+    @pytest.mark.parametrize("d", [2, 3, 32])
+    def test_center_update_equals_per_cluster_mean(self, d):
+        rng = np.random.default_rng(d)
+        values = rng.standard_normal((500, d)) * 7.0 + 3.0
+        k = 9
+        dist = sq_distances(values, values[:k])
+        for assign in (dist.argmin(axis=1), rng.integers(0, k - 1, size=500)):
+            # the second assignment leaves cluster k - 1 empty
+            reference = np.empty((k, d))
+            for j in range(k):
                 members = assign == j
                 if members.any():
-                    centers[j] = values[members].mean(axis=0)
+                    reference[j] = values[members].mean(axis=0)
+                else:
+                    reference[j] = values[dist.min(axis=1).argmax()]
+            assert np.array_equal(update_centers(values, assign, dist), reference)
+
+    @pytest.mark.parametrize("d", [2, 32])
+    def test_blas_distances_match_broadcast(self, d):
+        rng = np.random.default_rng(40 + d)
+        values = rng.standard_normal((400, d)) * 3.0
+        centers = rng.standard_normal((13, d)) * 3.0
+        reference = ((values[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dist = sq_distances(values, centers)
+        np.testing.assert_allclose(dist, reference, rtol=1e-9)
+        assert np.array_equal(dist.argmin(axis=1), reference.argmin(axis=1))
+        norms = (values**2).sum(axis=1)
+        assert np.array_equal(sq_distances(values, centers, norms), dist)
 
     def test_transform_assigns_new_points(self):
         setting = make_synthetic_setting(

@@ -113,6 +113,18 @@ class TestSynth:
         assert not (out / "manifest.json").exists()
         assert [p for p in out.iterdir() if p.is_dir()] == []
 
+    def test_generation_failure_leaves_no_config(self, runner, tmp_path):
+        # four rows cannot hold a subclass-C slice, so generation fails
+        cfg = synth_config(
+            tmp_path, slice_types=["noisy_label"], alphas={"noisy_label": [0.1]},
+            seeds=1, n=4, d=2,
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "generation failed" in result.output
+        assert not (out / "synth_config.json").exists()
+
 
 def write_base(tmp_path, n_base, d, seed):
     """base.csv with a target and a ``tube`` attribute, and its embeddings."""

@@ -1,5 +1,7 @@
 """Error-aware mixture model: reduction, init, EM steps, selection, scoring."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from slicekit import (
     score,
     select_slices,
 )
-from slicekit.errors import DimensionMismatch, TooFewSlices
+from slicekit.errors import DimensionMismatch, RowCountMismatch, TooFewSlices
 from slicekit.mixture import load_model, save_model
 from slicekit.settings import (
     ClusterLayout,
@@ -303,6 +305,60 @@ def planted_single_class_slice(n, d, seed, offset_norm=4.0):
         split, SyntheticModelSpec.natural_defaults(seed=seed)
     )
     return emb, split
+
+
+class TestBoundaryValidation:
+    """The EM loop skips the checks; what fit returns and the public steps do not."""
+
+    def test_fit_returns_validated_read_only_results(self, monkeypatch):
+        validated = []
+        for cls in (MixtureParams, Responsibilities):
+            original = cls.__post_init__
+
+            def spy(self, original=original):
+                original(self)
+                validated.append(self)
+
+            monkeypatch.setattr(cls, "__post_init__", spy)
+        emb, split = random_instance(3, n=150, d=3)
+        params, diag = fit(emb, split, FitConfig(k_bar=8, k_hat=3, seed=0, max_iter=30))
+        assert diag.n_iter > 3
+        assert any(v is params for v in validated)
+        assert any(v is diag.responsibilities for v in validated)
+        # the init, the returned params and the returned responsibilities
+        assert len(validated) == 3
+        for f in fields(MixtureParams):
+            assert not getattr(params, f.name).flags.writeable
+        assert not diag.responsibilities.q.flags.writeable
+
+    def test_e_step_checks_its_inputs(self):
+        emb, split = random_instance(4, n=40, d=2)
+        params = hand_params(
+            [1.0], [[0.0, 0.0]], [[1.0, 1.0]], [[0.6, 0.4]], [[0.3, 0.7]]
+        )
+        wide, _ = random_instance(4, n=40, d=3)
+        short, _ = random_instance(4, n=39, d=2)
+        three_class = simple_split(split.labels, split.predictions, num_classes=3)
+        with pytest.raises(DimensionMismatch):
+            e_step(wide, split, params, 1.0)
+        with pytest.raises(RowCountMismatch):
+            e_step(short, split, params, 1.0)
+        with pytest.raises(DimensionMismatch):
+            e_step(emb, three_class, params, 1.0)
+        q, _ = e_step(emb, split, params, 1.0)
+        assert not q.q.flags.writeable
+
+    def test_m_step_checks_its_inputs(self):
+        emb, split = random_instance(5, n=40, d=2)
+        short, short_split = random_instance(5, n=39, d=2)
+        q = Responsibilities(np.full((40, 4), 0.25))
+        cfg = FitConfig(k_bar=4, k_hat=2)
+        with pytest.raises(RowCountMismatch):
+            m_step(short, split, q, cfg)
+        with pytest.raises(RowCountMismatch):
+            m_step(short, short_split, q, cfg)
+        params = m_step(emb, split, q, cfg)
+        assert not params.means.flags.writeable
 
 
 class TestFit:
