@@ -290,7 +290,7 @@ def _config_flags(command):
 @click.option("--phrases", "phrases_path", type=click.Path(exists=True), default=None)
 @click.option("--phrase-embeddings", "phrase_emb_path", type=click.Path(exists=True), default=None)
 @click.option("--synonyms", "synonyms_path", type=click.Path(exists=True), default=None)
-@click.option("--top", type=int, default=10, show_default=True)
+@click.option("--top", type=click.IntRange(min=1), default=10, show_default=True)
 @_config_flags
 def run(
     setting_dir: str,
@@ -456,7 +456,7 @@ def eval_cmd(
 @click.option("--phrase-embeddings", "phrase_emb_path", required=True, type=click.Path(exists=True))
 @click.option("--synonyms", "synonyms_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--top", type=int, default=10, show_default=True)
+@click.option("--top", type=click.IntRange(min=1), default=10, show_default=True)
 def describe(
     setting_dir: str,
     scores_path: str,

@@ -71,8 +71,16 @@ def pca_basis(values: np.ndarray, out_dim: int) -> tuple[np.ndarray, np.ndarray]
     entry is positive. Both arrays are read-only.
     """
     mean = values.mean(axis=0)
-    out_dim = max(1, min(out_dim, values.shape[1], values.shape[0] - 1))
-    _, _, vt = np.linalg.svd(values - mean, full_matrices=False)
+    n, d = values.shape
+    out_dim = max(1, min(out_dim, d, n - 1))
+    centered = values - mean
+    # Reference LAPACK's and OpenBLAS's gesdd factor a tall matrix through
+    # QR themselves, so the SVD of R has the same vt without forming the
+    # n x d U. They take that QR only above about 11d/6 rows; below 2d the
+    # direct SVD keeps the bits. Other LAPACKs (MKL, Accelerate) need not
+    # take that route, so there the two paths may differ in the last bits.
+    factor = np.linalg.qr(centered, mode="r") if n >= 2 * d else centered
+    _, _, vt = np.linalg.svd(factor, full_matrices=False)
     basis = vt[:out_dim]
     anchors = np.argmax(np.abs(basis), axis=1)
     signs = np.sign(basis[np.arange(basis.shape[0]), anchors])

@@ -115,10 +115,11 @@ def rank_phrases(
     corpus: PhraseCorpus,
     top: int = 10,
 ) -> list[tuple[str, float]]:
-    """Phrases ranked by dot product with the distilled slice prototype.
+    """The ``top`` phrases by dot product with the distilled slice prototype.
 
-    Ties are broken toward the lower phrase index; a zero distilled prototype
-    degenerates to corpus order and is logged.
+    Best first, none when ``top`` is below 1. Ties are broken toward the
+    lower phrase index; a zero distilled prototype degenerates to corpus
+    order and is logged.
     """
     class_proto = np.asarray(class_proto, dtype=np.float64).ravel()
     if proto.vector.shape[0] != corpus.embeddings.d or class_proto.shape[0] != corpus.embeddings.d:
@@ -126,8 +127,17 @@ def rank_phrases(
     query = proto.vector - class_proto
     if not query.any():
         logger.warning("distilled prototype is zero; phrase ranking is degenerate")
+    if top <= 0:
+        return []
     scores = corpus.embeddings.values @ query
-    order = np.argsort(-scores, kind="stable")[: max(0, top)]
+    n = corpus.size
+    top = min(top, n)
+    # Every score tied with the top-th largest is a candidate, and a stable
+    # sort of the candidates (in index order) breaks those ties exactly as a
+    # stable sort of the whole corpus would.
+    kth = np.partition(scores, n - top)[n - top]
+    candidates = np.flatnonzero(scores >= kth)
+    order = candidates[np.argsort(-scores[candidates], kind="stable")[:top]]
     return [(corpus.phrases[i], float(scores[i])) for i in order]
 
 
@@ -189,11 +199,14 @@ def describe_slices(
             f"corpus d={corpus.embeddings.d} but input embeddings d={emb.d}"
         )
     descriptions = []
+    class_protos: dict[int, np.ndarray] = {}
     for j in range(scores.k_hat):
         weights = scores.scores[:, j]
         cls = dominant_class(split, weights)
         proto = slice_prototype(emb, weights, slice_index=j, dominant_class=cls)
-        ranked = rank_phrases(proto, class_prototype(emb, split, cls), corpus, top)
+        if cls not in class_protos:
+            class_protos[cls] = class_prototype(emb, split, cls)
+        ranked = rank_phrases(proto, class_protos[cls], corpus, top)
         descriptions.append(tuple(phrase for phrase, _ in ranked))
     return SliceScores(
         scores=scores.scores,

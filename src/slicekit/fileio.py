@@ -93,8 +93,14 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Read an EMB1 binary file, or headerless CSV for a .csv path."""
     path = Path(path)
-    if path.suffix == ".csv":
-        return _load_embeddings_csv(path)
+    values = _read_embeddings_csv(path) if path.suffix == ".csv" else _read_emb1(path)
+    try:
+        return EmbeddingMatrix(values)
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"{path}: embedding payload contains NaN or Inf") from exc
+
+
+def _read_emb1(path: Path) -> np.ndarray:
     try:
         raw = path.read_bytes()
     except OSError as exc:
@@ -111,13 +117,10 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     expected = _HEADER.size + 4 * n * d
     if len(raw) != expected:
         raise TruncatedFile(f"{path}: {len(raw)} bytes, expected {expected}")
-    values = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(n, d)
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteValue(f"{path}: embedding payload contains NaN or Inf")
-    return EmbeddingMatrix(values)
+    return np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(n, d)
 
 
-def _load_embeddings_csv(path: Path) -> EmbeddingMatrix:
+def _read_embeddings_csv(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
     for lineno, line in enumerate(read_lines(path)):
         line = line.strip()
@@ -132,10 +135,7 @@ def _load_embeddings_csv(path: Path) -> EmbeddingMatrix:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise SchemaError(f"{path}: ragged rows (widths {sorted(widths)})")
-    values = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteValue(f"{path}: embedding payload contains NaN or Inf")
-    return EmbeddingMatrix(values)
+    return np.asarray(rows, dtype=np.float64)
 
 
 # --- tables: the labels, base-table and predictions CSVs ---------------------

@@ -22,7 +22,7 @@ from slicekit.baselines import (
     SpotlightSDM,
     example_losses,
 )
-from slicekit.clustering import kmeans, sq_distances, update_centers
+from slicekit.clustering import kmeans, pca_basis, sq_distances, update_centers
 from slicekit.errors import DegenerateLoss, ProbOnBoundary, SchemaError, TooFewPoints
 from slicekit.seeding import derive_rng
 
@@ -469,6 +469,26 @@ class TestGeorge:
         assert np.array_equal(dist.argmin(axis=1), reference.argmin(axis=1))
         norms = (values**2).sum(axis=1)
         assert np.array_equal(sq_distances(values, centers, norms), dist)
+
+    @pytest.mark.parametrize(
+        "shape, via_qr",
+        [((5000, 512), True), ((1000, 32), True), ((400, 8), True), ((900, 512), False)],
+        ids=["5000x512", "1000x32", "400x8", "900x512-direct"],
+    )
+    def test_pca_basis_matches_direct_svd(self, shape, via_qr, monkeypatch):
+        values = np.random.default_rng(shape[0] + shape[1]).standard_normal(shape) * 2.0 + 1.0
+        centered = values - values.mean(axis=0)
+        _, _, vt = np.linalg.svd(centered, full_matrices=False)
+        reference = vt[:128]
+        anchors = np.abs(reference).argmax(axis=1)
+        reference = reference * np.sign(reference[np.arange(reference.shape[0]), anchors])[:, None]
+        qr_calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qr_calls.append(1) or qr(*a, **kw))
+        mean, basis = pca_basis(values, 128)
+        assert bool(qr_calls) == via_qr
+        assert np.array_equal(mean, values.mean(axis=0))
+        assert np.array_equal(basis, reference)
 
     def test_transform_assigns_new_points(self):
         setting = make_synthetic_setting(

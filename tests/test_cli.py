@@ -295,6 +295,23 @@ class TestRun:
         assert scores.slice_descriptions is not None
         assert all(len(d) == 4 for d in scores.slice_descriptions)
 
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_top_below_one_exit_two(self, runner, setting_dir, tmp_path, top):
+        phrases = tmp_path / "phrases.tsv"
+        phrases.write_text("phrase\n")
+        emb_path = tmp_path / "phrases.emb"
+        save_embeddings(EmbeddingMatrix(np.ones((1, 6))), emb_path)
+        out = tmp_path / "scores.json"
+        result = runner.invoke(main, [
+            "run", "--setting", str(setting_dir), "--method", "confusion",
+            "--score-split", "valid", "--out", str(out),
+            "--phrases", str(phrases), "--phrase-embeddings", str(emb_path),
+            "--top", top,
+        ])
+        assert result.exit_code == 2
+        assert "--top" in result.output
+        assert not out.exists()
+
     def test_descriptions_require_validation_split(self, runner, setting_dir, tmp_path):
         phrases = tmp_path / "phrases.tsv"
         phrases.write_text("phrase\n")
@@ -478,7 +495,8 @@ class TestEval:
 
 
 class TestDescribeCommand:
-    def test_describe_appends_phrases(self, runner, tmp_path):
+    @pytest.fixture()
+    def describe_args(self, runner, tmp_path):
         cfg = synth_config(tmp_path, slice_types=["rare"], alphas={"rare": [0.1]}, seeds=1, n=300, d=6)
         grid = tmp_path / "grid"
         result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(grid)])
@@ -497,19 +515,28 @@ class TestDescribeCommand:
         phrases.write_text("".join(f"phrase {i}\n" for i in range(20)))
         emb_path = tmp_path / "phrases.emb"
         save_embeddings(EmbeddingMatrix(rng.standard_normal((20, 6))), emb_path)
-
-        out = tmp_path / "described.json"
-        result = runner.invoke(main, [
+        return [
             "describe", "--setting", str(setting_dir),
             "--scores", str(scores_path),
             "--phrases", str(phrases), "--phrase-embeddings", str(emb_path),
-            "--out", str(out), "--top", "3",
-        ])
+        ]
+
+    def test_describe_appends_phrases(self, runner, describe_args, tmp_path):
+        out = tmp_path / "described.json"
+        result = runner.invoke(main, [*describe_args, "--out", str(out), "--top", "3"])
         assert result.exit_code == 0, result.output
         described = load_scores(out)
         assert described.slice_descriptions is not None
         assert len(described.slice_descriptions) == described.k_hat
         assert len(described.slice_descriptions[0]) == 3
+
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_top_below_one_exit_two(self, runner, describe_args, tmp_path, top):
+        out = tmp_path / "described.json"
+        result = runner.invoke(main, [*describe_args, "--out", str(out), "--top", top])
+        assert result.exit_code == 2
+        assert "--top" in result.output
+        assert not out.exists()
 
 
 class TestReportCommand:
@@ -596,7 +623,7 @@ Options:
   --phrases PATH
   --phrase-embeddings PATH
   --synonyms PATH
-  --top INTEGER               [default: 10]
+  --top INTEGER RANGE         [default: 10; x>=1]
   --k-bar, --kbar INTEGER
   --k-hat, --khat INTEGER
   --gamma FLOAT

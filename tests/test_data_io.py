@@ -1,5 +1,6 @@
 """Data model and file format tests."""
 
+import re
 import struct
 
 import numpy as np
@@ -63,10 +64,18 @@ class TestEmbeddingFormat:
 
     def test_non_finite_payload(self, tmp_path):
         path = tmp_path / "e.emb"
-        payload = np.array([1.0, np.nan], dtype="<f4").tobytes()
-        path.write_bytes(_header(1, 2) + payload)
-        with pytest.raises(NonFiniteValue):
-            load_embeddings(path)
+        message = re.escape(f"{path}: embedding payload contains NaN or Inf")
+        for bad in (np.nan, np.inf, -np.inf):
+            payload = np.array([1.0, bad], dtype="<f4").tobytes()
+            path.write_bytes(_header(1, 2) + payload)
+            with pytest.raises(NonFiniteValue, match=message):
+                load_embeddings(path)
+        path = tmp_path / "e.csv"
+        message = re.escape(f"{path}: embedding payload contains NaN or Inf")
+        for bad in ("nan", "inf", "-inf"):
+            path.write_text(f"1.0,{bad}\n")
+            with pytest.raises(NonFiniteValue, match=message):
+                load_embeddings(path)
 
     def test_round_trip_byte_identical(self, tmp_path):
         rng = np.random.default_rng(7)

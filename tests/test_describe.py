@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as st
 
 from slicekit import (
     EmbeddingMatrix,
@@ -14,7 +16,7 @@ from slicekit import (
     rank_phrases,
     slice_prototype,
 )
-from slicekit.describe import dominant_class, load_phrase_corpus
+from slicekit.describe import SlicePrototype, dominant_class, load_phrase_corpus
 from slicekit.errors import EmptyClass, EmptyCorpus, ZeroMass
 from slicekit.fileio import save_embeddings
 
@@ -182,6 +184,49 @@ class TestRankPhrases:
         assert a == b
 
 
+# Small integers and signed zeros, so that equal scores (and -0.0 against
+# 0.0) are common and the tie rule decides the order.
+_ENTRIES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+
+
+@st.composite
+def ranking_case(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=d, max_size=d), min_size=n, max_size=n))
+    query = draw(st.lists(_ENTRIES, min_size=d, max_size=d))
+    extra_top = draw(st.integers(1, n))
+    return np.array(rows), np.array(query), extra_top
+
+
+class TestRankPhrasesProperty:
+    @hsettings(max_examples=200, deadline=None)
+    @given(ranking_case())
+    def test_equals_stable_sort_of_all_scores(self, case):
+        rows, query, extra_top = case
+        n = rows.shape[0]
+        corpus = PhraseCorpus(
+            phrases=tuple(f"p{i}" for i in range(n)), embeddings=EmbeddingMatrix(rows)
+        )
+        proto = SlicePrototype(vector=query, slice_index=0, dominant_class=0)
+        class_proto = np.zeros(query.shape[0])
+        scores = corpus.embeddings.values @ (proto.vector - class_proto)
+        for top in (1, n - 1, n, n + 3, extra_top):
+            reference = np.argsort(-scores, kind="stable")[:top]
+            ranked = rank_phrases(proto, class_proto, corpus, top=top)
+            assert [p for p, _ in ranked] == [f"p{i}" for i in reference]
+            assert np.array_equal(
+                np.array([s for _, s in ranked]).view(np.int64),
+                scores[reference].view(np.int64),
+            )
+
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_top_below_one_is_empty(self, top):
+        corpus = PhraseCorpus(phrases=("a", "b"), embeddings=EmbeddingMatrix(np.eye(2)))
+        proto = SlicePrototype(vector=np.ones(2), slice_index=0, dominant_class=0)
+        assert rank_phrases(proto, np.zeros(2), corpus, top=top) == []
+
+
 class TestNameRecall:
     def test_exact_containment(self):
         assert name_recall_at_k(["a photo of sky"], "sky", None, 1) is True
@@ -229,6 +274,35 @@ class TestDescribeSlices:
         corpus = orthogonal_corpus(query, 40, d, seed=10, aligned_at=4)
         described = describe_slices(emb, split, scores, corpus, top=3)
         assert described.slice_descriptions[0][0] == "the aligned phrase"
+
+    def test_each_slice_is_distilled_by_its_own_dominant_class(self):
+        rng = np.random.default_rng(11)
+        d = 5
+        values = rng.standard_normal((60, d))
+        values[:20] += 3.0 * np.eye(d)[1]
+        emb = EmbeddingMatrix(values)
+        labels = np.repeat([0, 1, 2], 20)
+        split = tiny_split(labels)
+        # slices 0 and 2 are dominated by class 2, slice 1 by class 0
+        weights = np.zeros((60, 3))
+        weights[40:, 0] = 1.0
+        weights[:20, 1] = 1.0
+        weights[45:, 2] = 1.0
+        weights[:5, 2] = 0.5
+        scores = SliceScores(scores=weights, method="manual")
+        corpus = PhraseCorpus(
+            phrases=tuple(f"p{i}" for i in range(30)),
+            embeddings=EmbeddingMatrix(rng.standard_normal((30, d))),
+        )
+        described = describe_slices(emb, split, scores, corpus, top=4)
+        expected = []
+        for j in range(3):
+            cls = dominant_class(split, weights[:, j])
+            proto = slice_prototype(emb, weights[:, j], slice_index=j, dominant_class=cls)
+            ranked = rank_phrases(proto, class_prototype(emb, split, cls), corpus, top=4)
+            expected.append(tuple(p for p, _ in ranked))
+        assert [dominant_class(split, weights[:, j]) for j in range(3)] == [2, 0, 2]
+        assert described.slice_descriptions == tuple(expected)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):

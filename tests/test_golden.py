@@ -3,15 +3,22 @@
 A change meant to leave results alone (a faster kernel, a leaner loop) must
 keep these digests. A change that moves them on purpose must say why and
 record the new values. The digests depend on the floating-point kernels of
-the numpy/BLAS build as well as on slicekit, so on a different build record
-them afresh from an unchanged tree.
+the numpy/BLAS build as well as on slicekit (these were recorded with numpy
+2.4.6 and scipy-openblas 0.3.31), so on a different build record them afresh
+from an unchanged tree.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
+import slicekit
 from slicekit import (
     FitConfig,
     GeorgeConfig,
@@ -59,3 +66,77 @@ def test_fitted_bytes_are_pinned():
     george.fit(setting.valid_emb, setting.valid_split)
     centers = {c: sha256(by_class[2]) for c, by_class in george.by_class.items()}
     assert centers == GEORGE_CENTER_DIGESTS
+
+
+WIDE_DIGESTS = {
+    "mixture": {
+        "weights": "03a5502dce06e892879df68fae83e576ac252a4552941113246a2cb19ee99b6d",
+        "means": "f61ff932efd4cfc55acff7c3f52c521cfd9cb9333f096c153af51abd9f6dc82a",
+        "variances": "d51811b7e3d6eafffa30408d1d40511a55ba7065162376b920a26ccb6d586306",
+        "label_probs": "b91ed5bf3afd33838a93cff27856dacfcb8a018b8db7ec20e8dec792e7412fd2",
+        "pred_probs": "909b698443f0f6aeb7a1c1ae9c4a3a95b06f67cf12839264e5cc8c63ac7088c7",
+    },
+    "n_iter": 40,
+    "converged": True,
+    # class -> [PCA basis, k-means centres]
+    "george": {
+        "0": [
+            "1305348899db2d1ba235b647668a54a5a84c0caf45590150d96b55958d3282b8",
+            "51402933e6ab4d10598ed5b29d6e052033a40adb2129b7aabc538076e495dabd",
+        ],
+        "1": [
+            "9b7aebfc1b75463eb1a91578dc1b5588b85f1bc087059e8eeb6ef212eb96215a",
+            "c3adbd54aeac197f50bf2dd9b03c1e9dd944946f33a2841bc1712efb28b986a1",
+        ],
+    },
+}
+
+
+def wide_fit_digests() -> dict:
+    """Digests of a Domino and a GEORGE fit at d=300, where both run PCA.
+
+    The 1,400 validation rows exceed pca_threshold's 256 columns, and each
+    GEORGE class subset (about 700 rows) has n >= 2d, so both reductions
+    take pca_basis's QR route.
+    """
+    setting = make_synthetic_setting(
+        "rare", 0.1, n=2800, d=300, seed=3,
+        model=SyntheticModelSpec.natural_defaults(seed=3),
+    )
+    emb, split = setting.valid_emb, setting.valid_split
+    assert min(np.bincount(split.labels)) >= 2 * emb.d
+    params, diagnostics = fit(emb, split, FitConfig(k_bar=8, k_hat=3, seed=1))
+    george = GeorgeSDM(GeorgeConfig(clusters_per_class=3, seed=1))
+    george.fit(emb, split)
+    return {
+        "mixture": {f.name: sha256(getattr(params, f.name)) for f in fields(MixtureParams)},
+        "n_iter": diagnostics.n_iter,
+        "converged": diagnostics.converged,
+        "george": {
+            str(c): [sha256(basis), sha256(centers)]
+            for c, (_, basis, centers) in george.by_class.items()
+        },
+    }
+
+
+def test_wide_fitted_bytes_are_pinned():
+    # OpenBLAS splits an SVD of this size across its threads, and the bits
+    # follow the thread count, so the fit runs in a fresh interpreter with
+    # one BLAS thread (as the benchmark runs it).
+    paths = [str(Path(slicekit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(p for p in paths if p),
+    }
+    run = subprocess.run(
+        [sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == WIDE_DIGESTS
+
+
+if __name__ == "__main__":
+    print(json.dumps(wide_fit_digests()))
