@@ -64,7 +64,6 @@ from .mixture import (
 from .settings import (
     BaseTable,
     CellCounts,
-    ClusterLayout,
     SyntheticModelSpec,
     apply_ingested_predictions,
     apply_synthetic_model,
@@ -72,10 +71,8 @@ from .settings import (
     build_noisy_setting,
     build_rare_setting,
     correlation_counts,
-    make_planted_setting,
     make_synthetic_setting,
     solve_beta,
-    synth_embeddings,
     synth_predictions,
 )
 
@@ -86,7 +83,6 @@ __all__ = [
     "AggregateReport",
     "BaseTable",
     "CellCounts",
-    "ClusterLayout",
     "EmbeddingMatrix",
     "FitConfig",
     "FitDiagnostics",
@@ -123,7 +119,6 @@ __all__ = [
     "load_setting",
     "load_split",
     "m_step",
-    "make_planted_setting",
     "make_synthetic_setting",
     "name_recall_at_k",
     "precision_at_k",
@@ -138,6 +133,5 @@ __all__ = [
     "select_slices",
     "slice_prototype",
     "solve_beta",
-    "synth_embeddings",
     "synth_predictions",
 ]

@@ -20,6 +20,7 @@ from . import evaluate as ev
 from .data import SLICE_TYPES, alpha_in_range
 from .errors import SchemaError, SliceKitError
 from .fileio import (
+    duplicates,
     load_base_table,
     load_embeddings,
     load_ingested_predictions,
@@ -167,6 +168,10 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
         raise click.UsageError(f"bad synth configuration: {exc}") from exc
     if not grid:
         raise click.UsageError("synth grid is empty")
+    ids = [f"{slice_type}_a{alpha:g}_r{rep}" for slice_type, alpha, rep in grid]
+    repeated = duplicates(ids)
+    if repeated:
+        raise click.UsageError(f"synth grid repeats setting ids: {', '.join(repeated)}")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -174,8 +179,7 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
     created: list[Path] = []
     manifest = []
     try:
-        for slice_type, alpha, rep in grid:
-            setting_id = f"{slice_type}_a{alpha:g}_r{rep}"
+        for setting_id, (slice_type, alpha, rep) in zip(ids, grid):
             setting = make_synthetic_setting(
                 slice_type,
                 alpha,
@@ -285,7 +289,7 @@ def _config_flags(command):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--score-split", type=click.Choice(["test", "valid"]), default="test", show_default=True)
-@click.option("--k", type=int, default=10, show_default=True)
+@click.option("--k", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--phrases", "phrases_path", type=click.Path(exists=True), default=None)
 @click.option("--phrase-embeddings", "phrase_emb_path", type=click.Path(exists=True), default=None)
@@ -368,9 +372,9 @@ def _eval_task(args: tuple) -> ev.SettingResult | dict:
 @click.option("--methods", default="domino", show_default=True, help="Comma-separated method names.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--k", type=int, default=10, show_default=True)
+@click.option("--k", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--beta", type=float, default=0.5, show_default=True)
 def eval_cmd(
     manifest_path: str,
@@ -388,8 +392,9 @@ def eval_cmd(
         _check_method(method)
     if not method_list:
         raise click.UsageError("no methods selected")
-    if jobs < 1:
-        raise click.UsageError("--jobs must be at least 1")
+    repeated = duplicates(method_list)
+    if repeated:
+        raise click.UsageError(f"--methods names {', '.join(repeated)} more than once")
 
     try:
         entries = load_manifest(manifest_path)

@@ -59,10 +59,6 @@ class NotBinary(SliceKitError):
     """Operation requires a binary classification split."""
 
 
-class DegenerateSpec(SliceKitError):
-    """Synthetic layout declares an empty group."""
-
-
 class NoConvergence(SliceKitError):
     """Iterative solver failed to reach its tolerance within the step budget."""
 

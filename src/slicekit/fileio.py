@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+from collections import Counter
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -334,6 +335,11 @@ def load_setting(directory: str | Path) -> SliceSetting:
         raise SchemaError(f"{directory}: bad setting: {type(exc).__name__}: {exc}") from exc
 
 
+def duplicates(names: list[str]) -> list[str]:
+    """The names that occur more than once, sorted."""
+    return sorted(name for name, count in Counter(names).items() if count > 1)
+
+
 def load_manifest(path: str | Path) -> list[tuple[str, Path]]:
     """(id, directory) of every setting a manifest lists, in manifest order."""
     path = Path(path)
@@ -347,6 +353,9 @@ def load_manifest(path: str | Path) -> list[tuple[str, Path]]:
             f"{path}: a manifest is a JSON object whose 'settings' list is non-empty "
             "and holds a string 'id' (and optional 'path') per setting"
         )
+    repeated = duplicates([e["id"] for e in entries])
+    if repeated:
+        raise SchemaError(f"{path}: manifest lists setting ids more than once: {', '.join(repeated)}")
     return [(e["id"], path.parent / e.get("path", e["id"])) for e in entries]
 
 

@@ -24,7 +24,6 @@ from .data import (
 )
 from .errors import (
     AlphaOutOfRange,
-    DegenerateSpec,
     InfeasibleCounts,
     InsufficientBase,
     NoConvergence,
@@ -530,78 +529,6 @@ def apply_ingested_predictions(
     )
 
 
-# --- synthetic embeddings ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClusterLayout:
-    """Gaussian cluster layout for desk-scale synthetic embeddings.
-
-    ``group_counts`` lists (class index, in_slice flag, count) triples; slice
-    members are displaced from their class mean by ``slice_offset``.
-    """
-
-    class_means: np.ndarray
-    slice_offset: np.ndarray
-    sigma: float
-    group_counts: tuple[tuple[int, int, int], ...]
-    slice_name: str = "planted"
-
-    def __post_init__(self) -> None:
-        means = np.atleast_2d(np.asarray(self.class_means, dtype=np.float64))
-        offset = np.asarray(self.slice_offset, dtype=np.float64).ravel()
-        if means.shape[1] != offset.shape[0]:
-            raise ValueError("class means and slice offset disagree on d")
-        if means.shape[1] < 2:
-            raise ValueError("embedding dimension must be at least 2")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        groups = tuple((int(c), int(bool(s)), int(m)) for c, s, m in self.group_counts)
-        if not groups:
-            raise DegenerateSpec("no groups declared")
-        for c, _, m in groups:
-            if m <= 0:
-                raise DegenerateSpec(f"group with class {c} declares {m} examples")
-            if not 0 <= c < means.shape[0]:
-                raise ValueError(f"group class {c} has no mean vector")
-        object.__setattr__(self, "class_means", means)
-        object.__setattr__(self, "slice_offset", offset)
-        object.__setattr__(self, "group_counts", groups)
-
-    @property
-    def num_classes(self) -> int:
-        return self.class_means.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.class_means.shape[1]
-
-
-def synth_embeddings(layout: ClusterLayout, seed: int) -> tuple[EmbeddingMatrix, LabeledSplit]:
-    """Draw isotropic Gaussian embeddings for the layout's groups, shuffled."""
-    rng = derive_rng(seed, "synth-embeddings")
-    blocks = []
-    labels = []
-    slice_col = []
-    for class_idx, in_slice, count in layout.group_counts:
-        center = layout.class_means[class_idx] + in_slice * layout.slice_offset
-        blocks.append(center + layout.sigma * rng.standard_normal((count, layout.d)))
-        labels.append(np.full(count, class_idx, dtype=np.int64))
-        slice_col.append(np.full(count, in_slice, dtype=np.int64))
-    values = np.concatenate(blocks)
-    labels_arr = np.concatenate(labels)
-    slice_arr = np.concatenate(slice_col)
-    order = rng.permutation(values.shape[0])
-    split = LabeledSplit(
-        labels=labels_arr[order],
-        predictions=labels_arr[order].copy(),
-        slices=slice_arr[order, None],
-        slice_names=(layout.slice_name,),
-        num_classes=max(2, layout.num_classes),
-    )
-    return EmbeddingMatrix(values[order]), split
-
-
 # --- fully synthetic settings -----------------------------------------------
 
 
@@ -645,76 +572,6 @@ def synthetic_base(
         attribute=attribute,
     )
     return table, EmbeddingMatrix(values)
-
-
-def make_planted_setting(
-    n: int,
-    d: int,
-    seed: int,
-    slice_frac: float = 0.2,
-    offset_sigmas: float = 4.0,
-    class_sep_sigmas: float = 4.0,
-    sigma: float = 1.0,
-    model: SyntheticModelSpec | None = None,
-    slice_name: str = "planted",
-) -> SliceSetting:
-    """Planted-slice instance: an attribute subclass displaced by the offset.
-
-    Both splits are drawn independently; class balance is 0.5 and the slice
-    occupies ``slice_frac`` of each class, so slice membership is independent
-    of the label. At offset 0 the slice is therefore statistically invisible
-    in every channel, which makes the instance a clean null control. Unlike
-    the benchmark generators this builder accepts any slice fraction.
-    """
-    means = np.zeros((2, d))
-    means[1, 0] = class_sep_sigmas * sigma
-    offset = np.zeros(d)
-    offset[1] = offset_sigmas * sigma
-
-    def one(tag: str, m: int) -> tuple[EmbeddingMatrix, LabeledSplit]:
-        n_pos = m // 2
-        n_neg = m - n_pos
-        s_pos = _round_half_up(slice_frac * n_pos)
-        s_neg = _round_half_up(slice_frac * n_neg)
-        layout = ClusterLayout(
-            class_means=means,
-            slice_offset=offset,
-            sigma=sigma,
-            group_counts=(
-                (0, 0, n_neg - s_neg),
-                (0, 1, s_neg),
-                (1, 0, n_pos - s_pos),
-                (1, 1, s_pos),
-            ),
-            slice_name=slice_name,
-        )
-        return synth_embeddings(layout, seed=derive_rng(seed, "planted", tag).integers(2**62))
-
-    valid_emb, valid_split = one("valid", n // 2)
-    test_emb, test_split = one("test", n - n // 2)
-    setting = SliceSetting(
-        valid_emb=valid_emb,
-        valid_split=valid_split,
-        test_emb=test_emb,
-        test_split=test_split,
-        slice_type="rare",
-        alpha=float(slice_frac),
-        model_kind="trained_ingested",
-        seed=int(seed),
-        provenance={
-            "generator": "planted",
-            "slice_frac": slice_frac,
-            "offset_sigmas": offset_sigmas,
-            "class_sep_sigmas": class_sep_sigmas,
-            "sigma": sigma,
-            "n": n,
-            "d": d,
-            "seed": seed,
-        },
-    )
-    if model is not None:
-        setting = apply_synthetic_model(setting, model)
-    return setting
 
 
 def make_synthetic_setting(

@@ -36,7 +36,9 @@ from slicekit.describe import (
 from slicekit.data import EmbeddingMatrix
 from slicekit.errors import InfeasibleCounts
 from slicekit.seeding import derive_rng
-from slicekit.settings import make_planted_setting
+
+from planted import planted_setting
+from test_mixture import plain_gmm
 
 NATURAL = dict(sens_in=0.4, spec_in=0.4, sens_out=0.75, spec_out=0.75)
 
@@ -60,31 +62,6 @@ def random_fit_instance(seed, n=240, d=6, num_classes=2):
         num_classes=num_classes,
     )
     return emb, split
-
-
-def plain_gmm(values, q, iterations, cov_floor):
-    """Independent textbook diagonal-covariance GMM EM."""
-    n, d = values.shape
-    for step in range(iterations):
-        mass = q.sum(axis=0)
-        w = mass / n
-        mu = (q.T @ values) / mass[:, None]
-        var = np.maximum((q.T @ values**2) / mass[:, None] - mu**2, cov_floor)
-        if step == iterations - 1:
-            break
-        log_pdf = (
-            np.log(w)[None, :]
-            - 0.5 * (d * np.log(2 * np.pi) + np.log(var).sum(axis=1))[None, :]
-            - 0.5
-            * (
-                (values**2) @ (1 / var).T
-                - 2 * values @ (mu / var).T
-                + ((mu**2) / var).sum(axis=1)[None, :]
-            )
-        )
-        q = np.exp(log_pdf - log_pdf.max(axis=1, keepdims=True))
-        q /= q.sum(axis=1, keepdims=True)
-    return w, mu, var
 
 
 def test_criterion_1_em_correctness():
@@ -124,7 +101,7 @@ def test_criterion_1_em_correctness():
 
 
 def _planted_best_precision(seed, offset_sigmas, rates):
-    setting = make_planted_setting(
+    setting = planted_setting(
         4000, 32, seed,
         slice_frac=0.2,
         offset_sigmas=offset_sigmas,
@@ -305,7 +282,7 @@ def test_criterion_6_description_ranking():
     n_phrases = 1000
     hits = 0
     for seed in range(100):
-        setting = make_planted_setting(
+        setting = planted_setting(
             1200, d, seed,
             slice_frac=0.2,
             model=SyntheticModelSpec(seed=seed, **NATURAL),

@@ -38,6 +38,15 @@ def synth_config(tmp_path, **overrides):
     return path
 
 
+def synth_grid(runner, tmp_path, **overrides):
+    """The directory of a successful ``synth`` run over a one-type rare grid."""
+    cfg = synth_config(tmp_path, **{"slice_types": ["rare"], "alphas": {"rare": [0.1]}, **overrides})
+    grid = tmp_path / "grid"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(grid)])
+    assert result.exit_code == 0, result.output
+    return grid
+
+
 class TestSynth:
     def test_grid_produces_directories_and_manifest(self, runner, tmp_path):
         cfg = synth_config(
@@ -124,6 +133,22 @@ class TestSynth:
         assert result.exit_code == 1, result.output
         assert "generation failed" in result.output
         assert not (out / "synth_config.json").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, repeated",
+        [
+            ({"alphas": [0.05, 0.05]}, "rare_a0.05_r0"),
+            ({"seeds": [0, 0]}, "rare_a0.05_r0"),
+            ({"alphas": [0.05, 0.05000001]}, "rare_a0.05_r0"),  # equal under {alpha:g}
+        ],
+    )
+    def test_repeated_setting_id_exit_two(self, runner, tmp_path, overrides, repeated):
+        cfg = synth_config(tmp_path, **{"slice_types": ["rare"], "seeds": 1, **overrides})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"repeats setting ids: {repeated}" in result.output
+        assert not out.exists()
 
 
 def write_base(tmp_path, n_base, d, seed):
@@ -251,14 +276,17 @@ class TestGen:
 class TestRun:
     @pytest.fixture()
     def setting_dir(self, runner, tmp_path):
-        cfg = synth_config(
-            tmp_path, slice_types=["rare"], alphas={"rare": [0.1]},
-            seeds=1, n=400, d=6,
-        )
-        out = tmp_path / "grid"
-        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        return out / "rare_a0.1_r0"
+        return synth_grid(runner, tmp_path, seeds=1, n=400, d=6) / "rare_a0.1_r0"
+
+    def test_k_below_one_exit_two(self, runner, setting_dir, tmp_path):
+        out = tmp_path / "scores.json"
+        result = runner.invoke(main, [
+            "run", "--setting", str(setting_dir), "--method", "confusion",
+            "--k", "0", "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--k" in result.output
+        assert not out.exists()
 
     def test_unknown_method_exit_two(self, runner, setting_dir):
         result = runner.invoke(main, ["run", "--setting", str(setting_dir), "--method", "nope"])
@@ -383,13 +411,7 @@ class TestRun:
 
 class TestEval:
     def test_settings_times_methods_rows(self, runner, tmp_path):
-        cfg = synth_config(
-            tmp_path, slice_types=["rare"], alphas={"rare": [0.05, 0.1]},
-            seeds=2, n=200, d=4,
-        )
-        grid = tmp_path / "grid"
-        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(grid)])
-        assert result.exit_code == 0, result.output
+        grid = synth_grid(runner, tmp_path, alphas={"rare": [0.05, 0.1]}, seeds=2, n=200, d=4)
         out = tmp_path / "report"
         result = runner.invoke(main, [
             "eval", "--manifest", str(grid / "manifest.json"),
@@ -401,10 +423,7 @@ class TestEval:
         assert (out / "report.md").exists()
 
     def test_missing_setting_recorded_not_fatal(self, runner, tmp_path):
-        cfg = synth_config(tmp_path, slice_types=["rare"], alphas={"rare": [0.1]}, seeds=1, n=200, d=4)
-        grid = tmp_path / "grid"
-        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(grid)])
-        assert result.exit_code == 0, result.output
+        grid = synth_grid(runner, tmp_path, seeds=1, n=200, d=4)
         manifest = json.loads((grid / "manifest.json").read_text())
         manifest["settings"].append({"id": "ghost", "path": "ghost"})
         (grid / "manifest.json").write_text(json.dumps(manifest))
@@ -429,10 +448,7 @@ class TestEval:
         assert result.exit_code == 2
 
     def test_bad_config_section_exit_two(self, runner, tmp_path):
-        cfg = synth_config(tmp_path, slice_types=["rare"], alphas={"rare": [0.1]}, seeds=1, n=200, d=4)
-        grid = tmp_path / "grid"
-        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(grid)])
-        assert result.exit_code == 0, result.output
+        grid = synth_grid(runner, tmp_path, seeds=1, n=200, d=4)
         method_cfg = tmp_path / "methods.json"
         method_cfg.write_text(json.dumps({"methods": {"domino": {"bogus": 1}}}))
         out = tmp_path / "report"
@@ -442,6 +458,41 @@ class TestEval:
         ])
         assert result.exit_code == 2, result.output
         assert "bogus" in result.output
+        assert not out.exists()
+
+    @pytest.fixture()
+    def two_settings(self, runner, tmp_path):
+        return synth_grid(runner, tmp_path, seeds=2, n=200, d=4) / "manifest.json"
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--methods", "confusion,confusion"], "--methods names confusion more than once"),
+            (["--methods", "confusion", "--k", "0"], "--k"),
+            (["--methods", "confusion", "--jobs", "0"], "--jobs"),
+        ],
+    )
+    def test_usage_errors_write_no_report(self, runner, two_settings, tmp_path,
+                                            options, message):
+        out = tmp_path / "report"
+        result = runner.invoke(main, [
+            "eval", "--manifest", str(two_settings), "--out", str(out), *options,
+        ])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
+    def test_repeated_manifest_id_exit_two(self, runner, two_settings, tmp_path):
+        manifest = json.loads(two_settings.read_text())
+        manifest["settings"].append(manifest["settings"][0])
+        two_settings.write_text(json.dumps(manifest))
+        out = tmp_path / "report"
+        result = runner.invoke(main, [
+            "eval", "--manifest", str(two_settings), "--methods", "confusion",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "more than once: rare_a0.1_r0" in result.output
         assert not out.exists()
 
     def test_manifest_must_be_an_object(self, runner, tmp_path):
@@ -464,13 +515,10 @@ class TestEval:
         assert result.exit_code == 1
 
     def test_all_five_methods_run(self, runner, tmp_path):
-        cfg = synth_config(
-            tmp_path, slice_types=["correlation"], alphas={"correlation": [0.6]},
+        grid = synth_grid(
+            runner, tmp_path, slice_types=["correlation"], alphas={"correlation": [0.6]},
             seeds=1, n=300, d=6,
         )
-        grid = tmp_path / "grid"
-        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(grid)])
-        assert result.exit_code == 0, result.output
         method_cfg = tmp_path / "methods.json"
         method_cfg.write_text(json.dumps({
             "methods": {
@@ -497,11 +545,7 @@ class TestEval:
 class TestDescribeCommand:
     @pytest.fixture()
     def describe_args(self, runner, tmp_path):
-        cfg = synth_config(tmp_path, slice_types=["rare"], alphas={"rare": [0.1]}, seeds=1, n=300, d=6)
-        grid = tmp_path / "grid"
-        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(grid)])
-        assert result.exit_code == 0, result.output
-        setting_dir = grid / "rare_a0.1_r0"
+        setting_dir = synth_grid(runner, tmp_path, seeds=1, n=300, d=6) / "rare_a0.1_r0"
 
         scores_path = tmp_path / "valid_scores.json"
         result = runner.invoke(main, [
@@ -541,9 +585,7 @@ class TestDescribeCommand:
 
 class TestReportCommand:
     def test_reaggregation_round_trip(self, runner, tmp_path):
-        cfg = synth_config(tmp_path, slice_types=["rare"], alphas={"rare": [0.1]}, seeds=2, n=200, d=4)
-        grid = tmp_path / "grid"
-        runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(grid)])
+        grid = synth_grid(runner, tmp_path, seeds=2, n=200, d=4)
         out = tmp_path / "report"
         result = runner.invoke(main, [
             "eval", "--manifest", str(grid / "manifest.json"),
@@ -562,11 +604,7 @@ class TestReportCommand:
 
     def test_report_takes_k_and_seed_from_the_document(self, runner, tmp_path):
         # six settings whose precisions differ, so the bootstrap CIs depend on the seed
-        cfg = synth_config(
-            tmp_path, slice_types=["rare"], alphas={"rare": [0.05, 0.1]}, seeds=3, n=200, d=4,
-        )
-        grid = tmp_path / "grid"
-        runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(grid)])
+        grid = synth_grid(runner, tmp_path, alphas={"rare": [0.05, 0.1]}, seeds=3, n=200, d=4)
         out, again = tmp_path / "report", tmp_path / "again"
         result = runner.invoke(main, [
             "eval", "--manifest", str(grid / "manifest.json"), "--methods", "confusion",
@@ -618,7 +656,7 @@ Options:
   --out PATH
   --config PATH
   --score-split [test|valid]  [default: test]
-  --k INTEGER                 [default: 10]
+  --k INTEGER RANGE           [default: 10; x>=1]
   --seed INTEGER              [default: 0]
   --phrases PATH
   --phrase-embeddings PATH
@@ -648,13 +686,7 @@ Options:
 class TestRegistry:
     @pytest.fixture()
     def grid(self, runner, tmp_path):
-        cfg = synth_config(
-            tmp_path, slice_types=["rare"], alphas={"rare": [0.1]}, seeds=1, n=200, d=4,
-        )
-        out = tmp_path / "grid"
-        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        return out
+        return synth_grid(runner, tmp_path, seeds=1, n=200, d=4)
 
     def test_run_help_is_unchanged(self, runner):
         result = runner.invoke(main, ["run", "--help"], prog_name="slicekit", terminal_width=80)

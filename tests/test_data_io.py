@@ -30,6 +30,8 @@ from slicekit.errors import (
 from slicekit.fileio import load_setting, save_setting
 from slicekit.settings import SyntheticModelSpec, make_synthetic_setting
 
+from planted import planted_setting
+
 
 def _header(n, d, magic=b"EMB1", version=1):
     return struct.pack("<4sIQI", magic, version, n, d)
@@ -271,9 +273,7 @@ class TestSettingDirectory:
         )
 
     def test_planted_setting_round_trip(self, tmp_path):
-        from slicekit.settings import make_planted_setting
-
-        setting = make_planted_setting(
+        setting = planted_setting(
             200, 4, seed=3, slice_frac=0.2,
             model=SyntheticModelSpec.natural_defaults(seed=3),
         )

@@ -26,7 +26,8 @@ from slicekit.evaluate import (
     score_setting,
 )
 from slicekit.seeding import derive_rng
-from slicekit.settings import make_planted_setting
+
+from planted import planted_setting
 
 
 class TestPrecisionAtK:
@@ -133,7 +134,7 @@ class TestRunSetting:
         assert abs(np.mean(values) - prevalence) <= 3 * band + 0.01
 
     def test_planted_recovery_through_harness(self):
-        setting = make_planted_setting(
+        setting = planted_setting(
             2000, 16, seed=3, model=SyntheticModelSpec.natural_defaults(seed=3)
         )
         result = run_setting(
@@ -145,7 +146,7 @@ class TestRunSetting:
         assert result.method == "domino"
 
     def test_scores_come_from_validation_fit_only(self):
-        setting = make_planted_setting(
+        setting = planted_setting(
             800, 8, seed=4, model=SyntheticModelSpec.natural_defaults(seed=4)
         )
         cfg = FitConfig(k_bar=8, k_hat=3, seed=4)

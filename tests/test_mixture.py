@@ -21,13 +21,9 @@ from slicekit import (
 )
 from slicekit.errors import DimensionMismatch, RowCountMismatch, TooFewSlices
 from slicekit.mixture import load_model, save_model
-from slicekit.settings import (
-    ClusterLayout,
-    SyntheticModelSpec,
-    make_planted_setting,
-    synth_embeddings,
-    synth_predictions,
-)
+from slicekit.settings import SyntheticModelSpec, synth_predictions
+
+from planted import gaussian_split, planted_setting
 
 
 def simple_split(labels, predictions, num_classes=2):
@@ -294,13 +290,8 @@ def planted_single_class_slice(n, d, seed, offset_norm=4.0):
     offset[1] = offset_norm
     n_pos = n // 2
     n_slice = n_pos // 5
-    layout = ClusterLayout(
-        class_means=means,
-        slice_offset=offset,
-        sigma=1.0,
-        group_counts=((0, 0, n - n_pos), (1, 0, n_pos - n_slice), (1, 1, n_slice)),
-    )
-    emb, split = synth_embeddings(layout, seed=seed)
+    groups = ((0, 0, n - n_pos), (1, 0, n_pos - n_slice), (1, 1, n_slice))
+    emb, split = gaussian_split(means, offset, 1.0, groups, seed)
     split = synth_predictions(
         split, SyntheticModelSpec.natural_defaults(seed=seed)
     )
@@ -443,14 +434,14 @@ class TestFit:
         params, diag = fit(emb, split, cfg)
 
         q0 = init_confusion(split, cfg, emb).q.copy()
-        w, mu, var = _plain_gmm(emb.values, q0, iterations, cfg.cov_floor)
+        w, mu, var = plain_gmm(emb.values, q0, iterations, cfg.cov_floor)
         assert np.abs(params.weights - w).max() <= 1e-6
         assert np.abs(params.means - mu).max() <= 1e-6
         assert np.abs(params.variances - var).max() <= 1e-6
 
 
-def _plain_gmm(values, q, iterations, cov_floor):
-    """Textbook diagonal-covariance GMM EM, independent of the fit path."""
+def plain_gmm(values, q, iterations, cov_floor):
+    """Independent textbook diagonal-covariance GMM EM."""
     n, d = values.shape
     for step in range(iterations):
         mass = q.sum(axis=0)
@@ -508,7 +499,7 @@ class TestSelection:
 
 class TestScore:
     def test_idempotent_on_validation(self):
-        setting = make_planted_setting(
+        setting = planted_setting(
             800, 8, seed=3, model=SyntheticModelSpec.natural_defaults(seed=3)
         )
         cfg = FitConfig(k_bar=8, k_hat=3, seed=1)
@@ -530,7 +521,7 @@ class TestScore:
         assert np.abs(full.scores.sum(axis=1) - 1.0).max() <= 1e-9
 
     def test_planted_top10_mostly_slice(self):
-        setting = make_planted_setting(
+        setting = planted_setting(
             2000, 16, seed=8, model=SyntheticModelSpec.natural_defaults(seed=8)
         )
         cfg = FitConfig(seed=8)

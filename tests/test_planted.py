@@ -1,108 +1,64 @@
-"""Planted settings, pinned bit for bit.
+"""Planted settings: test data, pinned bit for bit, and not part of slicekit.
 
 Acceptance criteria 2 and 6 and several mixture tests draw their data from
-``make_planted_setting`` and from a displaced-cluster layout. These sha256
-digests of every array they produce must hold as long as that data is meant
-to stay the same.
+``planted.py``. The sha256 digests below were recorded from the library
+generator it replaced (``make_planted_setting`` and the displaced-cluster
+layout), so that data is unchanged.
 """
 
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
 
+import slicekit
 from slicekit import SyntheticModelSpec
-from slicekit.settings import make_planted_setting
+
+from planted import planted_setting
 from test_mixture import planted_single_class_slice
 
 NATURAL = dict(sens_in=0.4, spec_in=0.4, sens_out=0.75, spec_out=0.75)
 
 
 def sha256(array: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
 
 
-def split_digests(emb, split) -> dict:
-    return {
-        "values": sha256(emb.values),
-        "labels": sha256(split.labels),
-        "predictions": sha256(split.predictions),
-        "prediction_probs": sha256(split.prediction_probs),
-        "slices": sha256(split.slices),
-    }
+def split_digests(emb, split) -> str:
+    """sha256 prefixes of values, labels, predictions, probabilities and slices."""
+    arrays = (emb.values, split.labels, split.predictions, split.prediction_probs, split.slices)
+    return " ".join(sha256(a) for a in arrays)
 
 
 CRITERION_2 = {
-    "valid": {
-        "values": "b9e37472f203a080a31632f061444b633ffb9cc1293a433b0485a9e949205ece",
-        "labels": "2707f704e73c04efd7c9fb7efd52c6cefdbba7aff87188cabff1ba341e5640e3",
-        "predictions": "c73c7e203e6eee12fd8ca84ace5da6ae5237f54385098f5d40e604b7663343a7",
-        "prediction_probs": "3624c640c2bf4375f8291c4ba8ecda876d9ea92833c669aa1ef16ebce9ba5ae3",
-        "slices": "b02c61e8306793c39ceda908709a2382dd75806421910c29af8ff72976e5e742",
-    },
-    "test": {
-        "values": "07737feb65abc7f6c7d3ae1f566e3620a9dbb8a7ad184d3be6357fa36d8b36ee",
-        "labels": "e3a675348f67a7f90eb0e5260495d194baa7eb8c1ca5ef92f63b2bc58c71b74d",
-        "predictions": "1b93b0e40a21485ac4409e8bec5e03d573edbd73e10a67ca832249ee06bb9379",
-        "prediction_probs": "f78ca9516fd2db40ecb00c217b307a3cac47355c8e8347791b190bff284373a7",
-        "slices": "39f4fa9b303fc0863e1e27c24e38feded173b58bebc8444eb7ae5a34a7645713",
-    },
+    "valid": "b9e37472f203a080 2707f704e73c04ef c73c7e203e6eee12 3624c640c2bf4375 b02c61e8306793c3",
+    "test": "07737feb65abc7f6 e3a675348f67a7f9 1b93b0e40a21485a f78ca9516fd2db40 39f4fa9b303fc086",
 }
 
 CRITERION_6 = {
-    "valid": {
-        "values": "283223aa2926eb50b10ef0bacbe650715940de275fe9f939953a6ccdbafe2cd8",
-        "labels": "d213648cdff2c94bb009ce79cfe35f0fd81f8541e8e615da73490cad0f867955",
-        "predictions": "eacd8ab51ba1ea2011fbb6439081f16bddcafef1cd8e007d401ddd8fcd895dd4",
-        "prediction_probs": "4999e6a45a2123b255d16f215b559cb6d9e60148018917f2b36deffd5124c2f0",
-        "slices": "9e83d0a77d1db293092a16aa58c9aa5577e3ad0f54637febacf2052d42b46ee6",
-    },
-    "test": {
-        "values": "7381760f98577ed6e6e74a73e51500dad7f55d57291ebac3bcc9505e6c74e81a",
-        "labels": "81dcfcd3dacd5b620def8e6c29c2e76311085c457f9bdeecba2fbab058fbc9c8",
-        "predictions": "f57e3d18772406f92599921c93b4a7f9c3211378e750f955da462f13669487ac",
-        "prediction_probs": "b9b32e1256f0f49c5fd0bd9509669f9cd07fbf32b79823913e9ba5ce001d09a6",
-        "slices": "f4dd92a2ae027e31ab741d5c224d79d96462b27d301705bc609b871569d03c7b",
-    },
+    "valid": "283223aa2926eb50 d213648cdff2c94b eacd8ab51ba1ea20 4999e6a45a2123b2 9e83d0a77d1db293",
+    "test": "7381760f98577ed6 81dcfcd3dacd5b62 f57e3d18772406f9 b9b32e1256f0f49c f4dd92a2ae027e31",
 }
 
-SINGLE_CLASS = {
-    "values": "f6b13dafa1491b0a4cc177edf3ea9a2c73158f937388b561ccca1c104db3b67f",
-    "labels": "ae10865504721fe2b1e68076e385048be1278d0872cab09e921895d86d1439d5",
-    "predictions": "baca449bd8ce86b9c416c03a023e814783814ee6e492cc692fd643e72b11d5b6",
-    "prediction_probs": "4ff34303e71eea4a97c847eafa9b7bff754dc476d9c451241e5e8324b03257d4",
-    "slices": "05d35db712fbf0128e882a1237d0c884a54ee2791ec0e4df76c1d6883af41874",
-}
-
-
-def provenance(n, d):
-    return {
-        "generator": "planted",
-        "slice_frac": 0.2,
-        "offset_sigmas": 4.0,
-        "class_sep_sigmas": 4.0,
-        "sigma": 1.0,
-        "n": n,
-        "d": d,
-        "seed": 0,
-        "model": {"kind": "synthetic", **NATURAL, "kappa": 5.0, "seed": 0},
-    }
+SINGLE_CLASS = "f6b13dafa1491b0a ae10865504721fe2 baca449bd8ce86b9 4ff34303e71eea4a 05d35db712fbf012"
 
 
 @pytest.mark.parametrize(
-    "n, d, digests",
-    [(4000, 32, CRITERION_2), (1200, 16, CRITERION_6)],
+    "n, d, digests", [(4000, 32, CRITERION_2), (1200, 16, CRITERION_6)],
     ids=["criterion-2", "criterion-6"],
 )
 def test_planted_setting_bits(n, d, digests):
-    setting = make_planted_setting(
-        n, d, 0, slice_frac=0.2, model=SyntheticModelSpec(seed=0, **NATURAL)
-    )
+    setting = planted_setting(n, d, 0, slice_frac=0.2, model=SyntheticModelSpec(seed=0, **NATURAL))
     assert {
         "valid": split_digests(setting.valid_emb, setting.valid_split),
         "test": split_digests(setting.test_emb, setting.test_split),
     } == digests
-    assert setting.provenance == provenance(n, d)
+    assert setting.provenance == dict(
+        generator="planted", slice_frac=0.2, offset_sigmas=4.0, class_sep_sigmas=4.0,
+        sigma=1.0, n=n, d=d, seed=0,
+        model={"kind": "synthetic", **NATURAL, "kappa": 5.0, "seed": 0},
+    )
     assert (setting.slice_type, setting.alpha, setting.model_kind, setting.seed) == (
         "rare", 0.2, "synthetic", 0,
     )
@@ -110,20 +66,26 @@ def test_planted_setting_bits(n, d, digests):
 
 
 def test_planted_setting_without_model_keeps_labels_as_predictions():
-    bare = make_planted_setting(1200, 16, 0)
-    modelled = make_planted_setting(1200, 16, 0, model=SyntheticModelSpec(seed=0, **NATURAL))
+    bare = planted_setting(1200, 16, 0)
     for part in ("valid", "test"):
-        split = getattr(bare, f"{part}_split")
-        assert sha256(getattr(bare, f"{part}_emb").values) == CRITERION_6[part]["values"]
-        assert sha256(split.labels) == CRITERION_6[part]["labels"]
-        assert sha256(split.slices) == CRITERION_6[part]["slices"]
-        assert np.array_equal(split.predictions, split.labels)
-        assert split.prediction_probs is None
-    assert bare.model_kind == "trained_ingested"
-    assert bare.provenance == {k: v for k, v in modelled.provenance.items() if k != "model"}
+        emb, split = getattr(bare, f"{part}_emb"), getattr(bare, f"{part}_split")
+        values, labels, _, _, slices = CRITERION_6[part].split()
+        assert [sha256(a) for a in (emb.values, split.labels, split.slices)] == [values, labels, slices]
+        assert np.array_equal(split.predictions, split.labels) and split.prediction_probs is None
+    assert bare.model_kind == "trained_ingested" and "model" not in bare.provenance
 
 
 def test_single_class_slice_bits():
     emb, split = planted_single_class_slice(1200, 8, seed=0)
     assert split_digests(emb, split) == SINGLE_CLASS
     assert (split.slice_names, split.num_classes) == (("planted",), 2)
+
+
+def test_exports_resolve_and_the_planted_stack_is_gone():
+    assert len(set(slicekit.__all__)) == len(slicekit.__all__)
+    for name in slicekit.__all__:
+        assert hasattr(slicekit, name), name
+    removed = ("ClusterLayout", "synth_embeddings", "make_planted_setting", "DegenerateSpec")
+    for module in ("slicekit", "slicekit.settings", "slicekit.errors"):
+        for name in removed:
+            assert not hasattr(importlib.import_module(module), name), (module, name)

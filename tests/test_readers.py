@@ -230,6 +230,13 @@ def test_manifest_paths_are_relative_to_it(tmp_path):
     assert load_manifest(path) == [("a", tmp_path / "x"), ("b", tmp_path / "b")]
 
 
+def test_manifest_with_a_repeated_id(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"settings": [{"id": "a"}, {"id": "b"}, {"id": "a", "path": "c"}]}))
+    with pytest.raises(SchemaError, match="more than once: a$"):
+        load_manifest(path)
+
+
 def test_emb1_with_empty_shape(tmp_path):
     path = tmp_path / "e.emb"
     path.write_bytes(struct.pack("<4sIQI", b"EMB1", 1, 5, 0))

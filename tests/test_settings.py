@@ -8,7 +8,6 @@ from scipy import integrate, special
 
 from slicekit import (
     BaseTable,
-    ClusterLayout,
     EmbeddingMatrix,
     LabeledSplit,
     SyntheticModelSpec,
@@ -18,17 +17,16 @@ from slicekit import (
     correlation_counts,
     make_synthetic_setting,
     solve_beta,
-    synth_embeddings,
     synth_predictions,
 )
 from slicekit.errors import (
     AlphaOutOfRange,
-    DegenerateSpec,
     InfeasibleCounts,
     InsufficientBase,
     NotBinary,
 )
-from slicekit.settings import make_planted_setting
+
+from planted import gaussian_split, planted_setting
 
 
 def materialize(counts):
@@ -335,18 +333,14 @@ class TestSynthPredictions:
 
 
 class TestSynthEmbeddings:
-    def layout(self, offset_norm, d=8):
+    def draw(self, offset_norm, seed, d=8):
         offset = np.zeros(d)
         offset[1] = offset_norm
-        return ClusterLayout(
-            class_means=np.zeros((2, d)),
-            slice_offset=offset,
-            sigma=1.0,
-            group_counts=((0, 0, 400), (1, 0, 400), (1, 1, 400)),
-        )
+        groups = ((0, 0, 400), (1, 0, 400), (1, 1, 400))
+        return gaussian_split(np.zeros((2, d)), offset, 1.0, groups, seed)
 
     def test_zero_offset_identical_distributions(self):
-        emb, split = synth_embeddings(self.layout(0.0), seed=1)
+        emb, split = self.draw(0.0, seed=1)
         s = split.slices[:, 0] == 1
         in_class1 = split.labels == 1
         mean_gap = np.abs(
@@ -358,7 +352,7 @@ class TestSynthEmbeddings:
     def test_four_sigma_offset_bayes_separation(self):
         # Optimal threshold on the offset axis separates slice members with
         # accuracy Phi(2) ~ 0.977 in the closed-form Gaussian overlap oracle.
-        emb, split = synth_embeddings(self.layout(4.0), seed=2)
+        emb, split = self.draw(4.0, seed=2)
         in_class1 = split.labels == 1
         s = split.slices[in_class1, 0]
         x = emb.values[in_class1, 1]
@@ -367,18 +361,9 @@ class TestSynthEmbeddings:
         assert accuracy >= 0.97
 
     def test_determinism(self):
-        a, _ = synth_embeddings(self.layout(4.0), seed=3)
-        b, _ = synth_embeddings(self.layout(4.0), seed=3)
+        a, _ = self.draw(4.0, seed=3)
+        b, _ = self.draw(4.0, seed=3)
         assert np.array_equal(a.values, b.values)
-
-    def test_degenerate_group(self):
-        with pytest.raises(DegenerateSpec):
-            ClusterLayout(
-                class_means=np.zeros((2, 4)),
-                slice_offset=np.zeros(4),
-                sigma=1.0,
-                group_counts=((0, 0, 10), (1, 1, 0)),
-            )
 
 
 class TestSyntheticSettingPipeline:
@@ -393,7 +378,7 @@ class TestSyntheticSettingPipeline:
         assert correct[~s].mean() - correct[s].mean() > 0.1
 
     def test_planted_setting_slice_spans_classes(self):
-        setting = make_planted_setting(1000, 8, seed=0, slice_frac=0.2)
+        setting = planted_setting(1000, 8, seed=0, slice_frac=0.2)
         split = setting.valid_split
         s = split.slices[:, 0] == 1
         assert 0 < split.labels[s].mean() < 1  # both classes in the slice
