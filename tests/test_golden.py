@@ -1,7 +1,7 @@
-"""Golden fits: the exact bytes of a Domino and a GEORGE fit on one setting.
+"""Golden outputs: the exact bytes of fits, slice descriptions and reports.
 
-A change meant to leave results alone (a faster kernel, a leaner loop) must
-keep these digests. A change that moves them on purpose must say why and
+A change meant to leave results alone (a faster kernel, a leaner loop, a
+smaller API) must keep these digests. A change that moves them on purpose must say why and
 record the new values. The digests depend on the floating-point kernels of
 the numpy/BLAS build as well as on slicekit (these were recorded with numpy
 2.4.6 and scipy-openblas 0.3.31), so on a different build record them afresh
@@ -17,17 +17,23 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 
 import slicekit
 from slicekit import (
+    EmbeddingMatrix,
     FitConfig,
     GeorgeConfig,
     MixtureParams,
+    MixtureSDM,
+    PhraseCorpus,
     SyntheticModelSpec,
+    describe_slices,
     fit,
     make_synthetic_setting,
 )
 from slicekit.baselines import GeorgeSDM
+from slicekit.cli import main
 
 
 def sha256(array: np.ndarray) -> str:
@@ -48,11 +54,15 @@ GEORGE_CENTER_DIGESTS = {
 }
 
 
-def test_fitted_bytes_are_pinned():
-    setting = make_synthetic_setting(
+def golden_setting():
+    return make_synthetic_setting(
         "rare", 0.1, n=400, d=8, seed=2,
         model=SyntheticModelSpec.natural_defaults(seed=2),
     )
+
+
+def test_fitted_bytes_are_pinned():
+    setting = golden_setting()
     # 12 components over 4 confusion cells: the init runs k-means per cell
     params, diagnostics = fit(
         setting.valid_emb, setting.valid_split, FitConfig(k_bar=12, k_hat=3, seed=1)
@@ -66,6 +76,55 @@ def test_fitted_bytes_are_pinned():
     george.fit(setting.valid_emb, setting.valid_split)
     centers = {c: sha256(by_class[2]) for c, by_class in george.by_class.items()}
     assert centers == GEORGE_CENTER_DIGESTS
+
+
+DESCRIPTIONS_DIGEST = "49cb4a5709c6421ea30a0dd2966bd7b85db7fbc2f91b25b4783834bb6615a8ab"
+
+
+def test_descriptions_are_pinned():
+    setting = golden_setting()
+    emb, split = setting.valid_emb, setting.valid_split
+    sdm = MixtureSDM(FitConfig(k_bar=12, k_hat=3, seed=1)).fit(emb, split)
+    rng = np.random.default_rng(5)
+    corpus = PhraseCorpus(
+        phrases=tuple(f"phrase {i}" for i in range(300)),
+        embeddings=EmbeddingMatrix(rng.standard_normal((300, emb.d))),
+    )
+    described = describe_slices(emb, split, sdm.transform(emb, split), corpus, top=8)
+    text = json.dumps(described.slice_descriptions).encode()
+    assert hashlib.sha256(text).hexdigest() == DESCRIPTIONS_DIGEST
+
+
+REPORT_DIGESTS = {
+    "report.json": "43e3d54da989e55eaf7ab7b2c2878844865281df3720efca8572d5fc6f33d044",
+    "report.md": "b47f440ac2ea685d3d7f2627951e993157a4708ff3bd3ba6403682a5c66101f3",
+}
+
+
+def test_report_bytes_are_pinned(tmp_path, monkeypatch):
+    # report.json records the manifest path as given, so the run uses a
+    # relative one from the grid's parent directory.
+    monkeypatch.chdir(tmp_path)
+    Path("synth.json").write_text(json.dumps({
+        "slice_types": ["rare", "correlation", "noisy_label"],
+        "alphas": {"rare": [0.05], "correlation": [0.4], "noisy_label": [0.1]},
+        "seeds": 2, "n": 400, "d": 6, "seed": 7,
+        "model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
+                  "sens_out": 0.75, "spec_out": 0.75},
+    }))
+    runner = CliRunner()
+    for args in (
+        ["synth", "--config", "synth.json", "--out", "grid"],
+        ["eval", "--manifest", "grid/manifest.json",
+         "--methods", "domino,confusion,multiacc,george", "--out", "out"],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in REPORT_DIGESTS
+    }
+    assert digests == REPORT_DIGESTS
 
 
 WIDE_DIGESTS = {
