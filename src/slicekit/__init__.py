@@ -21,7 +21,6 @@ from .baselines import (
 )
 from .describe import (
     PhraseCorpus,
-    SlicePrototype,
     class_prototype,
     describe_slices,
     name_recall_at_k,
@@ -95,7 +94,6 @@ __all__ = [
     "PhraseCorpus",
     "Responsibilities",
     "SettingResult",
-    "SlicePrototype",
     "SliceScores",
     "SliceSetting",
     "SpotlightConfig",

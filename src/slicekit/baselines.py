@@ -41,8 +41,9 @@ class SpotlightConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.min_mass_fraction < 1.0:
             raise ValueError("min_mass_fraction must lie in (0, 1)")
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
+        for name in ("steps", "num_spotlights"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,13 @@ class GeorgeConfig:
     restarts: int = 10
     max_iter: int = 50
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.clusters_per_class is not None and self.clusters_per_class < 1:
+            raise ValueError("clusters_per_class must be None or at least 1")
+        for name in ("reduce_dim", "restarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 def example_losses(split: LabeledSplit) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import evaluate as ev
-from .data import SLICE_TYPES, alpha_in_range
+from .data import ALPHA_RANGES, SLICE_TYPES, alpha_in_range
 from .errors import SchemaError, SliceKitError
 from .fileio import (
     duplicates,
@@ -103,6 +103,13 @@ def _model_spec_from_config(model: dict | None) -> SyntheticModelSpec | None:
     )
 
 
+def _check_alpha(slice_type: str, alpha: float) -> None:
+    """Reject an alpha outside the benchmark range of its slice type."""
+    if not alpha_in_range(slice_type, alpha):
+        lo, hi = ALPHA_RANGES[slice_type]
+        raise ValueError(f"{slice_type} alpha {alpha} is outside [{lo}, {hi}]")
+
+
 def _check_ranges(n: int, mu_a: float, mu_b: float) -> None:
     """Reject a setting size or class marginal the generators cannot honour."""
     if n < 4:
@@ -142,11 +149,7 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
             if slice_type not in SLICE_TYPES:
                 raise click.UsageError(f"unknown slice type {slice_type!r}")
             for alpha in alphas.get(slice_type, []):
-                if not alpha_in_range(slice_type, alpha):
-                    raise click.UsageError(
-                        f"grid point ({slice_type}, alpha={alpha}) is outside the "
-                        f"legal range for {slice_type}"
-                    )
+                _check_alpha(slice_type, alpha)
                 grid += [(slice_type, float(alpha), int(rep)) for rep in replicates]
         sizes = dict(
             n=int(cfg.get("n", 2000)),
@@ -232,6 +235,7 @@ def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int
         run_seed = int(cfg.get("seed", 0) if seed is None else seed)
         alpha, n = float(cfg["alpha"]), int(cfg["n"])
         mu_a, mu_b = float(cfg.get("mu_a", 0.5)), float(cfg.get("mu_b", 0.5))
+        _check_alpha(cfg["slice_type"], alpha)
         _check_ranges(n, mu_a, mu_b)
         ingested = model is not None and model.get("kind") == "ingested"
         spec = None if ingested else _model_spec_from_config(model)
@@ -293,7 +297,6 @@ def _config_flags(command):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--phrases", "phrases_path", type=click.Path(exists=True), default=None)
 @click.option("--phrase-embeddings", "phrase_emb_path", type=click.Path(exists=True), default=None)
-@click.option("--synonyms", "synonyms_path", type=click.Path(exists=True), default=None)
 @click.option("--top", type=click.IntRange(min=1), default=10, show_default=True)
 @_config_flags
 def run(
@@ -306,7 +309,6 @@ def run(
     seed: int,
     phrases_path: str | None,
     phrase_emb_path: str | None,
-    synonyms_path: str | None,
     top: int,
     **flags,
 ) -> None:
@@ -339,7 +341,7 @@ def run(
                 raise click.UsageError(
                     "descriptions need validation-split scores; use --score-split valid"
                 )
-            corpus = load_phrase_corpus(phrases_path, phrase_emb_path, synonyms_path)
+            corpus = load_phrase_corpus(phrases_path, phrase_emb_path)
             scores = describe_slices(emb, split, scores, corpus, top=top)
 
         precisions, best_columns = ev.score_setting(scores, split, k)
@@ -459,7 +461,6 @@ def eval_cmd(
 @click.option("--scores", "scores_path", required=True, type=click.Path(exists=True))
 @click.option("--phrases", "phrases_path", required=True, type=click.Path(exists=True))
 @click.option("--phrase-embeddings", "phrase_emb_path", required=True, type=click.Path(exists=True))
-@click.option("--synonyms", "synonyms_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--top", type=click.IntRange(min=1), default=10, show_default=True)
 def describe(
@@ -467,7 +468,6 @@ def describe(
     scores_path: str,
     phrases_path: str,
     phrase_emb_path: str,
-    synonyms_path: str | None,
     out_path: str,
     top: int,
 ) -> None:
@@ -475,7 +475,7 @@ def describe(
     try:
         setting = load_setting(setting_dir)
         scores = load_scores(scores_path)
-        corpus = load_phrase_corpus(phrases_path, phrase_emb_path, synonyms_path)
+        corpus = load_phrase_corpus(phrases_path, phrase_emb_path)
         described = describe_slices(
             setting.valid_emb, setting.valid_split, scores, corpus, top=top
         )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import EmbeddingMatrix, LabeledSplit, SliceScores, check_pair
 from .errors import DimensionMismatch, EmptyClass, EmptyCorpus, SchemaError, ZeroMass
-from .fileio import load_embeddings, read_json, read_lines
+from .fileio import load_embeddings, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -27,11 +27,10 @@ _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
 @dataclass(frozen=True)
 class PhraseCorpus:
-    """Candidate phrases with row-aligned embeddings and optional synonyms."""
+    """Candidate phrases with row-aligned embeddings."""
 
     phrases: tuple[str, ...]
     embeddings: EmbeddingMatrix
-    synonyms: Mapping[str, frozenset[str]] | None = None
 
     def __post_init__(self) -> None:
         phrases = tuple(str(p) for p in self.phrases)
@@ -42,40 +41,14 @@ class PhraseCorpus:
                 f"{len(phrases)} phrases but {self.embeddings.n} embedding rows"
             )
         object.__setattr__(self, "phrases", phrases)
-        if self.synonyms is not None:
-            norm = {
-                str(k): frozenset(str(v) for v in vs) for k, vs in self.synonyms.items()
-            }
-            object.__setattr__(self, "synonyms", norm)
 
     @property
     def size(self) -> int:
         return len(self.phrases)
 
 
-@dataclass(frozen=True)
-class SlicePrototype:
-    """Weighted mean embedding of one discovered slice, before distillation."""
-
-    vector: np.ndarray
-    slice_index: int
-    dominant_class: int
-
-    def __post_init__(self) -> None:
-        vector = np.asarray(self.vector, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(vector)):
-            raise ValueError("prototype vector must be finite")
-        vector.setflags(write=False)
-        object.__setattr__(self, "vector", vector)
-
-
-def slice_prototype(
-    emb: EmbeddingMatrix,
-    weights: np.ndarray,
-    slice_index: int = 0,
-    dominant_class: int = -1,
-) -> SlicePrototype:
-    """Weighted mean embedding, normalized by total weight.
+def slice_prototype(emb: EmbeddingMatrix, weights: np.ndarray) -> np.ndarray:
+    """Weighted mean embedding, normalized by total weight: a (d,) vector.
 
     Normalization makes the prototype invariant to uniform rescaling of the
     score column.
@@ -87,9 +60,12 @@ def slice_prototype(
         raise ValueError("weights must be non-negative")
     total = weights.sum()
     if total <= 0:
-        raise ZeroMass(f"slice {slice_index} carries no score mass")
+        raise ZeroMass("the weights carry no score mass")
     vector = (weights @ emb.values) / total
-    return SlicePrototype(vector=vector, slice_index=slice_index, dominant_class=dominant_class)
+    # NaN weights pass both comparisons above and surface here.
+    if not np.all(np.isfinite(vector)):
+        raise ValueError("prototype vector must be finite")
+    return vector
 
 
 def class_prototype(emb: EmbeddingMatrix, split: LabeledSplit, class_idx: int) -> np.ndarray:
@@ -110,7 +86,7 @@ def dominant_class(split: LabeledSplit, weights: np.ndarray) -> int:
 
 
 def rank_phrases(
-    proto: SlicePrototype,
+    proto: np.ndarray,
     class_proto: np.ndarray,
     corpus: PhraseCorpus,
     top: int = 10,
@@ -121,10 +97,11 @@ def rank_phrases(
     lower phrase index; a zero distilled prototype degenerates to corpus
     order and is logged.
     """
+    proto = np.asarray(proto, dtype=np.float64).ravel()
     class_proto = np.asarray(class_proto, dtype=np.float64).ravel()
-    if proto.vector.shape[0] != corpus.embeddings.d or class_proto.shape[0] != corpus.embeddings.d:
+    if proto.shape[0] != corpus.embeddings.d or class_proto.shape[0] != corpus.embeddings.d:
         raise DimensionMismatch("prototype and corpus dimensionality disagree")
-    query = proto.vector - class_proto
+    query = proto - class_proto
     if not query.any():
         logger.warning("distilled prototype is zero; phrase ranking is degenerate")
     if top <= 0:
@@ -203,7 +180,10 @@ def describe_slices(
     for j in range(scores.k_hat):
         weights = scores.scores[:, j]
         cls = dominant_class(split, weights)
-        proto = slice_prototype(emb, weights, slice_index=j, dominant_class=cls)
+        try:
+            proto = slice_prototype(emb, weights)
+        except ZeroMass as exc:
+            raise ZeroMass(f"slice {j} carries no score mass") from exc
         if cls not in class_protos:
             class_protos[cls] = class_prototype(emb, split, cls)
         ranked = rank_phrases(proto, class_protos[cls], corpus, top)
@@ -218,19 +198,11 @@ def describe_slices(
 # --- corpus files -----------------------------------------------------------
 
 
-def load_phrase_corpus(
-    phrases_path: str | Path,
-    embeddings_path: str | Path,
-    synonyms_path: str | Path | None = None,
-) -> PhraseCorpus:
-    """Read phrases.tsv plus aligned embeddings, and an optional synonym map."""
+def load_phrase_corpus(phrases_path: str | Path, embeddings_path: str | Path) -> PhraseCorpus:
+    """Read phrases.tsv plus its row-aligned embeddings."""
     phrases = tuple(line.split("\t")[0] for line in read_lines(phrases_path) if line)
     embeddings = load_embeddings(embeddings_path)
-    raw = None if synonyms_path is None else read_json(synonyms_path)
-    if raw is not None and not isinstance(raw, dict):
-        raise SchemaError(f"{synonyms_path}: synonyms map names to phrase lists")
     try:
-        synonyms = None if raw is None else {k: frozenset(v) for k, v in raw.items()}
-        return PhraseCorpus(phrases=phrases, embeddings=embeddings, synonyms=synonyms)
-    except (TypeError, ValueError) as exc:
+        return PhraseCorpus(phrases=phrases, embeddings=embeddings)
+    except ValueError as exc:
         raise SchemaError(f"{phrases_path}: {exc}") from exc

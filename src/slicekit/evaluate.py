@@ -76,17 +76,19 @@ def precision_at_k(scores: np.ndarray, truth: np.ndarray, k: int) -> float:
     return float(truth[top].sum() / k)
 
 
-def check_degradation(
-    split: LabeledSplit, slice_col: int = 0, epsilon_pp: float = 10.0
-) -> bool:
-    """Whether out-of-slice accuracy beats in-slice accuracy by more than epsilon."""
+_DEGRADATION_PP = 10.0  # accuracy gap, in percentage points
+_CI_RESAMPLES = 1000
+
+
+def check_degradation(split: LabeledSplit, slice_col: int = 0) -> bool:
+    """Whether out-of-slice accuracy beats in-slice accuracy by more than 10 points."""
     members = split.slices[:, slice_col] == 1
     if not members.any() or members.all():
         raise EmptyGroup("degradation needs both slice members and non-members")
     correct = split.predictions == split.labels
     acc_in = float(correct[members].mean())
     acc_out = float(correct[~members].mean())
-    return acc_out - acc_in > epsilon_pp / 100.0
+    return acc_out - acc_in > _DEGRADATION_PP / 100.0
 
 
 @dataclass(frozen=True)
@@ -177,10 +179,8 @@ def run_setting(
     )
 
 
-def _bootstrap_ci(
-    values: np.ndarray, rng: np.random.Generator, resamples: int
-) -> tuple[float, float]:
-    idx = rng.integers(0, values.shape[0], size=(resamples, values.shape[0]))
+def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
+    idx = rng.integers(0, values.shape[0], size=(_CI_RESAMPLES, values.shape[0]))
     means = values[idx].mean(axis=1)
     low, high = np.percentile(means, [2.5, 97.5], method="linear")
     return float(low), float(high)
@@ -191,11 +191,7 @@ def is_excluded(result: SettingResult) -> bool:
     return result.model_kind == "trained_ingested" and not result.degraded
 
 
-def aggregate(
-    results: Iterable[SettingResult],
-    ci_resamples: int = 1000,
-    seed: int = 0,
-) -> tuple[AggregateReport, ...]:
+def aggregate(results: Iterable[SettingResult], seed: int = 0) -> tuple[AggregateReport, ...]:
     """Group results by (method, slice_type) with bootstrap CIs on mean precision.
 
     The reduction is order-independent: results are sorted by setting id
@@ -216,7 +212,7 @@ def aggregate(
         if values.shape[0] == 0:
             raise EmptyGroup(f"no results for {method}/{slice_type}")
         rng = derive_rng(seed, "bootstrap", method, slice_type)
-        ci_low, ci_high = _bootstrap_ci(values, rng, ci_resamples)
+        ci_low, ci_high = _bootstrap_ci(values, rng)
         mean = float(values.mean())
         per_alpha = []
         for alpha in sorted({r.alpha for r in group}):

@@ -356,7 +356,13 @@ def load_manifest(path: str | Path) -> list[tuple[str, Path]]:
     repeated = duplicates([e["id"] for e in entries])
     if repeated:
         raise SchemaError(f"{path}: manifest lists setting ids more than once: {', '.join(repeated)}")
-    return [(e["id"], path.parent / e.get("path", e["id"])) for e in entries]
+    settings = [(e["id"], path.parent / e.get("path", e["id"])) for e in entries]
+    repeated = duplicates([str(directory.resolve()) for _, directory in settings])
+    if repeated:
+        raise SchemaError(
+            f"{path}: manifest lists setting directories more than once: {', '.join(repeated)}"
+        )
+    return settings
 
 
 # --- generator inputs -------------------------------------------------------

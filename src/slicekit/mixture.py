@@ -10,8 +10,7 @@ largest label/prediction divergence are returned as slices.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -22,11 +21,9 @@ from .errors import (
     DimensionMismatch,
     NumericalUnderflow,
     RowCountMismatch,
-    SchemaError,
     TooFewPoints,
     TooFewSlices,
 )
-from .fileio import read_json, write_json
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -476,43 +473,3 @@ class MixtureSDM:
             self.diagnostics.projection, self.cfg.gamma,
         )
 
-
-# --- persistence ------------------------------------------------------------
-
-
-def save_model(
-    params: MixtureParams,
-    projection: ProjectionRecord,
-    cfg: FitConfig,
-    path: str | Path,
-) -> None:
-    """Persist a fitted model as JSON with full-precision decimal values."""
-    doc = {
-        "config": asdict(cfg),
-        "projection": {
-            "mean": None if projection.mean is None else projection.mean.tolist(),
-            "basis": None if projection.basis is None else projection.basis.tolist(),
-            "input_dim": projection.input_dim,
-            "output_dim": projection.output_dim,
-        },
-        "params": {f.name: getattr(params, f.name).tolist() for f in fields(MixtureParams)},
-    }
-    write_json(path, doc)
-
-
-def load_model(path: str | Path) -> tuple[MixtureParams, ProjectionRecord, FitConfig]:
-    """Read a ``save_model`` file; SchemaError when it is malformed."""
-    doc = read_json(path)
-    try:
-        cfg = FitConfig(**doc["config"])
-        proj = doc["projection"]
-        projection = ProjectionRecord(
-            mean=None if proj["mean"] is None else np.asarray(proj["mean"]),
-            basis=None if proj["basis"] is None else np.asarray(proj["basis"]),
-            input_dim=int(proj["input_dim"]),
-            output_dim=int(proj["output_dim"]),
-        )
-        params = MixtureParams(**{k: np.asarray(v) for k, v in doc["params"].items()})
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: bad model: {type(exc).__name__}: {exc}") from exc
-    return params, projection, cfg

@@ -531,6 +531,12 @@ def apply_ingested_predictions(
 
 # --- fully synthetic settings -----------------------------------------------
 
+# The base population has _BASE_FACTOR * n rows. For rare and noisy settings
+# the attribute marks _ATTR_RATE of the positive class.
+_BASE_FACTOR = 5
+_ATTR_RATE = 0.2
+_ATTRIBUTE = "planted"
+
 
 def synthetic_base(
     slice_type: str,
@@ -540,14 +546,12 @@ def synthetic_base(
     offset_sigmas: float = 4.0,
     class_sep_sigmas: float = 4.0,
     sigma: float = 1.0,
-    attr_rate: float = 0.2,
-    attribute: str = "planted",
 ) -> tuple[BaseTable, EmbeddingMatrix]:
     """Synthetic base population whose attribute displaces the embedding.
 
     For correlation settings every (y, c) cell is populated equally so any
     feasible target correlation can be subsampled; for rare and noisy settings
-    the attribute occurs only inside the positive class, at ``attr_rate``.
+    the attribute occurs only inside the positive class, at ``_ATTR_RATE``.
     """
     rng = derive_rng(seed, "synthetic-base", slice_type)
     y = (np.arange(n_base) % 2 == 1).astype(np.int64)
@@ -556,7 +560,7 @@ def synthetic_base(
     else:
         c = np.zeros(n_base, dtype=np.int64)
         pos = np.flatnonzero(y == 1)
-        n_attr = int(round(attr_rate * pos.shape[0]))
+        n_attr = int(round(_ATTR_RATE * pos.shape[0]))
         c[rng.choice(pos, size=n_attr, replace=False)] = 1
 
     means = np.zeros((2, d))
@@ -566,10 +570,10 @@ def synthetic_base(
     values = means[y] + c[:, None] * offset + sigma * rng.standard_normal((n_base, d))
 
     table = BaseTable(
-        names=("target", attribute),
+        names=("target", _ATTRIBUTE),
         values=np.column_stack([y, c]),
         target="target",
-        attribute=attribute,
+        attribute=_ATTRIBUTE,
     )
     return table, EmbeddingMatrix(values)
 
@@ -586,19 +590,16 @@ def make_synthetic_setting(
     mu_a: float = 0.5,
     mu_b: float = 0.5,
     model: SyntheticModelSpec | None = None,
-    base_factor: int = 5,
-    attribute: str = "planted",
 ) -> SliceSetting:
     """End-to-end synthetic setting: base population, subsample, model."""
     base, emb = synthetic_base(
         slice_type,
-        n_base=base_factor * n,
+        n_base=_BASE_FACTOR * n,
         d=d,
         seed=seed,
         offset_sigmas=offset_sigmas,
         class_sep_sigmas=class_sep_sigmas,
         sigma=sigma,
-        attribute=attribute,
     )
     setting = build_setting(slice_type, base, emb, alpha, n, seed, mu_a, mu_b)
     if model is not None:

@@ -262,7 +262,11 @@ class TestGen:
                     "sens_out": 0.75, "spec_out": 0.75}},
          {"model": "synthetic"},
          {"n": -4}, {"n": 0}, {"n": 3}, {"mu_a": 2}, {"mu_b": 1.0},
-         {"slice_type": "correlation", "alpha": 0.4, "mu_a": 2}],
+         {"slice_type": "correlation", "alpha": 0.4, "mu_a": 2},
+         {"slice_type": "correlation", "alpha": 1.5},
+         {"slice_type": "correlation", "alpha": 0.9},
+         {"slice_type": "correlation", "alpha": -0.5},
+         {"alpha": 0.5}],
     )
     def test_non_numeric_config_exit_two(self, runner, tmp_path, change):
         base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
@@ -447,17 +451,30 @@ class TestEval:
         ])
         assert result.exit_code == 2
 
-    def test_bad_config_section_exit_two(self, runner, tmp_path):
+    @pytest.mark.parametrize(
+        "method, section, message",
+        [
+            ("domino", {"bogus": 1}, "bogus"),
+            ("george", {"restarts": 0}, "restarts must be at least 1"),
+            ("george", {"reduce_dim": 0}, "reduce_dim must be at least 1"),
+            ("george", {"clusters_per_class": -1}, "clusters_per_class must be None or"),
+            ("george", {"clusters_per_class": 0}, "clusters_per_class must be None or"),
+            ("spotlight", {"num_spotlights": 0, "steps": 5}, "num_spotlights must be"),
+        ],
+        ids=["domino-bogus", "george-restarts", "george-reduce-dim",
+             "george-clusters-negative", "george-clusters-zero", "spotlight-num-spotlights"],
+    )
+    def test_bad_config_section_exit_two(self, runner, tmp_path, method, section, message):
         grid = synth_grid(runner, tmp_path, seeds=1, n=200, d=4)
         method_cfg = tmp_path / "methods.json"
-        method_cfg.write_text(json.dumps({"methods": {"domino": {"bogus": 1}}}))
+        method_cfg.write_text(json.dumps({"methods": {method: section}}))
         out = tmp_path / "report"
         result = runner.invoke(main, [
-            "eval", "--manifest", str(grid / "manifest.json"), "--methods", "domino",
+            "eval", "--manifest", str(grid / "manifest.json"), "--methods", method,
             "--config", str(method_cfg), "--out", str(out),
         ])
         assert result.exit_code == 2, result.output
-        assert "bogus" in result.output
+        assert message in result.output
         assert not out.exists()
 
     @pytest.fixture()
@@ -483,17 +500,21 @@ class TestEval:
         assert not out.exists()
 
     def test_repeated_manifest_id_exit_two(self, runner, two_settings, tmp_path):
-        manifest = json.loads(two_settings.read_text())
-        manifest["settings"].append(manifest["settings"][0])
-        two_settings.write_text(json.dumps(manifest))
+        settings = json.loads(two_settings.read_text())["settings"]
         out = tmp_path / "report"
-        result = runner.invoke(main, [
-            "eval", "--manifest", str(two_settings), "--methods", "confusion",
-            "--out", str(out),
-        ])
-        assert result.exit_code == 2, result.output
-        assert "more than once: rare_a0.1_r0" in result.output
-        assert not out.exists()
+        # the same entry twice, then one directory under a second id
+        for repeat, message in (
+            (settings[0], "ids more than once: rare_a0.1_r0"),
+            ({"id": "again", "path": settings[0]["path"]}, "directories more than once"),
+        ):
+            two_settings.write_text(json.dumps({"settings": [*settings, repeat]}))
+            result = runner.invoke(main, [
+                "eval", "--manifest", str(two_settings), "--methods", "confusion",
+                "--out", str(out),
+            ])
+            assert result.exit_code == 2, result.output
+            assert message in result.output
+            assert not out.exists()
 
     def test_manifest_must_be_an_object(self, runner, tmp_path):
         manifest = tmp_path / "manifest.json"
@@ -660,7 +681,6 @@ Options:
   --seed INTEGER              [default: 0]
   --phrases PATH
   --phrase-embeddings PATH
-  --synonyms PATH
   --top INTEGER RANGE         [default: 10; x>=1]
   --k-bar, --kbar INTEGER
   --k-hat, --khat INTEGER

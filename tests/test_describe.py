@@ -16,7 +16,7 @@ from slicekit import (
     rank_phrases,
     slice_prototype,
 )
-from slicekit.describe import SlicePrototype, dominant_class, load_phrase_corpus
+from slicekit.describe import dominant_class, load_phrase_corpus
 from slicekit.errors import EmptyClass, EmptyCorpus, ZeroMass
 from slicekit.fileio import save_embeddings
 
@@ -39,13 +39,13 @@ class TestSlicePrototype:
         weights = np.zeros(10)
         weights[7] = 1.0
         proto = slice_prototype(emb, weights)
-        assert np.array_equal(proto.vector, emb.values[7])
+        assert np.array_equal(proto, emb.values[7])
 
     def test_uniform_weights_global_mean(self):
         rng = np.random.default_rng(1)
         emb = EmbeddingMatrix(rng.standard_normal((20, 3)))
         proto = slice_prototype(emb, np.full(20, 0.05))
-        assert np.abs(proto.vector - emb.values.mean(axis=0)).max() <= 1e-12
+        assert np.abs(proto - emb.values.mean(axis=0)).max() <= 1e-12
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(2)
@@ -57,7 +57,7 @@ class TestSlicePrototype:
         for i in range(100):
             expected += weights[i] * emb.values[i]
         expected /= total
-        assert np.abs(proto.vector - expected).max() <= 1e-10
+        assert np.abs(proto - expected).max() <= 1e-10
 
     def test_weight_rescaling_invariance(self):
         rng = np.random.default_rng(3)
@@ -65,12 +65,18 @@ class TestSlicePrototype:
         weights = rng.random(30)
         a = slice_prototype(emb, weights)
         b = slice_prototype(emb, weights * 123.0)
-        assert np.abs(a.vector - b.vector).max() <= 1e-12
+        assert np.abs(a - b).max() <= 1e-12
 
     def test_zero_mass(self):
         emb = EmbeddingMatrix(np.ones((5, 2)))
         with pytest.raises(ZeroMass):
             slice_prototype(emb, np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_weights(self, bad):
+        emb = EmbeddingMatrix(np.ones((5, 2)))
+        with pytest.raises(ValueError):
+            slice_prototype(emb, np.array([bad, 1.0, 1.0, 0.0, 0.0]))
 
 
 class TestClassPrototype:
@@ -82,7 +88,7 @@ class TestClassPrototype:
         for c in (0, 1):
             direct = class_prototype(emb, split, c)
             via_weights = slice_prototype(emb, (labels == c).astype(float))
-            assert np.abs(direct - via_weights.vector).max() <= 1e-12
+            assert np.abs(direct - via_weights).max() <= 1e-12
 
     def test_empty_class(self):
         emb = EmbeddingMatrix(np.ones((3, 2)))
@@ -208,12 +214,11 @@ class TestRankPhrasesProperty:
         corpus = PhraseCorpus(
             phrases=tuple(f"p{i}" for i in range(n)), embeddings=EmbeddingMatrix(rows)
         )
-        proto = SlicePrototype(vector=query, slice_index=0, dominant_class=0)
         class_proto = np.zeros(query.shape[0])
-        scores = corpus.embeddings.values @ (proto.vector - class_proto)
+        scores = corpus.embeddings.values @ (query - class_proto)
         for top in (1, n - 1, n, n + 3, extra_top):
             reference = np.argsort(-scores, kind="stable")[:top]
-            ranked = rank_phrases(proto, class_proto, corpus, top=top)
+            ranked = rank_phrases(query, class_proto, corpus, top=top)
             assert [p for p, _ in ranked] == [f"p{i}" for i in reference]
             assert np.array_equal(
                 np.array([s for _, s in ranked]).view(np.int64),
@@ -223,8 +228,7 @@ class TestRankPhrasesProperty:
     @pytest.mark.parametrize("top", [0, -1])
     def test_top_below_one_is_empty(self, top):
         corpus = PhraseCorpus(phrases=("a", "b"), embeddings=EmbeddingMatrix(np.eye(2)))
-        proto = SlicePrototype(vector=np.ones(2), slice_index=0, dominant_class=0)
-        assert rank_phrases(proto, np.zeros(2), corpus, top=top) == []
+        assert rank_phrases(np.ones(2), np.zeros(2), corpus, top=top) == []
 
 
 class TestNameRecall:
@@ -298,11 +302,19 @@ class TestDescribeSlices:
         expected = []
         for j in range(3):
             cls = dominant_class(split, weights[:, j])
-            proto = slice_prototype(emb, weights[:, j], slice_index=j, dominant_class=cls)
+            proto = slice_prototype(emb, weights[:, j])
             ranked = rank_phrases(proto, class_prototype(emb, split, cls), corpus, top=4)
             expected.append(tuple(p for p, _ in ranked))
         assert [dominant_class(split, weights[:, j]) for j in range(3)] == [2, 0, 2]
         assert described.slice_descriptions == tuple(expected)
+
+    def test_zero_mass_names_the_slice(self):
+        emb = EmbeddingMatrix(np.eye(4))
+        weights = np.zeros((4, 2))
+        weights[:, 0] = 1.0
+        corpus = PhraseCorpus(phrases=("a", "b"), embeddings=EmbeddingMatrix(np.ones((2, 4))))
+        with pytest.raises(ZeroMass, match="slice 1 carries no score mass"):
+            describe_slices(emb, tiny_split([0, 1, 0, 1]), SliceScores(weights, "manual"), corpus)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
@@ -313,8 +325,5 @@ class TestDescribeSlices:
         phrases.write_text("a photo of sky\t0\na photo of sea\t1\n")
         emb_path = tmp_path / "phrases.emb"
         save_embeddings(EmbeddingMatrix(np.eye(2)), emb_path)
-        synonyms = tmp_path / "syn.json"
-        synonyms.write_text('{"sky": ["skies"]}')
-        corpus = load_phrase_corpus(phrases, emb_path, synonyms)
+        corpus = load_phrase_corpus(phrases, emb_path)
         assert corpus.phrases == ("a photo of sky", "a photo of sea")
-        assert corpus.synonyms == {"sky": frozenset({"skies"})}

@@ -193,7 +193,7 @@ class TestAggregate:
         results = [
             make_result(f"s{i:03d}", precision=float(v)) for i, v in enumerate(values)
         ]
-        rep = aggregate(results, ci_resamples=1000, seed=4)[0]
+        rep = aggregate(results, seed=4)[0]
 
         # oracle: same resample indices from the same named stream, quantiles
         # computed by hand with linear interpolation

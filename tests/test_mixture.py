@@ -20,7 +20,6 @@ from slicekit import (
     select_slices,
 )
 from slicekit.errors import DimensionMismatch, RowCountMismatch, TooFewSlices
-from slicekit.mixture import load_model, save_model
 from slicekit.settings import SyntheticModelSpec, synth_predictions
 
 from planted import gaussian_split, planted_setting
@@ -537,19 +536,3 @@ class TestScore:
             best = max(best, int(setting.test_split.slices[top, 0].sum()))
         assert best >= 9
 
-
-class TestPersistence:
-    def test_model_round_trip(self, tmp_path):
-        emb, split = random_instance(13, n=80, d=3)
-        cfg = FitConfig(k_bar=5, k_hat=2, seed=4, max_iter=15)
-        params, diag = fit(emb, split, cfg)
-        path = tmp_path / "model.json"
-        save_model(params, diag.projection, cfg, path)
-        loaded_params, loaded_proj, loaded_cfg = load_model(path)
-        assert loaded_cfg == cfg
-        assert np.array_equal(loaded_params.means, params.means)
-        assert np.array_equal(loaded_params.variances, params.variances)
-        q_a, ll_a = e_step(emb, split, params, cfg.gamma)
-        q_b, ll_b = e_step(emb, split, loaded_params, cfg.gamma)
-        assert ll_a == ll_b
-        assert np.array_equal(q_a.q, q_b.q)

@@ -89,3 +89,6 @@ def test_exports_resolve_and_the_planted_stack_is_gone():
     for module in ("slicekit", "slicekit.settings", "slicekit.errors"):
         for name in removed:
             assert not hasattr(importlib.import_module(module), name), (module, name)
+    for module in ("slicekit", "slicekit.describe", "slicekit.mixture"):
+        for name in ("SlicePrototype", "save_model", "load_model"):
+            assert not hasattr(importlib.import_module(module), name), (module, name)

@@ -28,24 +28,11 @@ from slicekit.fileio import (
     save_split,
     write_json,
 )
-from slicekit.mixture import FitConfig, MixtureParams, ProjectionRecord, load_model, save_model
 from slicekit.settings import make_synthetic_setting
 
 BASE_CSV = "id,target,attr\n0,0,1\n1,1,0\n2,1,1\n3,0,0\n"
 PREDS_CSV = "id,y_hat,p_0,p_1\n0,0,0.75,0.25\n1,1,0.5,0.5\n"
 LABELS_CSV = "id,y,y_hat,p_0,p_1,s_a\n0,0,0,0.75,0.25,0\n1,1,0,0.5,0.5,1\n"
-
-
-def _save_tiny_model(path):
-    params = MixtureParams(
-        weights=[0.5, 0.5],
-        means=[[0.0, 0.0], [1.0, 1.0]],
-        variances=np.ones((2, 2)),
-        label_probs=[[0.75, 0.25], [0.25, 0.75]],
-        pred_probs=[[0.5, 0.5], [0.5, 0.5]],
-    )
-    projection = ProjectionRecord(mean=None, basis=None, input_dim=2, output_dim=2)
-    save_model(params, projection, FitConfig(k_bar=2, k_hat=1), path)
 
 
 def _save_tiny_report(path):
@@ -87,9 +74,7 @@ def _write_valid_inputs(root):
     (root / "base.csv").write_text(BASE_CSV)
     (root / "preds.csv").write_text(PREDS_CSV)
     (root / "phrases.tsv").write_text("red car\t0\nblue sky\t1\nsnow\t1\n")
-    (root / "synonyms.json").write_text(json.dumps({"car": ["auto"]}))
     (root / "manifest.json").write_text(json.dumps({"settings": [{"id": "a", "path": "a"}]}))
-    _save_tiny_model(root / "model.json")
     _save_tiny_report(root / "report.json")
     setting = _setting_dir(root)
     corpus = (root / "phrases.tsv", root / "e.emb")
@@ -106,10 +91,7 @@ def _write_valid_inputs(root):
         "predictions": (root / "preds.csv",
                         lambda: load_ingested_predictions(root / "preds.csv")),
         "phrases": (root / "phrases.tsv", lambda: load_phrase_corpus(*corpus)),
-        "synonyms": (root / "synonyms.json",
-                     lambda: load_phrase_corpus(*corpus, root / "synonyms.json")),
         "manifest": (root / "manifest.json", lambda: load_manifest(root / "manifest.json")),
-        "model": (root / "model.json", lambda: load_model(root / "model.json")),
         "report": (root / "report.json",
                    lambda: _run_report(root / "report.json", root / "again")),
     }
@@ -183,26 +165,6 @@ def test_base_table_ids_must_run_from_zero(tmp_path):
         load_base_table(path, "target", "attr")
 
 
-@pytest.mark.parametrize(
-    "text, match",
-    [
-        ("{", "invalid JSON"),
-        ('{"config": {}, "projection": {}}', "KeyError"),
-        (None, "TypeError"),  # an extra field in the params
-    ],
-)
-def test_corrupt_model_file(tmp_path, text, match):
-    path = tmp_path / "model.json"
-    if text is None:
-        _save_tiny_model(path)
-        doc = json.loads(path.read_text())
-        doc["params"]["extra"] = [1.0]
-        text = json.dumps(doc)
-    path.write_text(text)
-    with pytest.raises(SchemaError, match=match):
-        load_model(path)
-
-
 def test_empty_base_csv(tmp_path):
     path = tmp_path / "base.csv"
     path.write_text("")
@@ -233,7 +195,11 @@ def test_manifest_paths_are_relative_to_it(tmp_path):
 def test_manifest_with_a_repeated_id(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"settings": [{"id": "a"}, {"id": "b"}, {"id": "a", "path": "c"}]}))
-    with pytest.raises(SchemaError, match="more than once: a$"):
+    with pytest.raises(SchemaError, match="ids more than once: a$"):
+        load_manifest(path)
+    # two ids, one directory: "a" names its directory implicitly, "./x/../a" too
+    path.write_text(json.dumps({"settings": [{"id": "a"}, {"id": "b", "path": "./x/../a"}]}))
+    with pytest.raises(SchemaError, match="directories more than once: /.*/a$"):
         load_manifest(path)
 
 
@@ -366,7 +332,7 @@ def _mutate(data: bytes, edits) -> bytes:
 @pytest.mark.parametrize(
     "name",
     ["emb1", "emb_csv", "labels", "scores", "setting_json", "valid_csv", "base",
-     "predictions", "phrases", "synonyms", "manifest", "model", "report"],
+     "predictions", "phrases", "manifest", "report"],
 )
 @hsettings(max_examples=80, deadline=None)
 @given(edits=_EDITS)
@@ -397,7 +363,7 @@ def _json_paths(doc, prefix=()):
 
 
 @pytest.mark.parametrize(
-    "name", ["scores", "setting_json", "synonyms", "manifest", "model", "report"]
+    "name", ["scores", "setting_json", "manifest", "report"]
 )
 @hsettings(max_examples=80, deadline=None)
 @given(data=st.data())
