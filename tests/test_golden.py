@@ -1,4 +1,4 @@
-"""Golden outputs: the exact bytes of fits, slice descriptions and reports.
+"""Golden outputs: the exact bytes of fits, slice descriptions, settings and reports.
 
 A change meant to leave results alone (a faster kernel, a leaner loop, a
 smaller API) must keep these digests. A change that moves them on purpose must say why and
@@ -34,6 +34,7 @@ from slicekit import (
 )
 from slicekit.baselines import GeorgeSDM
 from slicekit.cli import main
+from slicekit.fileio import save_embeddings
 
 
 def sha256(array: np.ndarray) -> str:
@@ -95,6 +96,16 @@ def test_descriptions_are_pinned():
     assert hashlib.sha256(text).hexdigest() == DESCRIPTIONS_DIGEST
 
 
+def tree_sha256(root: Path) -> str:
+    """sha256 over a directory's files: sorted relative paths, each with its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()):
+        digest.update(path.encode() + b"\0" + (root / path).read_bytes())
+    return digest.hexdigest()
+
+
+GRID_DIGEST = "0bfdba30d1c980635109b794a2fed9bf40ae9b2ab2708954a37a2cde69a10070"
+
 REPORT_DIGESTS = {
     "report.json": "43e3d54da989e55eaf7ab7b2c2878844865281df3720efca8572d5fc6f33d044",
     "report.md": "b47f440ac2ea685d3d7f2627951e993157a4708ff3bd3ba6403682a5c66101f3",
@@ -120,11 +131,67 @@ def test_report_bytes_are_pinned(tmp_path, monkeypatch):
     ):
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
+    assert tree_sha256(tmp_path / "grid") == GRID_DIGEST
     digests = {
         name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
         for name in REPORT_DIGESTS
     }
     assert digests == REPORT_DIGESTS
+
+
+GEN_DIGESTS = {
+    "rare-synthetic": "3583e805ba7edbfe117370d28b137bf4abf3f8d190a409d933acbfa29f84152c",
+    "rare-ingested": "a23e9fd81feb6832f771ca0999e055ae638b95add05f4d828a0cffcbd56dce1b",
+    "rare-none": "3fa2ae79d343511c9b71e9e313e08d9145aed9ac75ee197796f4d5a1d5a21c9c",
+    "correlation-synthetic": "6e28a4828fc50b4de45bd6002ca46b44b567df7b923fad93cbec38123115e643",
+    "correlation-ingested": "6109965be9d6f5afa22ba5042d9f6b870ccf8476f6471d093284f8f00b902c08",
+    "correlation-none": "5af2eac9cf0125fe7d601d3e59990d9c42d3c6678029e98bbcb90b409a7feea1",
+    "noisy_label-synthetic": "00b58618413c0a83ff77602b8186618998ec76dbf544a937b068496d28721728",
+    "noisy_label-ingested": "b78f676127d1e213ed46a0c088d5025d184ae724612cb92b90748f6ce995db3b",
+    "noisy_label-none": "e76e780835b196b1060db7b1e5fb70fee2b80f8a9bd25849c4a22dc9fb0c570d",
+}
+
+
+def test_gen_bytes_are_pinned(tmp_path, monkeypatch):
+    # gen_config.json records the predictions path as given, so the paths
+    # are relative to the working directory.
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(11)
+    n_base = 2000
+    y = rng.integers(0, 2, n_base)
+    c = (rng.random(n_base) < np.where(y == 1, 0.45, 0.3)).astype(int)
+    Path("base.csv").write_text(
+        "id,target,tube\n" + "".join(f"{i},{y[i]},{c[i]}\n" for i in range(n_base))
+    )
+    save_embeddings(EmbeddingMatrix(rng.standard_normal((n_base, 4))), "base.emb")
+    p1 = rng.random(n_base).round(4)
+    Path("preds.csv").write_text("id,y_hat,p_0,p_1\n" + "".join(
+        f"{i},{int(p > 0.5)},{1 - p:.4f},{p:.4f}\n" for i, p in enumerate(p1)
+    ))
+    models = {
+        "synthetic": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
+                      "sens_out": 0.75, "spec_out": 0.75, "seed": 4},
+        "ingested": {"kind": "ingested", "predictions": "preds.csv"},
+        "none": None,
+    }
+    alphas = {"rare": 0.05, "correlation": 0.4, "noisy_label": 0.2}
+    runner = CliRunner()
+    digests = {}
+    for slice_type, alpha in alphas.items():
+        for name, model in models.items():
+            out = f"{slice_type}-{name}"
+            cfg = {"slice_type": slice_type, "alpha": alpha, "target": "target",
+                   "attribute": "tube", "n": 300, "seed": 5}
+            if model is not None:
+                cfg["model"] = model
+            Path("gen.json").write_text(json.dumps(cfg))
+            result = runner.invoke(main, [
+                "gen", "--base", "base.csv", "--embeddings", "base.emb",
+                "--config", "gen.json", "--out", out,
+            ])
+            assert result.exit_code == 0, result.output
+            digests[out] = tree_sha256(tmp_path / out)
+    assert digests == GEN_DIGESTS
 
 
 WIDE_DIGESTS = {
