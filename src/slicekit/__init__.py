@@ -12,7 +12,7 @@ from .data import (
     LabeledSplit,
     SliceScores,
     SliceSetting,
-    alpha_in_range,
+    check_alpha,
 )
 from .baselines import (
     GeorgeConfig,
@@ -62,7 +62,6 @@ from .mixture import (
 )
 from .settings import (
     BaseTable,
-    CellCounts,
     SyntheticModelSpec,
     apply_ingested_predictions,
     apply_synthetic_model,
@@ -81,7 +80,6 @@ __all__ = [
     "ALPHA_RANGES",
     "AggregateReport",
     "BaseTable",
-    "CellCounts",
     "EmbeddingMatrix",
     "FitConfig",
     "FitDiagnostics",
@@ -99,12 +97,12 @@ __all__ = [
     "SpotlightConfig",
     "SyntheticModelSpec",
     "aggregate",
-    "alpha_in_range",
     "apply_ingested_predictions",
     "apply_synthetic_model",
     "build_correlation_setting",
     "build_noisy_setting",
     "build_rare_setting",
+    "check_alpha",
     "check_degradation",
     "class_prototype",
     "correlation_counts",

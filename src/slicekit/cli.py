@@ -17,8 +17,8 @@ from pathlib import Path
 import click
 
 from . import evaluate as ev
-from .data import ALPHA_RANGES, SLICE_TYPES, alpha_in_range
-from .errors import SchemaError, SliceKitError
+from .data import SLICE_TYPES, check_alpha
+from .errors import AlphaOutOfRange, SchemaError, SliceKitError
 from .fileio import (
     duplicates,
     load_base_table,
@@ -103,13 +103,6 @@ def _model_spec_from_config(model: dict | None) -> SyntheticModelSpec | None:
     )
 
 
-def _check_alpha(slice_type: str, alpha: float) -> None:
-    """Reject an alpha outside the benchmark range of its slice type."""
-    if not alpha_in_range(slice_type, alpha):
-        lo, hi = ALPHA_RANGES[slice_type]
-        raise ValueError(f"{slice_type} alpha {alpha} is outside [{lo}, {hi}]")
-
-
 def _check_ranges(n: int, mu_a: float, mu_b: float) -> None:
     """Reject a setting size or class marginal the generators cannot honour."""
     if n < 4:
@@ -137,19 +130,20 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
         raise click.UsageError("synth config requires an 'alphas' list or map")
     try:
         master_seed = int(cfg.get("seed", 0) if seed is None else seed)
-        slice_types = cfg.get("slice_types", ["rare", "correlation", "noisy_label"])
+        slice_types = cfg.get("slice_types", list(SLICE_TYPES))
         alphas = cfg["alphas"]
         if isinstance(alphas, list):
             alphas = {t: alphas for t in slice_types}
+        for slice_type in (*slice_types, *alphas):
+            if slice_type not in SLICE_TYPES:
+                raise click.UsageError(f"unknown slice type {slice_type!r}")
         replicates = cfg.get("seeds", 1)
         if isinstance(replicates, int):
             replicates = list(range(replicates))
         grid = []
         for slice_type in slice_types:
-            if slice_type not in SLICE_TYPES:
-                raise click.UsageError(f"unknown slice type {slice_type!r}")
             for alpha in alphas.get(slice_type, []):
-                _check_alpha(slice_type, alpha)
+                check_alpha(slice_type, alpha)
                 grid += [(slice_type, float(alpha), int(rep)) for rep in replicates]
         sizes = dict(
             n=int(cfg.get("n", 2000)),
@@ -167,7 +161,7 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
         if not sizes["sigma"] > 0:
             raise ValueError(f"sigma must be positive, got {sizes['sigma']}")
         model = _model_spec_from_config(cfg.get("model"))
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AlphaOutOfRange, AttributeError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad synth configuration: {exc}") from exc
     if not grid:
         raise click.UsageError("synth grid is empty")
@@ -235,11 +229,11 @@ def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int
         run_seed = int(cfg.get("seed", 0) if seed is None else seed)
         alpha, n = float(cfg["alpha"]), int(cfg["n"])
         mu_a, mu_b = float(cfg.get("mu_a", 0.5)), float(cfg.get("mu_b", 0.5))
-        _check_alpha(cfg["slice_type"], alpha)
+        check_alpha(cfg["slice_type"], alpha)
         _check_ranges(n, mu_a, mu_b)
         ingested = model is not None and model.get("kind") == "ingested"
         spec = None if ingested else _model_spec_from_config(model)
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AlphaOutOfRange, AttributeError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad gen configuration: {exc}") from exc
     if ingested and not (isinstance(model.get("predictions"), str) and model["predictions"]):
         raise click.UsageError("ingested model config needs a 'predictions' path")

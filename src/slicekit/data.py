@@ -12,6 +12,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import (
+    AlphaOutOfRange,
     ArgmaxInconsistent,
     LabelOutOfRange,
     NonFiniteValue,
@@ -178,10 +179,11 @@ class SliceSetting:
             raise ValueError(f"alpha {self.alpha} outside (-1, 1)")
 
 
-def alpha_in_range(slice_type: str, alpha: float) -> bool:
-    """Whether alpha lies in the benchmark-legal range for the slice type."""
+def check_alpha(slice_type: str, alpha: float) -> None:
+    """Raise AlphaOutOfRange unless alpha lies in the benchmark range of its slice type."""
     lo, hi = ALPHA_RANGES[slice_type]
-    return lo <= float(alpha) <= hi
+    if not lo <= float(alpha) <= hi:
+        raise AlphaOutOfRange(f"{slice_type} alpha {alpha} is outside [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .baselines import (
 )
 from .data import LabeledSplit, SliceScores, SliceSetting
 from .errors import EmptyGroup, KTooLarge, SchemaError
+from .fileio import duplicates
 from .mixture import FitConfig, MixtureSDM
 from .seeding import derive_rng
 
@@ -287,6 +288,9 @@ def read_report_document(doc: Any) -> tuple[list[SettingResult], list[dict], dic
         raise SchemaError(f"bad report document: {type(exc).__name__}: {exc}") from exc
     if not results:
         raise SchemaError("no results to aggregate")
+    repeated = duplicates([f"{r.setting_id} [{r.method}]" for r in results])
+    if repeated:
+        raise SchemaError(f"rows repeat setting/method pairs: {', '.join(repeated)}")
     return results, errors, config
 
 

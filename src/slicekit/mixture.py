@@ -48,12 +48,13 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k_hat > self.k_bar:
-            raise ValueError("k_hat must not exceed k_bar")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not 1 <= self.k_hat <= self.k_bar:
+            raise ValueError(f"k_hat must lie in [1, k_bar={self.k_bar}], got {self.k_hat}")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
+        for name in ("max_iter", "pca_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         for name in ("rel_tol", "cov_floor"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

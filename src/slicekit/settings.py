@@ -10,20 +10,13 @@ calibrated to target sensitivity/specificity inside and outside the slice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy import special
 
-from .data import (
-    ALPHA_RANGES,
-    EmbeddingMatrix,
-    LabeledSplit,
-    SliceSetting,
-    alpha_in_range,
-)
+from .data import EmbeddingMatrix, LabeledSplit, SliceSetting, check_alpha
 from .errors import (
-    AlphaOutOfRange,
     InfeasibleCounts,
     InsufficientBase,
     NoConvergence,
@@ -75,36 +68,15 @@ class BaseTable:
         return self.values[:, self.names.index(name)]
 
 
-@dataclass(frozen=True)
-class CellCounts:
-    """Counts of the four (y, c) cells for a target joint distribution."""
-
-    n11: int
-    n10: int
-    n01: int
-    n00: int
-    n: int
-
-    def __post_init__(self) -> None:
-        cells = (self.n11, self.n10, self.n01, self.n00)
-        if any(c < 0 for c in cells):
-            raise InfeasibleCounts(f"negative cell in {cells}")
-        if sum(cells) != self.n:
-            raise InfeasibleCounts(f"cells {cells} do not sum to n={self.n}")
-
-    def implied_correlation(self) -> float:
-        """Pearson correlation of binary arrays materialized from these counts."""
-        n = self.n
-        ny1 = self.n11 + self.n10
-        nc1 = self.n11 + self.n01
-        denom = math.sqrt(ny1 * (n - ny1)) * math.sqrt(nc1 * (n - nc1))
-        if denom == 0.0:
-            raise InfeasibleCounts("degenerate marginal: correlation undefined")
-        return (n * self.n11 - ny1 * nc1) / denom
+# The four (y, c) cells in the order every generator draws and records them.
+_CELLS = ((1, 1), (1, 0), (0, 1), (0, 0))
+_CELL_NAMES = ("n11", "n10", "n01", "n00")
 
 
-def correlation_counts(alpha: float, mu_a: float, mu_b: float, n: int) -> CellCounts:
-    """Cell counts whose materialized sample Pearson correlation is alpha.
+def correlation_counts(
+    alpha: float, mu_a: float, mu_b: float, n: int
+) -> tuple[int, int, int, int]:
+    """Cell counts (n11, n10, n01, n00) whose materialized Pearson correlation is alpha.
 
     The joint cell is pinned by the phi-coefficient identity
     ``n11 = alpha * n * sqrt(mu_a (1-mu_a) mu_b (1-mu_b)) + mu_a * mu_b * n``,
@@ -131,37 +103,35 @@ def correlation_counts(alpha: float, mu_a: float, mu_b: float, n: int) -> CellCo
             f"alpha={alpha}, mu_a={mu_a}, mu_b={mu_b}, n={n} implies cells "
             f"({n11}, {n10}, {n01}, {n00})"
         )
-    return CellCounts(n11=n11, n10=n10, n01=n01, n00=n00, n=n)
+    return n11, n10, n01, n00
 
 
 # --- subsampling ------------------------------------------------------------
 
 
-def _cell_indices(base: BaseTable) -> dict[tuple[int, int], np.ndarray]:
+def _cell_pools(base: BaseTable) -> tuple[np.ndarray, ...]:
+    """The base rows of each (y, c) cell, in ``_CELLS`` order."""
     y = base.column(base.target)
     c = base.column(base.attribute)
-    return {
-        (yy, cc): np.flatnonzero((y == yy) & (c == cc))
-        for yy in (0, 1)
-        for cc in (0, 1)
-    }
+    return tuple(np.flatnonzero((y == yy) & (c == cc)) for yy, cc in _CELLS)
 
 
-def _take_cell(
-    cells: dict[tuple[int, int], np.ndarray],
-    cell: tuple[int, int],
-    count: int,
-    rng: np.random.Generator,
+def _subsample(
+    pools: tuple[np.ndarray, ...], counts: tuple[int, ...] | list[int], rng: np.random.Generator
 ) -> np.ndarray:
-    pool = cells[cell]
-    if count > pool.shape[0]:
-        raise InsufficientBase(
-            f"cell (y={cell[0]}, c={cell[1]}) has {pool.shape[0]} base rows, "
-            f"{count} requested"
-        )
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    return rng.choice(pool, size=count, replace=False)
+    """Sorted base rows: ``counts[i]`` rows drawn without replacement from ``pools[i]``.
+
+    A zero count draws nothing from ``rng``, so skipping a cell leaves the
+    stream of the others unchanged.
+    """
+    parts = []
+    for (yy, cc), pool, count in zip(_CELLS, pools, counts):
+        if count > pool.shape[0]:
+            raise InsufficientBase(
+                f"cell (y={yy}, c={cc}) has {pool.shape[0]} base rows, {count} requested"
+            )
+        parts.append(rng.choice(pool, size=count, replace=False) if count else pool[:0])
+    return np.sort(np.concatenate(parts))
 
 
 def _split_indices(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -253,23 +223,12 @@ def build_correlation_setting(
     :func:`synth_predictions` or :func:`apply_synthetic_model`.
     """
     counts = correlation_counts(alpha, mu_a, mu_b, n)
-    cells = _cell_indices(base)
     rng = derive_rng(seed, "settings", "correlation", "subsample")
-    chosen_parts = [
-        _take_cell(cells, (1, 1), counts.n11, rng),
-        _take_cell(cells, (1, 0), counts.n10, rng),
-        _take_cell(cells, (0, 1), counts.n01, rng),
-        _take_cell(cells, (0, 0), counts.n00, rng),
-    ]
-    chosen = np.sort(np.concatenate(chosen_parts))
+    chosen = _subsample(_cell_pools(base), counts, rng)
     y = base.column(base.target)[chosen]
     c = base.column(base.attribute)[chosen]
     slice_col = (y != c).astype(np.int64)
-    provenance = {
-        "mu_a": mu_a,
-        "mu_b": mu_b,
-        "cells": {"n11": counts.n11, "n10": counts.n10, "n01": counts.n01, "n00": counts.n00},
-    }
+    provenance = {"mu_a": mu_a, "mu_b": mu_b, "cells": dict(zip(_CELL_NAMES, counts))}
     return _materialize(
         base, embeddings, chosen, y, slice_col, "correlation", alpha, seed, provenance
     )
@@ -283,20 +242,13 @@ def build_rare_setting(
     seed: int,
 ) -> SliceSetting:
     """Balanced binary dataset whose positive class contains subclass C at rate alpha."""
-    if not alpha_in_range("rare", alpha):
-        lo, hi = ALPHA_RANGES["rare"]
-        raise AlphaOutOfRange(f"rare alpha {alpha} outside [{lo}, {hi}]")
+    check_alpha("rare", alpha)
     n_pos = n // 2
     n_neg = n - n_pos
     n_slice = _round_half_up(alpha * n_pos)
-    cells = _cell_indices(base)
     rng = derive_rng(seed, "settings", "rare", "subsample")
-    chosen_parts = [
-        _take_cell(cells, (1, 1), n_slice, rng),
-        _take_cell(cells, (1, 0), n_pos - n_slice, rng),
-        _take_cell(cells, (0, 0), n_neg, rng),
-    ]
-    chosen = np.sort(np.concatenate(chosen_parts))
+    # every negative comes from the (0, 0) cell; (0, 1) gives no rows
+    chosen = _subsample(_cell_pools(base), (n_slice, n_pos - n_slice, 0, n_neg), rng)
     y = base.column(base.target)[chosen]
     slice_col = base.column(base.attribute)[chosen].astype(np.int64)
     provenance = {"n_pos": n_pos, "n_slice": n_slice}
@@ -311,16 +263,13 @@ def build_noisy_setting(
     seed: int,
 ) -> SliceSetting:
     """Proportional subsample whose subclass-C rows get labels flipped w.p. alpha."""
-    if not alpha_in_range("noisy_label", alpha):
-        lo, hi = ALPHA_RANGES["noisy_label"]
-        raise AlphaOutOfRange(f"noisy-label alpha {alpha} outside [{lo}, {hi}]")
-    cells = _cell_indices(base)
-    order = [(1, 1), (1, 0), (0, 1), (0, 0)]
+    check_alpha("noisy_label", alpha)
+    pools = _cell_pools(base)
     n_base = base.n_base
     if n > n_base:
         raise InsufficientBase(f"requested n={n} from a base of {n_base} rows")
     # Largest-remainder allocation proportional to the base joint distribution.
-    exact = [n * cells[cell].shape[0] / n_base for cell in order]
+    exact = [n * pool.shape[0] / n_base for pool in pools]
     counts = [int(math.floor(e)) for e in exact]
     remainders = sorted(
         range(4), key=lambda i: (exact[i] - counts[i], -i), reverse=True
@@ -329,8 +278,7 @@ def build_noisy_setting(
         counts[i] += 1
 
     rng = derive_rng(seed, "settings", "noisy_label", "subsample")
-    chosen_parts = [_take_cell(cells, cell, cnt, rng) for cell, cnt in zip(order, counts)]
-    chosen = np.sort(np.concatenate(chosen_parts))
+    chosen = _subsample(pools, counts, rng)
     y = base.column(base.target)[chosen]
     slice_col = base.column(base.attribute)[chosen].astype(np.int64)
     if slice_col.sum() == 0:
@@ -339,10 +287,7 @@ def build_noisy_setting(
     flip_rng = derive_rng(seed, "settings", "noisy_label", "flips")
     flips = (flip_rng.random(chosen.shape[0]) < alpha) & (slice_col == 1)
     noisy = np.where(flips, 1 - y, y)
-    provenance = {
-        "cells": dict(zip(("n11", "n10", "n01", "n00"), counts)),
-        "n_flipped": int(flips.sum()),
-    }
+    provenance = {"cells": dict(zip(_CELL_NAMES, counts)), "n_flipped": int(flips.sum())}
     return _materialize(
         base, embeddings, chosen, noisy, slice_col, "noisy_label", alpha, seed, provenance,
         original_labels=y,
@@ -409,7 +354,6 @@ def solve_beta(target_rate: float, kappa: float) -> tuple[float, float]:
         raise ValueError("kappa must be positive")
     rate = min(max(float(target_rate), 0.001), 0.999)
     lo, hi = 0.0, float(kappa)
-    a = kappa / 2.0
     for _ in range(200):
         a = 0.5 * (lo + hi)
         survival = float(1.0 - special.betainc(a, kappa - a, 0.5))
@@ -473,15 +417,7 @@ def apply_synthetic_model(setting: SliceSetting, spec: SyntheticModelSpec) -> Sl
     """Attach synthetic predictions to both splits of a setting."""
     model_spec = replace(spec, seed=derive_rng(setting.seed, "model", spec.seed).integers(2**62))
     provenance = dict(setting.provenance)
-    provenance["model"] = {
-        "kind": "synthetic",
-        "sens_in": spec.sens_in,
-        "spec_in": spec.spec_in,
-        "sens_out": spec.sens_out,
-        "spec_out": spec.spec_out,
-        "kappa": spec.kappa,
-        "seed": spec.seed,
-    }
+    provenance["model"] = {"kind": "synthetic", **asdict(spec)}
     return replace(
         setting,
         valid_split=synth_predictions(setting.valid_split, model_spec, stream=("valid",)),

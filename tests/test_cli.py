@@ -100,10 +100,17 @@ class TestSynth:
         assert not out.exists()
 
     def test_unknown_slice_type_exit_two(self, runner, tmp_path):
-        cfg = synth_config(tmp_path, slice_types=["rare", "tiny"], alphas=[0.05])
-        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(tmp_path / "x")])
-        assert result.exit_code == 2
-        assert "unknown slice type 'tiny'" in result.output
+        # in slice_types, and as an alphas key
+        for overrides, name in (
+            ({"slice_types": ["rare", "tiny"], "alphas": [0.05]}, "tiny"),
+            ({"alphas": {"rare": [0.05], "corelation": [0.4]}}, "corelation"),
+        ):
+            cfg = synth_config(tmp_path, **overrides)
+            out = tmp_path / "x"
+            result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+            assert result.exit_code == 2
+            assert f"unknown slice type '{name}'" in result.output
+            assert not out.exists()
 
     def test_generation_failure_removes_partial_outputs(self, runner, tmp_path):
         # rare settings generate fine; the correlation grid point is
@@ -368,6 +375,26 @@ class TestRun:
         assert f"{flag} not accepted by --method {method}" in result.output
 
     @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--k-hat", "0", "k_hat must lie in [1, k_bar=25], got 0"),
+         ("--k-hat", "-1", "k_hat must lie in [1, k_bar=25], got -1"),
+         ("--gamma", "nan", "gamma must be finite and non-negative, got nan"),
+         ("--gamma", "inf", "gamma must be finite and non-negative, got inf"),
+         ("--pca-dim", "0", "pca_dim must be at least 1")],
+        ids=["k-hat-zero", "k-hat-negative", "gamma-nan", "gamma-inf", "pca-dim-zero"],
+    )
+    def test_bad_domino_flag_exit_two(self, runner, setting_dir, tmp_path, flag, value, message):
+        out = tmp_path / "scores.json"
+        result = runner.invoke(main, [
+            "run", "--setting", str(setting_dir), "--method", "domino", flag, value,
+            "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"bad domino configuration: {message}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "method, flag, value, message",
         [("domino", "--k-bar", "2000", "need at least k_bar=2000 examples"),
          ("spotlight", "--min-mass-fraction", "0.0005",
@@ -455,13 +482,15 @@ class TestEval:
         "method, section, message",
         [
             ("domino", {"bogus": 1}, "bogus"),
+            ("domino", {"k_hat": 0}, "k_hat must lie in [1, k_bar=25]"),
+            ("domino", {"pca_dim": 0}, "pca_dim must be at least 1"),
             ("george", {"restarts": 0}, "restarts must be at least 1"),
             ("george", {"reduce_dim": 0}, "reduce_dim must be at least 1"),
             ("george", {"clusters_per_class": -1}, "clusters_per_class must be None or"),
             ("george", {"clusters_per_class": 0}, "clusters_per_class must be None or"),
             ("spotlight", {"num_spotlights": 0, "steps": 5}, "num_spotlights must be"),
         ],
-        ids=["domino-bogus", "george-restarts", "george-reduce-dim",
+        ids=["domino-bogus", "domino-k-hat", "domino-pca-dim", "george-restarts", "george-reduce-dim",
              "george-clusters-negative", "george-clusters-zero", "spotlight-num-spotlights"],
     )
     def test_bad_config_section_exit_two(self, runner, tmp_path, method, section, message):
@@ -604,6 +633,12 @@ class TestDescribeCommand:
         assert not out.exists()
 
 
+# One well-formed report.json result row.
+ROW = {"setting_id": "a", "method": "confusion", "slice_type": "rare", "alpha": 0.1,
+       "model_kind": "synthetic", "precisions": [0.1], "best_slices": [0],
+       "degraded": True, "success_at_beta": False, "excluded": False}
+
+
 class TestReportCommand:
     def test_reaggregation_round_trip(self, runner, tmp_path):
         grid = synth_grid(runner, tmp_path, seeds=2, n=200, d=4)
@@ -653,15 +688,19 @@ class TestReportCommand:
             ({"config": {"seed": 0}, "results": []}, "bad report document: KeyError: 'k'"),
             ({"config": {"k": "five", "seed": 0}, "results": []}, "bad report document: ValueError"),
             ({"config": {"k": 10, "seed": 0}, "results": []}, "no results"),
+            ({"config": {"k": 10, "seed": 0}, "results": [ROW, {**ROW, "setting_id": "b"}, ROW]},
+             "rows repeat setting/method pairs: a [confusion]"),
         ],
     )
     def test_malformed_document_exit_two(self, runner, tmp_path, doc, message):
         path = tmp_path / "results.json"
         path.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["report", "--results", str(path), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["report", "--results", str(path), "--out", str(out)])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
+        assert not out.exists()
 
 
 # ``slicekit run --help`` as the hand-written flag table printed it; the flags

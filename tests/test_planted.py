@@ -92,3 +92,7 @@ def test_exports_resolve_and_the_planted_stack_is_gone():
     for module in ("slicekit", "slicekit.describe", "slicekit.mixture"):
         for name in ("SlicePrototype", "save_model", "load_model"):
             assert not hasattr(importlib.import_module(module), name), (module, name)
+    for module in ("slicekit", "slicekit.settings", "slicekit.data"):
+        for name in ("CellCounts", "alpha_in_range"):
+            assert not hasattr(importlib.import_module(module), name), (module, name)
+    assert slicekit.check_alpha is slicekit.data.check_alpha

@@ -31,28 +31,27 @@ from planted import gaussian_split, planted_setting
 
 def materialize(counts):
     """Binary arrays realizing the cell counts, for the Pearson oracle."""
-    y = np.concatenate(
-        [np.ones(counts.n11 + counts.n10), np.zeros(counts.n01 + counts.n00)]
-    )
-    c = np.concatenate(
-        [
-            np.ones(counts.n11),
-            np.zeros(counts.n10),
-            np.ones(counts.n01),
-            np.zeros(counts.n00),
-        ]
-    )
+    n11, n10, n01, n00 = counts
+    y = np.concatenate([np.ones(n11 + n10), np.zeros(n01 + n00)])
+    c = np.concatenate([np.ones(n11), np.zeros(n10), np.ones(n01), np.zeros(n00)])
     return y, c
+
+
+def implied_correlation(counts):
+    """Closed-form phi coefficient of binary arrays with these cell counts."""
+    n11, n10, n01, n00 = counts
+    n = n11 + n10 + n01 + n00
+    ny1, nc1 = n11 + n10, n11 + n01
+    return (n * n11 - ny1 * nc1) / (np.sqrt(ny1 * (n - ny1)) * np.sqrt(nc1 * (n - nc1)))
 
 
 class TestCorrelationCounts:
     def test_independence_balanced(self):
-        counts = correlation_counts(0.0, 0.5, 0.5, 100)
-        assert (counts.n11, counts.n10, counts.n01, counts.n00) == (25, 25, 25, 25)
+        assert correlation_counts(0.0, 0.5, 0.5, 100) == (25, 25, 25, 25)
 
     def test_strong_correlation_cells_and_pearson(self):
         counts = correlation_counts(0.8, 0.5, 0.5, 1000)
-        assert (counts.n11, counts.n10, counts.n01, counts.n00) == (450, 50, 50, 450)
+        assert counts == (450, 50, 50, 450)
         y, c = materialize(counts)
         r = np.corrcoef(y, c)[0, 1]
         assert abs(r - 0.8) <= 1e-12
@@ -81,7 +80,7 @@ class TestCorrelationCounts:
         if y.std() == 0 or c.std() == 0:
             return
         r = np.corrcoef(y, c)[0, 1]
-        assert abs(r - counts.implied_correlation()) <= 1e-12
+        assert abs(r - implied_correlation(counts)) <= 1e-12
 
     @hsettings(max_examples=40, deadline=None)
     @given(
@@ -95,15 +94,17 @@ class TestCorrelationCounts:
             counts = correlation_counts(alpha, mu_a, mu_b, n)
         except InfeasibleCounts:
             return
-        assert counts.n11 + counts.n10 == int(np.floor(mu_a * n + 0.5))
-        assert counts.n11 + counts.n01 == int(np.floor(mu_b * n + 0.5))
+        n11, n10, n01, n00 = counts
+        assert n11 + n10 == int(np.floor(mu_a * n + 0.5))
+        assert n11 + n01 == int(np.floor(mu_b * n + 0.5))
+        assert n11 + n10 + n01 + n00 == n
 
     def test_rounding_error_bound_at_balanced_marginals(self):
         # At mu_a = mu_b = 0.5 the rounding perturbation is bounded by 2/n.
         for alpha in np.linspace(-0.8, 0.8, 17):
             for n in (100, 500, 2000):
                 counts = correlation_counts(float(alpha), 0.5, 0.5, n)
-                assert abs(counts.implied_correlation() - alpha) <= 2.0 / n + 1e-12
+                assert abs(implied_correlation(counts) - alpha) <= 2.0 / n + 1e-12
 
 
 def balanced_base(n_base, seed=0):
