@@ -142,7 +142,9 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
             replicates = list(range(replicates))
         grid = []
         for slice_type in slice_types:
-            for alpha in alphas.get(slice_type, []):
+            if slice_type not in alphas:
+                raise click.UsageError(f"alphas gives no list for slice type {slice_type!r}")
+            for alpha in alphas[slice_type]:
                 check_alpha(slice_type, alpha)
                 grid += [(slice_type, float(alpha), int(rep)) for rep in replicates]
         sizes = dict(

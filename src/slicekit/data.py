@@ -48,7 +48,12 @@ class EmbeddingMatrix:
             raise ValueError(f"embeddings must be 2-d, got shape {values.shape}")
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError(f"embeddings need n >= 1 and d >= 1, got {values.shape}")
-        if not np.all(np.isfinite(values)):
+        # A NaN or Inf entry makes the sum non-finite, so the elementwise
+        # check, with its n x d temporary, runs only for a bad entry or an
+        # overflowing sum.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = values.sum()
+        if not np.isfinite(total) and not np.all(np.isfinite(values)):
             raise NonFiniteValue("embedding matrix contains NaN or Inf")
         object.__setattr__(self, "values", _frozen(values))
 

@@ -5,8 +5,10 @@ Formats
 EMB1 binary embeddings: bytes 0-3 ASCII ``EMB1``; bytes 4-7 uint32 LE
 version (= 1); bytes 8-15 uint64 LE row count n; bytes 16-19 uint32 LE
 dimensionality d; then n*d IEEE-754 float32 LE values in row-major order.
-Files with a ``.csv`` suffix fall back to headerless CSV with d decimal
-floats per row.
+A read checks the declared size against the file's before it allocates,
+then streams the payload in fixed chunks into one float64 matrix, so it never
+holds a second copy of the whole payload. Files with a ``.csv`` suffix fall
+back to headerless CSV with d decimal floats per row.
 
 Tables (CSV with a header, ``id`` running 0..n-1, one row per example):
 the labels CSV ``id,y,y_hat[,p_0..p_{C-1}][,s_<name>...]``, the base table
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from collections import Counter
 from pathlib import Path
@@ -44,6 +47,8 @@ from .settings import BaseTable
 _MAGIC = b"EMB1"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQI")
+# float32 values per EMB1 read: one reused 4 MiB buffer
+_CHUNK_VALUES = 1 << 20
 
 
 # --- raw reads --------------------------------------------------------------
@@ -83,10 +88,10 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
                     fh.write(",".join(repr(float(v)) for v in row))
                     fh.write("\n")
         else:
-            payload = np.ascontiguousarray(emb.values, dtype="<f4").tobytes()
+            payload = np.ascontiguousarray(emb.values, dtype="<f4")
             with path.open("wb") as fh:
                 fh.write(_HEADER.pack(_MAGIC, _VERSION, emb.n, emb.d))
-                fh.write(payload)
+                fh.write(payload.data)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -103,22 +108,34 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
 
 def _read_emb1(path: Path) -> np.ndarray:
     try:
-        raw = path.read_bytes()
+        with path.open("rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            header = fh.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise TruncatedFile(f"{path}: shorter than the {_HEADER.size}-byte header")
+            magic, version, n, d = _HEADER.unpack(header)
+            if magic != _MAGIC:
+                raise MagicMismatch(f"{path}: bad magic {magic!r}")
+            if version != _VERSION:
+                raise MagicMismatch(f"{path}: unsupported version {version}")
+            if n < 1 or d < 1:
+                raise SchemaError(f"{path}: declares an empty {n} x {d} matrix")
+            expected = _HEADER.size + 4 * n * d
+            if size != expected:
+                raise TruncatedFile(f"{path}: {size} bytes, expected {expected}")
+            count = n * d
+            values = np.empty(count, dtype=np.float64)
+            buf = np.empty(min(_CHUNK_VALUES, count), dtype="<f4")
+            for start in range(0, count, len(buf)):
+                chunk = buf[: count - start]
+                got = fh.readinto(chunk.data)
+                if got != chunk.nbytes:
+                    end = _HEADER.size + 4 * start + got
+                    raise TruncatedFile(f"{path}: ended at byte {end}, expected {expected}")
+                values[start : start + len(chunk)] = chunk
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise TruncatedFile(f"{path}: shorter than the {_HEADER.size}-byte header")
-    magic, version, n, d = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise MagicMismatch(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise MagicMismatch(f"{path}: unsupported version {version}")
-    if n < 1 or d < 1:
-        raise SchemaError(f"{path}: declares an empty {n} x {d} matrix")
-    expected = _HEADER.size + 4 * n * d
-    if len(raw) != expected:
-        raise TruncatedFile(f"{path}: {len(raw)} bytes, expected {expected}")
-    return np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(n, d)
+    return values.reshape(n, d)
 
 
 def _read_embeddings_csv(path: Path) -> np.ndarray:

@@ -112,6 +112,17 @@ class TestSynth:
             assert f"unknown slice type '{name}'" in result.output
             assert not out.exists()
 
+    def test_slice_type_without_alphas_exit_two(self, runner, tmp_path):
+        cfg = synth_config(
+            tmp_path, slice_types=["rare", "correlation"], alphas={"rare": [0.05]},
+            seeds=1, n=200, d=4,
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "alphas gives no list for slice type 'correlation'" in result.output
+        assert not out.exists()
+
     def test_generation_failure_removes_partial_outputs(self, runner, tmp_path):
         # rare settings generate fine; the correlation grid point is
         # infeasible at these marginals, so the whole run must roll back

@@ -2,6 +2,9 @@
 
 import re
 import struct
+import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from slicekit.errors import (
     SchemaError,
     TruncatedFile,
 )
+from slicekit import fileio
 from slicekit.fileio import load_setting, save_setting
 from slicekit.settings import SyntheticModelSpec, make_synthetic_setting
 
@@ -116,6 +120,87 @@ class TestEmbeddingFormat:
         save_embeddings(emb, first)
         save_embeddings(load_embeddings(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestStreamingRead:
+    """EMB1 reads fill one float64 matrix through a reused float32 buffer.
+
+    An 11 x 5 matrix read 7 values at a time puts chunk edges inside rows.
+    """
+
+    N, D = 11, 5
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_CHUNK_VALUES", 7)
+
+    def _payload(self):
+        values = np.random.default_rng(5).standard_normal(self.N * self.D)
+        return values.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 55, 1 << 20])
+    def test_bit_equal_to_a_whole_payload_read(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(fileio, "_CHUNK_VALUES", chunk)
+        payload = self._payload()
+        path = tmp_path / "e.emb"
+        path.write_bytes(_header(self.N, self.D) + payload)
+        expected = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        values = load_embeddings(path).values
+        assert values.shape == (self.N, self.D)
+        assert values.tobytes() == expected.tobytes()
+
+    def test_truncated_inside_a_chunk(self, tmp_path):
+        path = tmp_path / "e.emb"
+        path.write_bytes(_header(self.N, self.D) + self._payload()[:-10])
+        with pytest.raises(TruncatedFile, match="230 bytes, expected 240"):
+            load_embeddings(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "e.emb"
+        path.write_bytes(_header(self.N, self.D) + self._payload() + b"\x00")
+        with pytest.raises(TruncatedFile, match="241 bytes, expected 240"):
+            load_embeddings(path)
+
+    def test_file_that_shrinks_while_read(self, tmp_path, monkeypatch):
+        # the size check passes, so the short read itself must be caught
+        path = tmp_path / "e.emb"
+        path.write_bytes(_header(self.N, self.D) + self._payload()[:-10])
+        stat = SimpleNamespace(st_size=len(_header(self.N, self.D)) + 4 * self.N * self.D)
+        monkeypatch.setattr(fileio, "os", SimpleNamespace(fstat=lambda fd: stat))
+        with pytest.raises(TruncatedFile, match="ended at byte 230, expected 240"):
+            load_embeddings(path)
+
+    def test_nan_in_the_last_chunk_only(self, tmp_path):
+        values = np.frombuffer(self._payload(), dtype="<f4").copy()
+        values[-1] = np.nan
+        path = tmp_path / "e.emb"
+        path.write_bytes(_header(self.N, self.D) + values.tobytes())
+        message = re.escape(f"{path}: embedding payload contains NaN or Inf")
+        with pytest.raises(NonFiniteValue, match=message):
+            load_embeddings(path)
+
+    def test_huge_declared_shape_fails_before_allocating(self, tmp_path):
+        path = tmp_path / "e.emb"
+        path.write_bytes(_header(2**40, self.D) + self._payload())
+        with pytest.raises(TruncatedFile, match="expected"):
+            load_embeddings(path)
+
+
+def test_read_peak_memory_is_about_one_matrix(tmp_path):
+    """A 50000 x 64 read holds the float64 result plus one small buffer."""
+    n, d = 50000, 64
+    path = tmp_path / "big.emb"
+    payload = np.random.default_rng(0).standard_normal(n * d).astype("<f4")
+    path.write_bytes(_header(n, d) + payload.tobytes())
+    del payload
+    tracemalloc.start()
+    try:
+        emb = load_embeddings(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert emb.values.shape == (n, d)
+    assert peak <= 1.25 * 8 * n * d, f"peak {peak / (8 * n * d):.2f} x the matrix"
 
 
 class TestLabelsCsv:
@@ -245,8 +330,20 @@ class TestInvariantEnforcement:
             )
 
     def test_embedding_non_finite_rejected(self):
-        with pytest.raises(NonFiniteValue):
-            EmbeddingMatrix(np.array([[np.inf, 0.0]]))
+        # [inf, -inf] sums to NaN, and the last row overflows even without its NaN
+        for row in ([np.inf, 0.0], [np.inf, -np.inf], [np.nan, 0.0], [-np.inf, 1.0],
+                    [1e308, 1e308, np.nan]):
+            with pytest.raises(NonFiniteValue, match="^embedding matrix contains NaN or Inf$"):
+                EmbeddingMatrix(np.array([row]))
+
+    @pytest.mark.parametrize(
+        "row", [[1e308, 1e308], [1e308, 1e308, -1e308, -1e308], [-1e308, -1e308]]
+    )
+    def test_finite_embedding_whose_sum_overflows_accepted(self, row):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emb = EmbeddingMatrix(np.array([row]))
+        assert np.array_equal(emb.values, [row])
 
     def test_types_are_immutable(self):
         emb = EmbeddingMatrix(np.ones((2, 2)))

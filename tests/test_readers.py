@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
-from slicekit import EmbeddingMatrix, LabeledSplit, SliceScores
+from slicekit import EmbeddingMatrix, LabeledSplit, SliceScores, fileio
 from slicekit.cli import main
 from slicekit.describe import load_phrase_corpus
 from slicekit.errors import IoError, SchemaError, SliceKitError
@@ -345,6 +345,30 @@ def test_mutated_file_raises_only_slicekit_errors(inputs, name, edits):
         pass
     finally:
         path.write_bytes(original)
+
+
+@pytest.fixture(scope="module")
+def odd_emb1(tmp_path_factory):
+    """A 5 x 3 EMB1 file and its valid bytes."""
+    path = tmp_path_factory.mktemp("odd") / "e.emb"
+    save_embeddings(EmbeddingMatrix(np.arange(15, dtype=np.float64).reshape(5, 3) / 8), path)
+    return path, path.read_bytes()
+
+
+@hsettings(max_examples=80, deadline=None)
+@given(edits=_EDITS)
+def test_mutated_emb1_read_in_small_chunks_raises_only_slicekit_errors(inputs, odd_emb1, edits):
+    # 4-value chunks end inside rows, so a mutation can land at any chunk edge
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_CHUNK_VALUES", 4)
+        for path, original in (inputs["emb1"][:2], odd_emb1):
+            path.write_bytes(_mutate(original, edits))
+            try:
+                load_embeddings(path)
+            except SliceKitError:
+                pass
+            finally:
+                path.write_bytes(original)
 
 
 _JSON_VALUES = st.recursive(
