@@ -1,7 +1,12 @@
 """Core data model: embeddings, labeled splits, settings, and slice scores.
 
 All types validate their invariants at construction and are immutable
-afterwards, so they can be shared read-only across workers.
+afterwards, so they can be shared read-only across workers. An array argument
+that already has the field's dtype and is C-contiguous is kept without a copy
+and marked read-only, so the caller's own array can no longer be written (a
+write raises ``ValueError``); memory it shares with another, writable view
+still changes through that view. Any other array is copied, and the caller's
+stays writable. So a large input, such as a phrase corpus, is never held twice.
 """
 
 from __future__ import annotations
@@ -38,7 +43,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Dense n-by-d matrix of input or phrase embeddings, row i = example i."""
+    """Dense n-by-d matrix of input or phrase embeddings, row i = example i.
+
+    A C-contiguous float64 ``values`` is kept as is and made read-only; any
+    other input is copied (see the module docstring).
+    """
 
     values: np.ndarray
 
@@ -68,7 +77,12 @@ class EmbeddingMatrix:
 
 @dataclass(frozen=True)
 class LabeledSplit:
-    """Per-example labels, model predictions, and ground-truth slice columns."""
+    """Per-example labels, model predictions, and ground-truth slice columns.
+
+    C-contiguous int64 ``labels``, ``predictions`` and ``slices``, and a
+    C-contiguous float64 ``prediction_probs``, are kept as they are and made
+    read-only; any other input is copied (see the module docstring).
+    """
 
     labels: np.ndarray
     predictions: np.ndarray
@@ -193,7 +207,11 @@ def check_alpha(slice_type: str, alpha: float) -> None:
 
 @dataclass(frozen=True)
 class SliceScores:
-    """n-by-k_hat membership scores emitted by a slice discovery method."""
+    """n-by-k_hat membership scores emitted by a slice discovery method.
+
+    A C-contiguous float64 ``scores`` is kept as is and made read-only; any
+    other input is copied (see the module docstring).
+    """
 
     scores: np.ndarray
     method: str

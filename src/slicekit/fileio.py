@@ -13,6 +13,11 @@ back to headerless CSV with d decimal floats per row.
 Tables (CSV with a header, ``id`` running 0..n-1, one row per example):
 the labels CSV ``id,y,y_hat[,p_0..p_{C-1}][,s_<name>...]``, the base table
 ``id,<binary column>...`` and the ingested predictions ``id,y_hat[,p_0..]``.
+A table is read once as text and split into columns. Quoted fields, CR line
+ends, NULs and fields over ``csv.field_size_limit()`` follow Python's csv
+rules; text without them is split on newlines and commas directly, which
+gives the same cells. A column of single ASCII digits converts in one numpy
+step, every other cell through Python's ``int`` or ``float``.
 
 Scores document: JSON with fields ``method``, ``n``, ``k_hat``, ``scores``
 and optional ``slice_descriptions``.
@@ -24,6 +29,7 @@ file cannot be read, :class:`SchemaError` or a subclass when it is malformed.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import struct
@@ -159,21 +165,49 @@ def _read_embeddings_csv(path: Path) -> np.ndarray:
 # --- tables: the labels, base-table and predictions CSVs ---------------------
 
 
-def _read_table(path: Path, fixed: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
-    """A CSV table's columns by name, in header order, skipping blank lines.
-
-    The header starts with ``fixed`` and names each column once, every row has
-    the header's width, and ``id`` runs 0..n-1.
-    """
+def _read_text(path: Path) -> str:
+    """A file's whole text, line ends kept as they are, as csv reads it."""
     try:
         with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = [row for row in reader if row]
+            try:
+                return fh.read()
+            except UnicodeDecodeError:
+                # csv decodes a chunk at a time and can stop at an earlier csv
+                # error, so let it meet the bad bytes and report them itself
+                fh.seek(0)
+                list(csv.reader(fh))
+                raise
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _read_table(path: Path, fixed: tuple[str, ...]) -> dict[str, list[str]]:
+    """A CSV table's columns by name, in header order, skipping blank lines.
+
+    The header starts with ``fixed`` and names each column once, every row has
+    the header's width, and ``id`` runs 0..n-1. The default csv dialect treats
+    only quotes, CR, LF and (before Python 3.11) NUL specially, so text
+    without the first three, without NUL and without a line longer than csv's
+    field size limit is split on newlines and commas directly, all rows at
+    once. Any other text goes through :mod:`csv`.
+    """
+    text = _read_text(path)
+    lines = text.split("\n")
+    plain = not any(c in text for c in '"\r\0') and max(map(len, lines)) <= csv.field_size_limit()
+    if plain:
+        # csv reads no header from empty text and no fields from a blank line
+        header = lines[0].split(",") if lines[0] else [] if text else None
+        rows = list(filter(None, lines[1:]))
+    else:
+        try:
+            reader = csv.reader(io.StringIO(text, newline=""))
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: {exc}") from exc
+    del text, lines
     if header is None:
         raise SchemaError(f"{path}: empty file")
     if tuple(header[: len(fixed)]) != fixed or len(set(header)) != len(header):
@@ -182,21 +216,52 @@ def _read_table(path: Path, fixed: tuple[str, ...]) -> dict[str, tuple[str, ...]
         )
     if not rows:
         raise SchemaError(f"{path}: no data rows")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise SchemaError(f"{path}: row {i} has {len(row)} fields, not {len(header)}")
-    columns = dict(zip(header, zip(*rows)))
-    if not np.array_equal(_numeric(path, columns, ["id"], int)[:, 0], np.arange(len(rows))):
+    n, width = len(rows), len(header)
+    columns = None
+    if plain:
+        # Joined by ",\n,", the lines split into their cells with a "\n" cell
+        # between rows, and no cell of a line is "\n", so every row has the
+        # header's width exactly when the markers fall every width + 1 cells.
+        cells = ",\n,".join(rows).split(",")
+        if len(cells) == n * (width + 1) - 1 and cells[width :: width + 1].count("\n") == n - 1:
+            columns = {name: cells[j :: width + 1] for j, name in enumerate(header)}
+        else:
+            rows = [line.split(",") for line in rows]
+    if columns is None:
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise SchemaError(f"{path}: row {i} has {len(row)} fields, not {width}")
+        columns = dict(zip(header, map(list, zip(*rows))))
+    if columns["id"] != list(map(str, range(n))) and not np.array_equal(
+        _numeric(path, columns, ["id"], int)[:, 0], np.arange(n)
+    ):
         raise SchemaError(f"{path}: id column must run 0..n-1 in order")
     return columns
 
 
+def _digits(column: list[str]) -> np.ndarray | None:
+    """The column's values when every cell is one ASCII digit, else None."""
+    # n non-empty cells holding n characters in all hold one each
+    text = "".join(column)
+    if len(text) == len(column) and all(column) and text.isascii() and text.isdigit():
+        return np.frombuffer(text.encode("ascii"), np.uint8) - ord("0")
+    return None
+
+
 def _numeric(path: Path, columns: dict, names: list[str], kind: type) -> np.ndarray:
-    """The named columns as an n x len(names) array, each token converted by ``kind``."""
+    """The named columns as an n x len(names) array, each cell converted by ``kind``.
+
+    A column of single ASCII digits is converted in one step; any other
+    column goes through ``kind`` cell by cell, so a cell is accepted exactly
+    when ``kind`` accepts it.
+    """
     values = np.empty((len(columns["id"]), len(names)), dtype=kind)
     try:
         for j, name in enumerate(names):
-            values[:, j] = np.fromiter(map(kind, columns[name]), kind)
+            column = _digits(columns[name])
+            if column is None:
+                column = np.fromiter(map(kind, columns[name]), kind)
+            values[:, j] = column
     except (OverflowError, ValueError) as exc:
         raise SchemaError(f"{path}: column {name}: {exc}") from exc
     return values

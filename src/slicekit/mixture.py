@@ -83,7 +83,13 @@ class ProjectionRecord:
 
 @dataclass(frozen=True)
 class MixtureParams:
-    """All component parameters of a fitted mixture."""
+    """All component parameters of a fitted mixture.
+
+    A float64 array argument is kept as is, even when it is a strided view,
+    and made read-only; any other input is copied. So the caller's own
+    float64 array can no longer be written, and a writable array it views
+    into still changes the parameters.
+    """
 
     weights: np.ndarray      # (k_bar,) component prior
     means: np.ndarray        # (k_bar, d)

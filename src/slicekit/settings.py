@@ -13,7 +13,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .data import EmbeddingMatrix, LabeledSplit, SliceSetting, check_alpha
 from .errors import (
@@ -37,7 +36,11 @@ def _round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class BaseTable:
-    """Binary-attribute population to subsample, with designated Y and C columns."""
+    """Binary-attribute population to subsample, with designated Y and C columns.
+
+    A C-contiguous int64 ``values`` is kept as is and made read-only; any
+    other input is copied.
+    """
 
     names: tuple[str, ...]
     values: np.ndarray
@@ -350,6 +353,10 @@ def solve_beta(target_rate: float, kappa: float) -> tuple[float, float]:
     Solved by bisection on a: the survival mass above 0.5 increases
     monotonically in a for fixed a + b.
     """
+    # scipy.special is imported here, its only use, so that importing
+    # slicekit does not pay for it
+    from scipy import special
+
     if not kappa > 0:
         raise ValueError("kappa must be positive")
     rate = min(max(float(target_rate), 0.001), 0.999)

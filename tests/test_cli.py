@@ -1,15 +1,28 @@
 """Command-line interface: synth, gen, run, eval, describe, report."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import slicekit
 from slicekit import EmbeddingMatrix, FitConfig, MixtureSDM
 from slicekit.cli import main
 from slicekit.evaluate import METHODS, make_sdm
 from slicekit.fileio import load_scores, load_setting, save_embeddings
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # Only the synthetic model's beta solve needs scipy, and it is slow to import.
+    src = Path(slicekit.__file__).parents[1]
+    code = "import sys, slicekit.cli; assert 'scipy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.fixture()

@@ -32,6 +32,7 @@ from slicekit.errors import (
 )
 from slicekit import fileio
 from slicekit.fileio import load_setting, save_setting
+from slicekit.mixture import MixtureParams
 from slicekit.settings import SyntheticModelSpec, make_synthetic_setting
 
 from planted import planted_setting
@@ -349,6 +350,60 @@ class TestInvariantEnforcement:
         emb = EmbeddingMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
             emb.values[0, 0] = 3.0
+
+
+# field -> (value built around one array argument, the dtype that argument is
+# kept in, whether a strided view in that dtype is kept too)
+_TAKERS = {
+    "EmbeddingMatrix.values": (lambda a: EmbeddingMatrix(a), np.float64, False),
+    "LabeledSplit.labels": (
+        lambda a: LabeledSplit(a, [0, 1], [[0], [1]], ("s",), 2), np.int64, False),
+    "LabeledSplit.slices": (
+        lambda a: LabeledSplit([0, 1], [0, 1], a, ("s", "t"), 2), np.int64, False),
+    "LabeledSplit.prediction_probs": (
+        lambda a: LabeledSplit([0, 1], [0, 1], [[0], [1]], ("s",), 2, a), np.float64, False),
+    "SliceScores.scores": (lambda a: SliceScores(a, "m"), np.float64, False),
+    "MixtureParams.means": (
+        lambda a: MixtureParams(np.full(2, 0.5), a, np.ones((2, 2)), np.full((2, 2), 0.5),
+                                np.full((2, 2), 0.5)), np.float64, True),
+}
+
+
+def _valid_arg(name, dtype):
+    if name == "LabeledSplit.labels":
+        return np.array([0, 1], dtype=dtype)
+    if name == "LabeledSplit.prediction_probs":
+        return np.eye(2, dtype=dtype)
+    return np.array([[1, 1], [1, 0]], dtype=dtype)
+
+
+@pytest.mark.parametrize("name", list(_TAKERS))
+class TestCallerArrays:
+    """The data types keep a caller's array of the right dtype and layout, uncopied."""
+
+    def test_array_of_the_kept_dtype_is_taken_over(self, name):
+        make, dtype, _ = _TAKERS[name]
+        a = _valid_arg(name, dtype)
+        make(a)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+
+    def test_other_dtype_is_copied_and_stays_writable(self, name):
+        make, dtype, _ = _TAKERS[name]
+        a = _valid_arg(name, np.float32 if dtype == np.float64 else np.int32)
+        make(a)
+        assert a.flags.writeable
+        a[0] = 1
+
+    def test_strided_view(self, name):
+        make, dtype, kept = _TAKERS[name]
+        base = np.repeat(_valid_arg(name, dtype), 2, axis=-1)
+        view = base[..., ::2]
+        make(view)
+        # a kept view turns read-only; the array it views into never does
+        assert view.flags.writeable is not kept
+        assert base.flags.writeable
 
 
 class TestSettingDirectory:

@@ -1,7 +1,11 @@
 """Every file reader fails with a typed SliceKitError, never a raw exception."""
 
+import csv
+import dataclasses
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,8 @@ from slicekit.fileio import (
     write_json,
 )
 from slicekit.settings import make_synthetic_setting
+
+import csv_oracle
 
 BASE_CSV = "id,target,attr\n0,0,1\n1,1,0\n2,1,1\n3,0,0\n"
 PREDS_CSV = "id,y_hat,p_0,p_1\n0,0,0.75,0.25\n1,1,0.5,0.5\n"
@@ -410,3 +416,168 @@ def test_json_node_replaced_raises_only_slicekit_errors(inputs, name, data):
         pass
     finally:
         path.write_bytes(original)
+
+
+# --- the column-wise table reader against the row-wise one it replaced -----
+
+_LIMIT = csv.field_size_limit()
+
+# (name, file bytes): each is read as a table whose header starts with "id"
+TABLE_CASES = [
+    ("plain", b"id,y,p\n0,1,0.5\n1,0,0.25\n"),
+    ("quoted header and cells", b'"id","y"\n"0","1"\n1,"0"\n'),
+    ("quoted comma", b'id,y\n0,"1,2"\n'),
+    ("quoted newline", b'id,y\n0,"1\n2"\n1,0\n'),
+    ("crlf", b"id,y\r\n0,1\r\n1,0\r\n"),
+    ("bare cr", b"id,y\r0,1\r1,0\r"),
+    ("nul", b"id,y\n0,1\x00\n"),
+    ("leading blank line", b"\nid,y\n0,1\n"),
+    ("blank lines between rows", b"id,y\n\n0,1\n\n\n1,0\n\n"),
+    ("no final newline", b"id,y\n0,1\n1,0"),
+    ("header only", b"id,y\n"),
+    ("header only, no newline", b"id,y"),
+    ("empty", b""),
+    ("only newlines", b"\n\n"),
+    ("ragged short row", b"id,y\n0,1\n1\n"),
+    ("ragged long row", b"id,y\n0,1\n1,0,1\n"),
+    ("ragged rows that even out", b"id,y\n0\n1,0,1\n"),
+    ("header without id", b"y,id\n1,0\n"),
+    ("repeated column", b"id,y,y\n0,1,1\n"),
+    ("id only", b"id\n0\n1\n2\n"),
+    ("spaces around cells", b"id,y,p\n0, 1,1.5 \n1 ,0 , 0.5\n"),
+    ("trailing comma", b"id,y,\n0,1,\n"),
+    ("id 00", b"id,y\n00,1\n1,0\n"),
+    ("id +1", b"id,y\n0,1\n+1,0\n"),
+    ("id with a space", b"id,y\n0,1\n 1,0\n"),
+    ("id 1_0", b"id,y\n" + b"".join(b"%d,1\n" % i for i in range(10)) + b"1_0,0\n"),
+    ("arabic-indic id", "id,y\n0,1\n١,0\n".encode()),
+    ("ids from one", b"id,y\n1,1\n2,0\n"),
+    ("ids out of order", b"id,y\n1,1\n0,0\n"),
+    ("id not a number", b"id,y\nzero,1\n"),
+    ("arabic-indic digit cell", "id,y\n0,٣\n1,0\n".encode()),
+    ("superscript digit cell", "id,y\n0,²\n1,0\n".encode()),
+    ("int overflow", b"id,y\n0,99999999999999999999999\n"),
+    ("negative and signed", b"id,y\n0,-1\n1,+0\n"),
+    ("empty cell beside two digits", b"id,y\n0,\n1,11\n"),
+    ("empty cells", b"id,y\n0,\n1,\n"),
+    ("float cells", b"id,p\n0,nan\n1,1_0.5\n2, 1.5\n3,-0.0\n4,1e400\n5,-inf\n"),
+    ("float as int cell", b"id,y\n0,1.0\n"),
+    ("invalid utf-8", b"id,y\n0,\xff\n"),
+    ("truncated utf-8 at the end", b"id,y\n0,1\xc3"),
+    ("field over the limit", b"id,y\n0," + b"1" * (_LIMIT + 1) + b"\n"),
+    ("line over the limit, fields within", b"id,y,z\n0," + b"1" * (_LIMIT // 2 + 1) + b","
+     + b"2" * (_LIMIT // 2 + 1) + b"\n"),
+]
+
+
+def _bits(value):
+    """A value with every array replaced by its dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, dict):
+        return [(key, _bits(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    return value
+
+
+def _outcome(read):
+    """What a read returns, as bits, or the type and message of what it raises."""
+    try:
+        return "returned", _bits(read())
+    except Exception as exc:  # the two readers must agree on every error, typed or not
+        return "raised", type(exc), str(exc)
+
+
+def _table_outcomes(path, read_table, numeric):
+    """The table read, then every column and all non-id columns as ints and floats."""
+    outcomes = [_outcome(lambda: read_table(path, ("id",)))]
+    if outcomes[0][0] == "returned":
+        columns = read_table(path, ("id",))
+        names = list(columns)
+        for kind in (int, float):
+            for group in [[name] for name in names] + [names[1:]]:
+                outcomes.append(_outcome(lambda: numeric(path, columns, group, kind)))
+    return outcomes
+
+
+def _with_oracle(read):
+    """``read``'s outcome with the oracle standing in for the table reader."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_read_table", csv_oracle.read_table)
+        patch.setattr(fileio, "_numeric", csv_oracle.numeric)
+        return _outcome(read)
+
+
+@pytest.mark.parametrize("data", [data for _, data in TABLE_CASES],
+                         ids=[name for name, _ in TABLE_CASES])
+def test_table_reader_matches_the_row_wise_oracle(tmp_path, data):
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    assert _table_outcomes(path, fileio._read_table, fileio._numeric) == _table_outcomes(
+        path, csv_oracle.read_table, csv_oracle.numeric
+    )
+
+
+def test_edge_cases_reach_every_error_of_the_oracle(tmp_path):
+    path = tmp_path / "t.csv"
+    messages = []
+    for _, data in TABLE_CASES:
+        path.write_bytes(data)
+        outcomes = _table_outcomes(path, csv_oracle.read_table, csv_oracle.numeric)
+        messages += [str(o[2]) for o in outcomes if o[0] == "raised"]
+    for part in ("empty file", "must start with id", "no data rows", "fields, not",
+                 "must run 0..n-1", "field larger than field limit", "'utf-8' codec",
+                 "Python int too large", "invalid literal for int()",
+                 "could not convert string to float"):
+        assert any(part in message for message in messages), part
+
+
+_LOADERS = {
+    "labels": lambda path: fileio._load_labels(path),
+    "valid_csv": lambda path: fileio._load_labels(path),
+    "base": lambda path: load_base_table(path, "target", "attr"),
+    "predictions": lambda path: load_ingested_predictions(path),
+}
+
+
+@pytest.mark.parametrize("name", list(_LOADERS))
+@hsettings(max_examples=150, deadline=None)
+@given(edits=_EDITS)
+def test_mutated_table_reads_as_the_oracle_reads_it(inputs, name, edits):
+    path, original, _ = inputs[name]
+    path.write_bytes(_mutate(original, edits))
+    try:
+        read = lambda: _LOADERS[name](path)
+        assert _outcome(read) == _with_oracle(read)
+        assert _table_outcomes(path, fileio._read_table, fileio._numeric) == _table_outcomes(
+            path, csv_oracle.read_table, csv_oracle.numeric
+        )
+    finally:
+        path.write_bytes(original)
+
+
+def test_files_as_written_take_the_split_path(tmp_path, monkeypatch):
+    # The files slicekit writes, and tables as the README describes them, are
+    # split without csv; a change that sent them back through it fails here.
+    split = make_synthetic_setting("rare", 0.1, n=40, d=3, seed=0).valid_split
+    save_split(split, tmp_path / "labels.csv")
+    save_embeddings(EmbeddingMatrix(np.ones((split.n, 2))), tmp_path / "labels.emb")
+    (tmp_path / "base.csv").write_text(BASE_CSV)
+    (tmp_path / "preds.csv").write_text(PREDS_CSV)
+    (tmp_path / "probs.csv").write_text(LABELS_CSV)
+    save_embeddings(EmbeddingMatrix(np.ones((2, 2))), tmp_path / "probs.emb")
+
+    def no_csv(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", no_csv)
+    _, loaded = load_split(tmp_path / "labels.csv", tmp_path / "labels.emb")
+    assert np.array_equal(loaded.labels, split.labels)
+    assert np.array_equal(loaded.slices, split.slices)
+    assert load_split(tmp_path / "probs.csv", tmp_path / "probs.emb")[1].prediction_probs.shape == (2, 2)
+    assert load_base_table(tmp_path / "base.csv", "target", "attr").values.shape == (4, 2)
+    preds, probs = load_ingested_predictions(tmp_path / "preds.csv")
+    assert preds.tolist() == [0, 1] and probs.tolist() == [[0.75, 0.25], [0.5, 0.5]]
