@@ -232,9 +232,7 @@ def _read_table(path: Path, fixed: tuple[str, ...]) -> dict[str, list[str]]:
             if len(row) != width:
                 raise SchemaError(f"{path}: row {i} has {len(row)} fields, not {width}")
         columns = dict(zip(header, map(list, zip(*rows))))
-    if columns["id"] != list(map(str, range(n))) and not np.array_equal(
-        _numeric(path, columns, ["id"], int)[:, 0], np.arange(n)
-    ):
+    if not np.array_equal(_numeric(path, columns, ["id"], int)[:, 0], np.arange(n)):
         raise SchemaError(f"{path}: id column must run 0..n-1 in order")
     return columns
 

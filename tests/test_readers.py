@@ -421,6 +421,9 @@ def test_json_node_replaced_raises_only_slicekit_errors(inputs, name, data):
 # --- the column-wise table reader against the row-wise one it replaced -----
 
 _LIMIT = csv.field_size_limit()
+# a valid table of _N rows, over 8 KiB long
+_N = 2000
+_ROWS = b"id,y\n" + b"".join(b"%d,1\n" % i for i in range(_N))
 
 # (name, file bytes): each is read as a table whose header starts with "id"
 TABLE_CASES = [
@@ -464,6 +467,10 @@ TABLE_CASES = [
     ("float as int cell", b"id,y\n0,1.0\n"),
     ("invalid utf-8", b"id,y\n0,\xff\n"),
     ("truncated utf-8 at the end", b"id,y\n0,1\xc3"),
+    # csv decodes 8 KiB at a time, so its message gives a chunk-relative position
+    ("invalid utf-8 after the first chunk", _ROWS + b"%d,\xff\n" % _N),
+    ("nul in the first chunk, invalid utf-8 later", b"id,y\n0,1\x00\n" + _ROWS[7:]
+     + b"%d,\xff\n" % _N),
     ("field over the limit", b"id,y\n0," + b"1" * (_LIMIT + 1) + b"\n"),
     ("line over the limit, fields within", b"id,y,z\n0," + b"1" * (_LIMIT // 2 + 1) + b","
      + b"2" * (_LIMIT // 2 + 1) + b"\n"),
