@@ -385,6 +385,8 @@ def eval_cmd(
     beta: float,
 ) -> None:
     """Run every manifest setting through the selected methods and report."""
+    if not 0.0 <= beta < 1.0:  # false for NaN too
+        raise click.BadParameter(f"{beta} is not a finite number in [0, 1)", param_hint="'--beta'")
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
     for method in method_list:
         _check_method(method)

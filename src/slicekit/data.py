@@ -1,12 +1,18 @@
 """Core data model: embeddings, labeled splits, settings, and slice scores.
 
 All types validate their invariants at construction and are immutable
-afterwards, so they can be shared read-only across workers. An array argument
-that already has the field's dtype and is C-contiguous is kept without a copy
-and marked read-only, so the caller's own array can no longer be written (a
-write raises ``ValueError``); memory it shares with another, writable view
-still changes through that view. Any other array is copied, and the caller's
-stays writable. So a large input, such as a phrase corpus, is never held twice.
+afterwards, so they can be shared read-only across workers.
+
+One array rule holds for every value type here and for ``BaseTable``,
+``MixtureParams`` and ``Responsibilities``: each array argument passes through
+``np.ascontiguousarray`` in its field's dtype, and once the checks pass,
+``keep_arrays`` marks it read-only and stores it. So an argument that already
+has the dtype and is C-contiguous is kept without a copy, and the caller's own
+array can no longer be written (a write raises ``ValueError``); memory it
+shares with another, writable view still changes through that view. Any other
+array, a strided view included, is copied, and the caller's stays writable. A
+rejected argument is never frozen. So a large input, such as a phrase corpus,
+is never held twice.
 """
 
 from __future__ import annotations
@@ -36,17 +42,19 @@ ALPHA_RANGES: Mapping[str, tuple[float, float]] = {
 }
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def keep_arrays(obj: Any, **arrays: np.ndarray | None) -> None:
+    """Make each array read-only and set it as the named field of frozen ``obj``."""
+    for name, arr in arrays.items():
+        if arr is not None:
+            arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """Dense n-by-d matrix of input or phrase embeddings, row i = example i.
 
-    A C-contiguous float64 ``values`` is kept as is and made read-only; any
-    other input is copied (see the module docstring).
+    ``values`` is float64 and follows the module's array rule.
     """
 
     values: np.ndarray
@@ -64,7 +72,7 @@ class EmbeddingMatrix:
             total = values.sum()
         if not np.isfinite(total) and not np.all(np.isfinite(values)):
             raise NonFiniteValue("embedding matrix contains NaN or Inf")
-        object.__setattr__(self, "values", _frozen(values))
+        keep_arrays(self, values=values)
 
     @property
     def n(self) -> int:
@@ -79,9 +87,8 @@ class EmbeddingMatrix:
 class LabeledSplit:
     """Per-example labels, model predictions, and ground-truth slice columns.
 
-    C-contiguous int64 ``labels``, ``predictions`` and ``slices``, and a
-    C-contiguous float64 ``prediction_probs``, are kept as they are and made
-    read-only; any other input is copied (see the module docstring).
+    ``labels``, ``predictions`` and ``slices`` are int64 and
+    ``prediction_probs`` is float64; all follow the module's array rule.
     """
 
     labels: np.ndarray
@@ -142,11 +149,8 @@ class LabeledSplit:
                 raise ArgmaxInconsistent(
                     "hard predictions disagree with argmax of probabilities"
                 )
-            object.__setattr__(self, "prediction_probs", _frozen(probs))
 
-        object.__setattr__(self, "labels", _frozen(labels))
-        object.__setattr__(self, "predictions", _frozen(preds))
-        object.__setattr__(self, "slices", _frozen(slices))
+        keep_arrays(self, labels=labels, predictions=preds, slices=slices, prediction_probs=probs)
         object.__setattr__(self, "slice_names", names)
         object.__setattr__(self, "num_classes", c)
 
@@ -209,8 +213,7 @@ def check_alpha(slice_type: str, alpha: float) -> None:
 class SliceScores:
     """n-by-k_hat membership scores emitted by a slice discovery method.
 
-    A C-contiguous float64 ``scores`` is kept as is and made read-only; any
-    other input is copied (see the module docstring).
+    ``scores`` is float64 and follows the module's array rule.
     """
 
     scores: np.ndarray
@@ -232,7 +235,7 @@ class SliceScores:
             if len(descriptions) != scores.shape[1]:
                 raise ValueError("one description list per slice column is required")
             object.__setattr__(self, "slice_descriptions", descriptions)
-        object.__setattr__(self, "scores", _frozen(scores))
+        keep_arrays(self, scores=scores)
         object.__setattr__(self, "method", str(self.method))
 
     @property

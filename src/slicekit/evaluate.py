@@ -8,8 +8,7 @@ percentile-bootstrap 95% confidence intervals.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -105,7 +104,6 @@ class SettingResult:
     best_slices: tuple[int, ...]
     degraded: bool
     success_at_beta: bool
-    wall_time: float
 
     @property
     def precision(self) -> float:
@@ -154,7 +152,6 @@ def run_setting(
     setting_id: str = "",
 ) -> SettingResult:
     """Fit the method on the validation split, score test, and compare slices."""
-    start = time.perf_counter()
     sdm = make_sdm(method, method_cfg)
     sdm.fit(setting.valid_emb, setting.valid_split)
     scores = sdm.transform(setting.test_emb, setting.test_split)
@@ -176,7 +173,6 @@ def run_setting(
         best_slices=best_columns,
         degraded=degraded,
         success_at_beta=all(p > beta for p in precisions),
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -210,8 +206,6 @@ def aggregate(results: Iterable[SettingResult], seed: int = 0) -> tuple[Aggregat
     reports = []
     for (method, slice_type), group in sorted(by_group.items()):
         values = np.asarray([r.precision for r in group])
-        if values.shape[0] == 0:
-            raise EmptyGroup(f"no results for {method}/{slice_type}")
         rng = derive_rng(seed, "bootstrap", method, slice_type)
         ci_low, ci_high = _bootstrap_ci(values, rng)
         mean = float(values.mean())
@@ -238,20 +232,20 @@ def aggregate(results: Iterable[SettingResult], seed: int = 0) -> tuple[Aggregat
 
 
 def result_to_dict(result: SettingResult) -> dict:
-    # wall_time is deliberately omitted: report files must be byte-identical
-    # across reruns and worker counts.
-    return {
-        "setting_id": result.setting_id,
-        "method": result.method,
-        "slice_type": result.slice_type,
-        "alpha": result.alpha,
-        "model_kind": result.model_kind,
-        "precisions": list(result.precisions),
-        "best_slices": list(result.best_slices),
-        "degraded": result.degraded,
-        "success_at_beta": result.success_at_beta,
-        "excluded": is_excluded(result),
-    }
+    return {**asdict(result), "excluded": is_excluded(result)}
+
+
+def _json_bool(doc: Mapping, name: str) -> bool:
+    if not isinstance(doc[name], bool):
+        raise ValueError(f"{name} must be true or false, got {doc[name]!r}")
+    return doc[name]
+
+
+def _json_ints(doc: Mapping, name: str) -> tuple[int, ...]:
+    values = tuple(doc[name])
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"{name} must be a list of integers, got {doc[name]!r}")
+    return values
 
 
 def result_from_dict(doc: Mapping) -> SettingResult:
@@ -265,10 +259,9 @@ def result_from_dict(doc: Mapping) -> SettingResult:
         alpha=float(doc["alpha"]),
         model_kind=str(doc["model_kind"]),
         precisions=precisions,
-        best_slices=tuple(int(b) for b in doc["best_slices"]),
-        degraded=bool(doc["degraded"]),
-        success_at_beta=bool(doc["success_at_beta"]),
-        wall_time=0.0,
+        best_slices=_json_ints(doc, "best_slices"),
+        degraded=_json_bool(doc, "degraded"),
+        success_at_beta=_json_bool(doc, "success_at_beta"),
     )
 
 
@@ -306,13 +299,7 @@ def report_document(
         "errors": sorted((dict(e) for e in errors), key=lambda e: (e["setting_id"], e["method"])),
         "aggregates": [
             {
-                "method": rep.method,
-                "slice_type": rep.slice_type,
-                "mean_precision": rep.mean_precision,
-                "ci_low": rep.ci_low,
-                "ci_high": rep.ci_high,
-                "n_settings": rep.n_settings,
-                "n_excluded": rep.n_excluded,
+                **asdict(rep),
                 "per_alpha": [
                     {"alpha": a, "mean_precision": m, "n_settings": n}
                     for a, m, n in rep.per_alpha

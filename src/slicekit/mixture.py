@@ -10,13 +10,13 @@ largest label/prediction divergence are returned as slices.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .clustering import kmeans, pca_basis
-from .data import EmbeddingMatrix, LabeledSplit, SliceScores, check_pair
+from .data import EmbeddingMatrix, LabeledSplit, SliceScores, check_pair, keep_arrays
 from .errors import (
     DimensionMismatch,
     NumericalUnderflow,
@@ -85,10 +85,7 @@ class ProjectionRecord:
 class MixtureParams:
     """All component parameters of a fitted mixture.
 
-    A float64 array argument is kept as is, even when it is a strided view,
-    and made read-only; any other input is copied. So the caller's own
-    float64 array can no longer be written, and a writable array it views
-    into still changes the parameters.
+    Every field is float64 and follows the array rule of ``slicekit.data``.
     """
 
     weights: np.ndarray      # (k_bar,) component prior
@@ -98,11 +95,11 @@ class MixtureParams:
     pred_probs: np.ndarray   # (k_bar, C)
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=np.float64)
-        means = np.asarray(self.means, dtype=np.float64)
-        variances = np.asarray(self.variances, dtype=np.float64)
-        label_probs = np.asarray(self.label_probs, dtype=np.float64)
-        pred_probs = np.asarray(self.pred_probs, dtype=np.float64)
+        arrays = {
+            f.name: np.ascontiguousarray(getattr(self, f.name), dtype=np.float64)
+            for f in fields(self)
+        }
+        weights, means, variances, label_probs, pred_probs = arrays.values()
         k = weights.shape[0]
         if means.shape[0] != k or variances.shape != means.shape:
             raise ValueError("component parameter shapes disagree")
@@ -115,12 +112,7 @@ class MixtureParams:
                 raise ValueError(f"{name} categoricals must sum to 1 per component")
         if variances.min() <= 0:
             raise ValueError("variances must be strictly positive")
-        for field_name, value in (
-            ("weights", weights), ("means", means), ("variances", variances),
-            ("label_probs", label_probs), ("pred_probs", pred_probs),
-        ):
-            value.setflags(write=False)
-            object.__setattr__(self, field_name, value)
+        keep_arrays(self, **arrays)
 
     @property
     def k_bar(self) -> int:
@@ -133,20 +125,22 @@ class MixtureParams:
 
 @dataclass(frozen=True)
 class Responsibilities:
-    """Posterior component memberships, one simplex row per example."""
+    """Posterior component memberships, one simplex row per example.
+
+    ``q`` is float64 and follows the array rule of ``slicekit.data``.
+    """
 
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=np.float64)
+        q = np.ascontiguousarray(self.q, dtype=np.float64)
         if q.ndim != 2:
             raise ValueError("responsibilities must be 2-d")
         if q.min() < 0.0 or q.max() > 1.0:
             raise ValueError("responsibilities must lie in [0, 1]")
         if np.abs(q.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("responsibility rows must sum to 1")
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
+        keep_arrays(self, q=q)
 
 
 @dataclass(frozen=True)
@@ -246,11 +240,11 @@ def _unchecked(cls, **values):
     """A frozen dataclass instance built without running its ``__post_init__``.
 
     The EM loop passes its own intermediate params and responsibilities
-    between the steps this way; ``fit`` validates the ones it returns.
+    between the steps this way; ``fit`` validates the ones it returns. The
+    arrays are made read-only, as in a validated instance.
     """
     obj = object.__new__(cls)
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
+    keep_arrays(obj, **values)
     return obj
 
 
@@ -417,8 +411,8 @@ def fit(
         params = m_step(emb, valid_split, q, cfg, inputs=inputs, mass=mass)
 
     # The loop passes unvalidated values between the steps; check what leaves.
-    params = MixtureParams(**{f.name: getattr(params, f.name) for f in fields(MixtureParams)})
-    q = Responsibilities(q.q)
+    params = replace(params)
+    q = replace(q)
     diagnostics = FitDiagnostics(
         log_likelihoods=tuple(log_liks),
         n_iter=len(log_liks),

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import EmbeddingMatrix, LabeledSplit, SliceSetting, check_alpha
+from .data import EmbeddingMatrix, LabeledSplit, SliceSetting, check_alpha, keep_arrays
 from .errors import (
     InfeasibleCounts,
     InsufficientBase,
@@ -38,8 +38,7 @@ def _round_half_up(x: float) -> int:
 class BaseTable:
     """Binary-attribute population to subsample, with designated Y and C columns.
 
-    A C-contiguous int64 ``values`` is kept as is and made read-only; any
-    other input is copied.
+    ``values`` is int64 and follows the array rule of ``slicekit.data``.
     """
 
     names: tuple[str, ...]
@@ -59,8 +58,7 @@ class BaseTable:
         for col in (self.target, self.attribute):
             if col not in names:
                 raise ValueError(f"column {col!r} not in base table")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        keep_arrays(self, values=values)
         object.__setattr__(self, "names", names)
 
     @property

@@ -540,6 +540,11 @@ class TestEval:
             (["--methods", "confusion,confusion"], "--methods names confusion more than once"),
             (["--methods", "confusion", "--k", "0"], "--k"),
             (["--methods", "confusion", "--jobs", "0"], "--jobs"),
+            (["--methods", "confusion", "--beta", "nan"], "nan is not a finite number in [0, 1)"),
+            (["--methods", "confusion", "--beta", "inf"], "--beta"),
+            (["--methods", "confusion", "--beta", "1"], "--beta"),
+            (["--methods", "confusion", "--beta", "7"], "--beta"),
+            (["--methods", "confusion", "--beta", "-0.1"], "--beta"),
         ],
     )
     def test_usage_errors_write_no_report(self, runner, two_settings, tmp_path,
@@ -714,6 +719,16 @@ class TestReportCommand:
             ({"config": {"k": 10, "seed": 0}, "results": []}, "no results"),
             ({"config": {"k": 10, "seed": 0}, "results": [ROW, {**ROW, "setting_id": "b"}, ROW]},
              "rows repeat setting/method pairs: a [confusion]"),
+            # a trained-model row read as degraded would be counted, not excluded
+            ({"config": {"k": 10, "seed": 0},
+              "results": [{**ROW, "model_kind": "trained_ingested", "degraded": "false"}]},
+             "bad report document: ValueError: degraded must be true or false, got 'false'"),
+            ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "success_at_beta": 1}]},
+             "bad report document: ValueError: success_at_beta must be true or false, got 1"),
+            ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "best_slices": [1.9]}]},
+             "bad report document: ValueError: best_slices must be a list of integers, got [1.9]"),
+            ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "best_slices": [True]}]},
+             "bad report document: ValueError: best_slices must be a list of integers"),
         ],
     )
     def test_malformed_document_exit_two(self, runner, tmp_path, doc, message):

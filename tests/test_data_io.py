@@ -32,8 +32,8 @@ from slicekit.errors import (
 )
 from slicekit import fileio
 from slicekit.fileio import load_setting, save_setting
-from slicekit.mixture import MixtureParams
-from slicekit.settings import SyntheticModelSpec, make_synthetic_setting
+from slicekit.mixture import MixtureParams, Responsibilities
+from slicekit.settings import BaseTable, SyntheticModelSpec, make_synthetic_setting
 
 from planted import planted_setting
 
@@ -352,58 +352,84 @@ class TestInvariantEnforcement:
             emb.values[0, 0] = 3.0
 
 
-# field -> (value built around one array argument, the dtype that argument is
-# kept in, whether a strided view in that dtype is kept too)
+def _params(**arrays):
+    """A valid two-component, two-class, 2-d ``MixtureParams`` with ``arrays`` swapped in."""
+    return MixtureParams(**{
+        "weights": np.full(2, 0.5), "means": np.zeros((2, 2)), "variances": np.ones((2, 2)),
+        "label_probs": np.full((2, 2), 0.5), "pred_probs": np.full((2, 2), 0.5), **arrays,
+    })
+
+
+_PROBS = [[0.5, 0.5], [1.0, 0.0]]
+
+# "Type.field" -> (value built around one array argument, a valid argument,
+# the dtype the field holds)
 _TAKERS = {
-    "EmbeddingMatrix.values": (lambda a: EmbeddingMatrix(a), np.float64, False),
+    "EmbeddingMatrix.values": (lambda a: EmbeddingMatrix(a), [[1, 1], [1, 0]], np.float64),
     "LabeledSplit.labels": (
-        lambda a: LabeledSplit(a, [0, 1], [[0], [1]], ("s",), 2), np.int64, False),
+        lambda a: LabeledSplit(a, [0, 1], [[0], [1]], ("s",), 2), [0, 1], np.int64),
     "LabeledSplit.slices": (
-        lambda a: LabeledSplit([0, 1], [0, 1], a, ("s", "t"), 2), np.int64, False),
+        lambda a: LabeledSplit([0, 1], [0, 1], a, ("s", "t"), 2), [[1, 1], [1, 0]], np.int64),
     "LabeledSplit.prediction_probs": (
-        lambda a: LabeledSplit([0, 1], [0, 1], [[0], [1]], ("s",), 2, a), np.float64, False),
-    "SliceScores.scores": (lambda a: SliceScores(a, "m"), np.float64, False),
-    "MixtureParams.means": (
-        lambda a: MixtureParams(np.full(2, 0.5), a, np.ones((2, 2)), np.full((2, 2), 0.5),
-                                np.full((2, 2), 0.5)), np.float64, True),
+        lambda a: LabeledSplit([0, 1], [0, 1], [[0], [1]], ("s",), 2, a), np.eye(2), np.float64),
+    "SliceScores.scores": (lambda a: SliceScores(a, "m"), [[1, 1], [1, 0]], np.float64),
+    "BaseTable.values": (lambda a: BaseTable(("y", "c"), a, "y", "c"), [[1, 1], [1, 0]], np.int64),
+    "Responsibilities.q": (lambda a: Responsibilities(a), _PROBS, np.float64),
+    "MixtureParams.weights": (lambda a: _params(weights=a), [0.5, 0.5], np.float64),
+    "MixtureParams.means": (lambda a: _params(means=a), [[1, 1], [1, 0]], np.float64),
+    "MixtureParams.variances": (lambda a: _params(variances=a), [[1, 1], [1, 2]], np.float64),
+    "MixtureParams.label_probs": (lambda a: _params(label_probs=a), _PROBS, np.float64),
+    "MixtureParams.pred_probs": (lambda a: _params(pred_probs=a), _PROBS, np.float64),
 }
-
-
-def _valid_arg(name, dtype):
-    if name == "LabeledSplit.labels":
-        return np.array([0, 1], dtype=dtype)
-    if name == "LabeledSplit.prediction_probs":
-        return np.eye(2, dtype=dtype)
-    return np.array([[1, 1], [1, 0]], dtype=dtype)
 
 
 @pytest.mark.parametrize("name", list(_TAKERS))
 class TestCallerArrays:
-    """The data types keep a caller's array of the right dtype and layout, uncopied."""
+    """Every value type keeps a caller's array of its dtype and C layout uncopied, and copies any other."""
 
     def test_array_of_the_kept_dtype_is_taken_over(self, name):
-        make, dtype, _ = _TAKERS[name]
-        a = _valid_arg(name, dtype)
-        make(a)
+        make, valid, dtype = _TAKERS[name]
+        a = np.array(valid, dtype=dtype)
+        value = make(a)
+        assert getattr(value, name.split(".")[1]) is a
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
 
     def test_other_dtype_is_copied_and_stays_writable(self, name):
-        make, dtype, _ = _TAKERS[name]
-        a = _valid_arg(name, np.float32 if dtype == np.float64 else np.int32)
+        make, valid, dtype = _TAKERS[name]
+        a = np.array(valid, dtype=np.float32 if dtype == np.float64 else np.int32)
         make(a)
         assert a.flags.writeable
         a[0] = 1
 
     def test_strided_view(self, name):
-        make, dtype, kept = _TAKERS[name]
-        base = np.repeat(_valid_arg(name, dtype), 2, axis=-1)
+        make, valid, dtype = _TAKERS[name]
+        base = np.repeat(np.array(valid, dtype=dtype), 2, axis=-1)
         view = base[..., ::2]
-        make(view)
-        # a kept view turns read-only; the array it views into never does
-        assert view.flags.writeable is not kept
-        assert base.flags.writeable
+        kept = getattr(make(view), name.split(".")[1])
+        # the view is copied, so neither it nor its base turns read-only, and
+        # a later write through the base does not reach the value
+        assert view.flags.writeable and base.flags.writeable
+        before = kept.copy()
+        base.flat[0] = 5
+        assert np.array_equal(kept, before)
+
+
+def test_mixture_params_do_not_follow_a_strided_view():
+    m = np.zeros((2, 6))
+    p = MixtureParams(np.full(2, .5), m[:, ::2], np.ones((2, 3)),
+                      np.full((2, 2), .5), np.full((2, 2), .5))
+    m[0, 0] = 5
+    assert p.means[0, 0] == 0.0
+
+
+def test_rejected_construction_leaves_the_array_writable():
+    labels = np.array([0, 2], dtype=np.int64)
+    with pytest.raises(LabelOutOfRange):
+        LabeledSplit(labels, [0, 1], [[0], [1]], ("s",), 2)
+    assert labels.flags.writeable
+    labels[1] = 1
 
 
 class TestSettingDirectory:

@@ -169,7 +169,6 @@ def make_result(setting_id, method="domino", slice_type="rare", alpha=0.1,
         best_slices=(0,),
         degraded=degraded,
         success_at_beta=precision > 0.5,
-        wall_time=0.0,
     )
 
 

@@ -43,8 +43,8 @@ LABELS_CSV = "id,y,y_hat,p_0,p_1,s_a\n0,0,0,0.75,0.25,0\n1,1,0,0.5,0.5,1\n"
 
 def _save_tiny_report(path):
     results = [
-        SettingResult("a", "domino", "rare", 0.1, "synthetic", (0.5, 1.0), (0, 2), False, True, 0.0),
-        SettingResult("b", "domino", "rare", 0.05, "trained_ingested", (0.2,), (1,), True, False, 0.0),
+        SettingResult("a", "domino", "rare", 0.1, "synthetic", (0.5, 1.0), (0, 2), False, True),
+        SettingResult("b", "domino", "rare", 0.05, "trained_ingested", (0.2,), (1,), True, False),
     ]
     errors = [{"setting_id": "c", "method": "domino", "error": "missing"}]
     config = {"k": 10, "seed": 0}
