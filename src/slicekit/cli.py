@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import evaluate as ev
 from .data import SLICE_TYPES, check_alpha
@@ -242,7 +243,8 @@ def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int
 
     try:
         base = load_base_table(base_path, cfg["target"], cfg["attribute"])
-        embeddings = load_embeddings(emb_path)
+        # gen only gathers base rows, so the payload stays float32 until then
+        embeddings = load_embeddings(emb_path, dtype=np.float32)
         setting = build_setting(cfg["slice_type"], base, embeddings, alpha, n, run_seed, mu_a, mu_b)
         if ingested:
             preds, probs = load_ingested_predictions(model["predictions"])

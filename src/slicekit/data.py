@@ -13,11 +13,19 @@ shares with another, writable view still changes through that view. Any other
 array, a strided view included, is copied, and the caller's stays writable. A
 rejected argument is never frozen. So a large input, such as a phrase corpus,
 is never held twice.
+
+Embeddings are float64, except as storage: ``EmbeddingMatrix(values,
+dtype=np.float32)`` keeps a float32 array, such as an EMB1 payload as read,
+under the same rule at half the memory. It is for code that only gathers or
+ranks rows and upcasts just the rows it computes on, which is exact. It never
+rounds: a float64 array, or any other that float32 cannot hold exactly,
+raises ``DtypeMismatch``. Nor is it fit: ``check_pair``, which every fitting
+path calls, raises ``DtypeMismatch`` for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
@@ -25,6 +33,7 @@ import numpy as np
 from .errors import (
     AlphaOutOfRange,
     ArgmaxInconsistent,
+    DtypeMismatch,
     LabelOutOfRange,
     NonFiniteValue,
     RowCountMismatch,
@@ -54,13 +63,22 @@ def keep_arrays(obj: Any, **arrays: np.ndarray | None) -> None:
 class EmbeddingMatrix:
     """Dense n-by-d matrix of input or phrase embeddings, row i = example i.
 
-    ``values`` is float64 and follows the module's array rule.
+    ``values`` follows the module's array rule in ``dtype``: float64, or
+    float32 storage as the module docstring describes.
     """
 
     values: np.ndarray
+    dtype: InitVar[type] = np.float64
 
-    def __post_init__(self) -> None:
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+    def __post_init__(self, dtype: type) -> None:
+        dtype = np.dtype(dtype)
+        if dtype not in (np.float64, np.float32):
+            raise ValueError(f"embeddings are stored as float64 or float32, not {dtype}")
+        if dtype == np.float32:
+            given = np.asarray(self.values).dtype
+            if not np.can_cast(given, dtype):
+                raise DtypeMismatch(f"float32 storage would round {given} embeddings")
+        values = np.ascontiguousarray(self.values, dtype=dtype)
         if values.ndim != 2:
             raise ValueError(f"embeddings must be 2-d, got shape {values.shape}")
         if values.shape[0] < 1 or values.shape[1] < 1:
@@ -164,7 +182,16 @@ class LabeledSplit:
 
 
 def check_pair(emb: EmbeddingMatrix, split: LabeledSplit) -> None:
-    """Raise RowCountMismatch unless emb and split describe the same examples."""
+    """Raise unless emb and split describe the same examples and emb can be fit.
+
+    A float32-stored ``emb`` (see the module docstring) raises DtypeMismatch,
+    differing row counts RowCountMismatch.
+    """
+    if emb.values.dtype != np.float64:
+        raise DtypeMismatch(
+            "embeddings stored as float32 are not fit on; EmbeddingMatrix(emb.values) "
+            "gives their exact float64 form"
+        )
     if emb.n != split.n:
         raise RowCountMismatch(f"embeddings have {emb.n} rows, split has {split.n}")
 

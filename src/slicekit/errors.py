@@ -78,6 +78,10 @@ class DimensionMismatch(SliceKitError):
     """Embedding dimensionality disagrees with the fitted model."""
 
 
+class DtypeMismatch(SliceKitError):
+    """Embeddings that float32 storage would round, or float32 ones passed to a fit."""
+
+
 # --- baselines --------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ percentile-bootstrap 95% confidence intervals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -22,7 +23,7 @@ from .baselines import (
     SpotlightConfig,
     SpotlightSDM,
 )
-from .data import LabeledSplit, SliceScores, SliceSetting
+from .data import MODEL_KINDS, SLICE_TYPES, LabeledSplit, SliceScores, SliceSetting
 from .errors import EmptyGroup, KTooLarge, SchemaError
 from .fileio import duplicates
 from .mixture import FitConfig, MixtureSDM
@@ -235,6 +236,11 @@ def result_to_dict(result: SettingResult) -> dict:
     return {**asdict(result), "excluded": is_excluded(result)}
 
 
+def _json_number(value: Any) -> bool:
+    """Whether a parsed JSON value is a number; true and false are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _json_bool(doc: Mapping, name: str) -> bool:
     if not isinstance(doc[name], bool):
         raise ValueError(f"{name} must be true or false, got {doc[name]!r}")
@@ -249,16 +255,23 @@ def _json_ints(doc: Mapping, name: str) -> tuple[int, ...]:
 
 
 def result_from_dict(doc: Mapping) -> SettingResult:
-    precisions = tuple(float(p) for p in doc["precisions"])
-    if not precisions or not all(0.0 <= p <= 1.0 for p in precisions):
-        raise ValueError("precisions must be a non-empty list of values in [0, 1]")
+    precisions = tuple(doc["precisions"])
+    if not precisions or not all(_json_number(p) and 0.0 <= p <= 1.0 for p in precisions):
+        raise ValueError(
+            f"precisions must be a non-empty list of numbers in [0, 1], got {doc['precisions']!r}"
+        )
+    if not (_json_number(doc["alpha"]) and math.isfinite(doc["alpha"])):
+        raise ValueError(f"alpha must be a finite number, got {doc['alpha']!r}")
+    for name, known in (("slice_type", SLICE_TYPES), ("model_kind", MODEL_KINDS)):
+        if doc[name] not in known:
+            raise ValueError(f"{name} must be one of {', '.join(known)}, got {doc[name]!r}")
     return SettingResult(
         setting_id=str(doc["setting_id"]),
         method=str(doc["method"]),
-        slice_type=str(doc["slice_type"]),
+        slice_type=doc["slice_type"],
         alpha=float(doc["alpha"]),
-        model_kind=str(doc["model_kind"]),
-        precisions=precisions,
+        model_kind=doc["model_kind"],
+        precisions=tuple(map(float, precisions)),
         best_slices=_json_ints(doc, "best_slices"),
         degraded=_json_bool(doc, "degraded"),
         success_at_beta=_json_bool(doc, "success_at_beta"),

@@ -7,8 +7,9 @@ version (= 1); bytes 8-15 uint64 LE row count n; bytes 16-19 uint32 LE
 dimensionality d; then n*d IEEE-754 float32 LE values in row-major order.
 A read checks the declared size against the file's before it allocates,
 then streams the payload in fixed chunks into one float64 matrix, so it never
-holds a second copy of the whole payload. Files with a ``.csv`` suffix fall
-back to headerless CSV with d decimal floats per row.
+holds a second copy of the whole payload; a float32 read fills its result
+directly. Files with a ``.csv`` suffix fall back to headerless CSV with d
+decimal floats per row, always read as float64.
 
 Tables (CSV with a header, ``id`` running 0..n-1, one row per example):
 the labels CSV ``id,y,y_hat[,p_0..p_{C-1}][,s_<name>...]``, the base table
@@ -52,8 +53,8 @@ from .settings import BaseTable
 
 _MAGIC = b"EMB1"
 _VERSION = 1
-_HEADER = struct.Struct("<4sIQI")
-# float32 values per EMB1 read: one reused 4 MiB buffer
+EMB1_HEADER = struct.Struct("<4sIQI")
+# float32 values per EMB1 read: 4 MiB, through one reused buffer for float64
 _CHUNK_VALUES = 1 << 20
 
 
@@ -96,49 +97,56 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
         else:
             payload = np.ascontiguousarray(emb.values, dtype="<f4")
             with path.open("wb") as fh:
-                fh.write(_HEADER.pack(_MAGIC, _VERSION, emb.n, emb.d))
+                fh.write(EMB1_HEADER.pack(_MAGIC, _VERSION, emb.n, emb.d))
                 fh.write(payload.data)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def load_embeddings(path: str | Path) -> EmbeddingMatrix:
-    """Read an EMB1 binary file, or headerless CSV for a .csv path."""
+def load_embeddings(path: str | Path, *, dtype: type = np.float64) -> EmbeddingMatrix:
+    """Read an EMB1 binary file, or headerless CSV for a .csv path.
+
+    ``dtype=np.float32`` keeps an EMB1 payload as stored (see ``data``); a
+    CSV file is read as float64 either way.
+    """
     path = Path(path)
-    values = _read_embeddings_csv(path) if path.suffix == ".csv" else _read_emb1(path)
+    values = _read_embeddings_csv(path) if path.suffix == ".csv" else _read_emb1(path, dtype)
     try:
-        return EmbeddingMatrix(values)
+        return EmbeddingMatrix(values, dtype=values.dtype.type)
     except NonFiniteValue as exc:
         raise NonFiniteValue(f"{path}: embedding payload contains NaN or Inf") from exc
 
 
-def _read_emb1(path: Path) -> np.ndarray:
+def _read_emb1(path: Path, dtype: type) -> np.ndarray:
     try:
         with path.open("rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            header = fh.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                raise TruncatedFile(f"{path}: shorter than the {_HEADER.size}-byte header")
-            magic, version, n, d = _HEADER.unpack(header)
+            header = fh.read(EMB1_HEADER.size)
+            if len(header) < EMB1_HEADER.size:
+                raise TruncatedFile(f"{path}: shorter than the {EMB1_HEADER.size}-byte header")
+            magic, version, n, d = EMB1_HEADER.unpack(header)
             if magic != _MAGIC:
                 raise MagicMismatch(f"{path}: bad magic {magic!r}")
             if version != _VERSION:
                 raise MagicMismatch(f"{path}: unsupported version {version}")
             if n < 1 or d < 1:
                 raise SchemaError(f"{path}: declares an empty {n} x {d} matrix")
-            expected = _HEADER.size + 4 * n * d
+            expected = EMB1_HEADER.size + 4 * n * d
             if size != expected:
                 raise TruncatedFile(f"{path}: {size} bytes, expected {expected}")
             count = n * d
-            values = np.empty(count, dtype=np.float64)
-            buf = np.empty(min(_CHUNK_VALUES, count), dtype="<f4")
-            for start in range(0, count, len(buf)):
-                chunk = buf[: count - start]
+            direct = np.dtype(dtype) == np.float32
+            values = np.empty(count, dtype="<f4" if direct else np.float64)
+            buf = None if direct else np.empty(min(_CHUNK_VALUES, count), dtype="<f4")
+            for start in range(0, count, _CHUNK_VALUES):
+                stop = min(start + _CHUNK_VALUES, count)
+                chunk = values[start:stop] if direct else buf[: stop - start]
                 got = fh.readinto(chunk.data)
                 if got != chunk.nbytes:
-                    end = _HEADER.size + 4 * start + got
+                    end = EMB1_HEADER.size + 4 * start + got
                     raise TruncatedFile(f"{path}: ended at byte {end}, expected {expected}")
-                values[start : start + len(chunk)] = chunk
+                if not direct:
+                    values[start:stop] = chunk
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     return values.reshape(n, d)

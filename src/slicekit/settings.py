@@ -157,6 +157,7 @@ def _materialize(
     """Split the chosen base rows 50/50; the slice is named after the attribute.
 
     ``provenance`` adds generator-specific fields to the common ones.
+    ``embeddings`` may be float32 storage: the gathered rows become float64.
     """
     if embeddings.n != base.n_base:
         raise RowCountMismatch(

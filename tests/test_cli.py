@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,23 @@ class TestGen:
         setting = load_setting(out)
         assert setting.slice_type == "correlation"
         assert setting.model_kind == "synthetic"
+
+    def test_base_embeddings_are_not_held_in_float64(self, runner, tmp_path):
+        # gen keeps the base payload in float32 and upcasts only the rows a
+        # setting takes, so it never holds the whole base as float64
+        n_base, d = 16000, 256
+        base, emb_path, _ = write_base(tmp_path, n_base, d, seed=4)
+        tracemalloc.start()
+        try:
+            result = run_gen(runner, tmp_path, base, emb_path, {
+                "slice_type": "correlation", "alpha": 0.4, "target": "target",
+                "attribute": "tube", "n": 2000, "seed": 1,
+            })
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert peak < 8 * n_base * d, f"peak {peak / (8 * n_base * d):.2f} x the base in float64"
 
     def test_ingested_predictions(self, runner, tmp_path):
         n_base = 1200
@@ -729,6 +747,20 @@ class TestReportCommand:
              "bad report document: ValueError: best_slices must be a list of integers, got [1.9]"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "best_slices": [True]}]},
              "bad report document: ValueError: best_slices must be a list of integers"),
+            ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "precisions": [True, "0.5"]}]},
+             "bad report document: ValueError: precisions must be a non-empty list of numbers "
+             "in [0, 1], got [True, '0.5']"),
+            ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "alpha": "0.1"}]},
+             "bad report document: ValueError: alpha must be a finite number, got '0.1'"),
+            ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "alpha": float("nan")}]},
+             "bad report document: ValueError: alpha must be a finite number, got nan"),
+            ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "slice_type": "rarest"}]},
+             "bad report document: ValueError: slice_type must be one of rare, correlation, "
+             "noisy_label, got 'rarest'"),
+            # an unknown model kind would never be excluded
+            ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "model_kind": "trained"}]},
+             "bad report document: ValueError: model_kind must be one of trained_ingested, "
+             "synthetic, got 'trained'"),
         ],
     )
     def test_malformed_document_exit_two(self, runner, tmp_path, doc, message):

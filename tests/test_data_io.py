@@ -1,5 +1,6 @@
 """Data model and file format tests."""
 
+import dataclasses
 import re
 import struct
 import tracemalloc
@@ -13,16 +14,21 @@ from hypothesis import strategies as st
 
 from slicekit import (
     EmbeddingMatrix,
+    FitConfig,
     LabeledSplit,
+    MixtureSDM,
     SliceScores,
+    fit,
     load_embeddings,
     load_scores,
     load_split,
     save_embeddings,
     save_scores,
 )
+from slicekit.baselines import GeorgeSDM, MultiaccuracySDM, SpotlightSDM
 from slicekit.errors import (
     ArgmaxInconsistent,
+    DtypeMismatch,
     LabelOutOfRange,
     MagicMismatch,
     NonFiniteValue,
@@ -42,32 +48,49 @@ def _header(n, d, magic=b"EMB1", version=1):
     return struct.pack("<4sIQI", magic, version, n, d)
 
 
+def load_both(path):
+    """``load_embeddings(path)``, once a float32 read has ended the same way.
+
+    Kept in float32, a read must raise the same type with the same message,
+    or hold the same values.
+    """
+    outcomes = []
+    for dtype in (np.float32, np.float64):
+        try:
+            outcomes.append(load_embeddings(path, dtype=dtype).values.astype(np.float64).tobytes())
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    return load_embeddings(path)
+
+
 class TestEmbeddingFormat:
     def test_binary_header_row_major(self, tmp_path):
         path = tmp_path / "e.emb"
         payload = np.arange(6, dtype="<f4").tobytes()
         path.write_bytes(_header(2, 3) + payload)
-        emb = load_embeddings(path)
+        emb = load_both(path)
         assert emb.n == 2 and emb.d == 3
         assert np.array_equal(emb.values, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        assert load_embeddings(path, dtype=np.float32).values.dtype == np.float32
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "e.emb"
         path.write_bytes(_header(1, 1, magic=b"XXXX") + b"\x00" * 4)
         with pytest.raises(MagicMismatch):
-            load_embeddings(path)
+            load_both(path)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "e.emb"
         path.write_bytes(_header(1, 1, version=2) + b"\x00" * 4)
         with pytest.raises(MagicMismatch):
-            load_embeddings(path)
+            load_both(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "e.emb"
         path.write_bytes(_header(2, 3) + np.arange(5, dtype="<f4").tobytes())
         with pytest.raises(TruncatedFile):
-            load_embeddings(path)
+            load_both(path)
 
     def test_non_finite_payload(self, tmp_path):
         path = tmp_path / "e.emb"
@@ -76,13 +99,13 @@ class TestEmbeddingFormat:
             payload = np.array([1.0, bad], dtype="<f4").tobytes()
             path.write_bytes(_header(1, 2) + payload)
             with pytest.raises(NonFiniteValue, match=message):
-                load_embeddings(path)
+                load_both(path)
         path = tmp_path / "e.csv"
         message = re.escape(f"{path}: embedding payload contains NaN or Inf")
         for bad in ("nan", "inf", "-inf"):
             path.write_text(f"1.0,{bad}\n")
             with pytest.raises(NonFiniteValue, match=message):
-                load_embeddings(path)
+                load_both(path)
 
     def test_round_trip_byte_identical(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -126,7 +149,8 @@ class TestEmbeddingFormat:
 class TestStreamingRead:
     """EMB1 reads fill one float64 matrix through a reused float32 buffer.
 
-    An 11 x 5 matrix read 7 values at a time puts chunk edges inside rows.
+    A float32 read (``load_both``) fills its result in the same chunks. An
+    11 x 5 matrix read 7 values at a time puts chunk edges inside rows.
     """
 
     N, D = 11, 5
@@ -146,7 +170,7 @@ class TestStreamingRead:
         path = tmp_path / "e.emb"
         path.write_bytes(_header(self.N, self.D) + payload)
         expected = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        values = load_embeddings(path).values
+        values = load_both(path).values
         assert values.shape == (self.N, self.D)
         assert values.tobytes() == expected.tobytes()
 
@@ -154,13 +178,13 @@ class TestStreamingRead:
         path = tmp_path / "e.emb"
         path.write_bytes(_header(self.N, self.D) + self._payload()[:-10])
         with pytest.raises(TruncatedFile, match="230 bytes, expected 240"):
-            load_embeddings(path)
+            load_both(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "e.emb"
         path.write_bytes(_header(self.N, self.D) + self._payload() + b"\x00")
         with pytest.raises(TruncatedFile, match="241 bytes, expected 240"):
-            load_embeddings(path)
+            load_both(path)
 
     def test_file_that_shrinks_while_read(self, tmp_path, monkeypatch):
         # the size check passes, so the short read itself must be caught
@@ -169,7 +193,7 @@ class TestStreamingRead:
         stat = SimpleNamespace(st_size=len(_header(self.N, self.D)) + 4 * self.N * self.D)
         monkeypatch.setattr(fileio, "os", SimpleNamespace(fstat=lambda fd: stat))
         with pytest.raises(TruncatedFile, match="ended at byte 230, expected 240"):
-            load_embeddings(path)
+            load_both(path)
 
     def test_nan_in_the_last_chunk_only(self, tmp_path):
         values = np.frombuffer(self._payload(), dtype="<f4").copy()
@@ -178,13 +202,13 @@ class TestStreamingRead:
         path.write_bytes(_header(self.N, self.D) + values.tobytes())
         message = re.escape(f"{path}: embedding payload contains NaN or Inf")
         with pytest.raises(NonFiniteValue, match=message):
-            load_embeddings(path)
+            load_both(path)
 
     def test_huge_declared_shape_fails_before_allocating(self, tmp_path):
         path = tmp_path / "e.emb"
         path.write_bytes(_header(2**40, self.D) + self._payload())
         with pytest.raises(TruncatedFile, match="expected"):
-            load_embeddings(path)
+            load_both(path)
 
 
 def test_read_peak_memory_is_about_one_matrix(tmp_path):
@@ -202,6 +226,71 @@ def test_read_peak_memory_is_about_one_matrix(tmp_path):
         tracemalloc.stop()
     assert emb.values.shape == (n, d)
     assert peak <= 1.25 * 8 * n * d, f"peak {peak / (8 * n * d):.2f} x the matrix"
+
+
+def test_float32_read_peak_memory_is_about_the_payload(tmp_path):
+    """A 20000 x 256 read kept in float32 fills its result with no second buffer."""
+    n, d = 20000, 256
+    path = tmp_path / "big.emb"
+    payload = np.random.default_rng(1).standard_normal(n * d).astype("<f4")
+    path.write_bytes(_header(n, d) + payload.tobytes())
+    del payload
+    tracemalloc.start()
+    try:
+        emb = load_embeddings(path, dtype=np.float32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert emb.values.dtype == np.float32
+    assert peak < 1.1 * 4 * n * d, f"peak {peak / (4 * n * d):.2f} x the payload"
+
+
+class TestFloat32Storage:
+    """A float32-stored matrix is kept as given, never rounds, and is never fit."""
+
+    def test_float32_array_is_kept(self):
+        a = np.ones((3, 2), dtype=np.float32)
+        assert EmbeddingMatrix(a, dtype=np.float32).values is a
+        assert not a.flags.writeable
+        # without the keyword a float32 array is upcast, as ever
+        assert EmbeddingMatrix(np.ones((3, 2), np.float32)).values.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "values", [np.ones((2, 2)), [[0.1, 2.0]], np.ones((2, 2), np.int64)], ids=["f64", "list", "i64"]
+    )
+    def test_nothing_is_rounded(self, values):
+        with pytest.raises(DtypeMismatch, match="float32 storage would round"):
+            EmbeddingMatrix(values, dtype=np.float32)
+
+    def test_only_float64_and_float32(self):
+        with pytest.raises(ValueError, match="float64 or float32, not float16"):
+            EmbeddingMatrix(np.ones((2, 2), np.float16), dtype=np.float16)
+
+    def test_finiteness_checked_on_the_stored_values(self):
+        bad = np.ones((2, 2), np.float32)
+        bad[1, 1] = np.inf
+        with pytest.raises(NonFiniteValue):
+            EmbeddingMatrix(bad, dtype=np.float32)
+        # the float32 sum overflows, so the elementwise check decides
+        big = np.full((2, 2), 3e38, np.float32)
+        assert EmbeddingMatrix(big, dtype=np.float32).values is big
+
+    def test_fitting_paths_reject_it(self):
+        setting = make_synthetic_setting("rare", 0.1, n=200, d=4, seed=0,
+                                         model=SyntheticModelSpec.natural_defaults(seed=1))
+        split = setting.valid_split
+        narrow = EmbeddingMatrix(setting.valid_emb.values.astype(np.float32), dtype=np.float32)
+        calls = {
+            "fit": lambda: fit(narrow, split, FitConfig(k_bar=4, k_hat=2)),
+            "domino": lambda: MixtureSDM(FitConfig(k_bar=4, k_hat=2)).fit(narrow, split),
+            "spotlight": lambda: SpotlightSDM().fit(narrow, split),
+            "george": lambda: GeorgeSDM().fit(narrow, split),
+            "multiaccuracy": lambda: MultiaccuracySDM().fit(narrow, split),
+            "setting": lambda: dataclasses.replace(setting, valid_emb=narrow),
+        }
+        for name, call in calls.items():
+            with pytest.raises(DtypeMismatch, match="stored as float32"):
+                call()
 
 
 class TestLabelsCsv:

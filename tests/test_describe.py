@@ -1,10 +1,16 @@
 """Slice description: prototypes, phrase ranking, name recall."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
+import slicekit
 from slicekit import (
     EmbeddingMatrix,
     LabeledSplit,
@@ -16,6 +22,7 @@ from slicekit import (
     rank_phrases,
     slice_prototype,
 )
+from slicekit import describe
 from slicekit.describe import dominant_class, load_phrase_corpus
 from slicekit.errors import EmptyClass, EmptyCorpus, ZeroMass
 from slicekit.fileio import save_embeddings
@@ -327,3 +334,63 @@ class TestDescribeSlices:
         save_embeddings(EmbeddingMatrix(np.eye(2)), emb_path)
         corpus = load_phrase_corpus(phrases, emb_path)
         assert corpus.phrases == ("a photo of sky", "a photo of sea")
+
+
+# Ranks every phrase of corpora whose row counts are not multiples of 4 and
+# that span many upcast blocks, once kept in float32 and once as the exact
+# float64 upcast, and requires the same phrases and the same scores.
+_FLOAT32_RANKING = """
+import numpy as np
+from slicekit import EmbeddingMatrix, PhraseCorpus, rank_phrases
+for n, d in ((1003, 300), (5003, 768)):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n, d)).astype(np.float32)
+    phrases = tuple(f"phrase {i}" for i in range(n))
+    proto, class_proto = rng.standard_normal((2, d))
+    narrow = PhraseCorpus(phrases, EmbeddingMatrix(values, dtype=np.float32))
+    wide = PhraseCorpus(phrases, EmbeddingMatrix(values))
+    assert narrow.embeddings.values.dtype == np.float32
+    assert rank_phrases(proto, class_proto, narrow, n) == rank_phrases(proto, class_proto, wide, n), (n, d)
+"""
+
+
+class TestFloat32Corpus:
+    def test_ranks_as_its_float64_upcast(self):
+        # With several BLAS threads OpenBLAS can split the whole float64
+        # product across them at row offsets that change its bits (5003 x 768
+        # does), so this runs in a fresh interpreter with one BLAS thread, as
+        # the benchmark runs.
+        src = str(Path(slicekit.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1", "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _FLOAT32_RANKING], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+
+    def test_describes_as_its_float64_upcast(self):
+        rng = np.random.default_rng(8)
+        split = tiny_split(rng.integers(0, 3, 60))
+        emb = EmbeddingMatrix(rng.standard_normal((60, 5)))
+        scores = SliceScores(rng.random((60, 3)), "manual")
+        values = rng.standard_normal((203, 5)).astype(np.float32)
+        phrases = tuple(f"phrase {i}" for i in range(203))
+        described = [
+            describe_slices(emb, split, scores, PhraseCorpus(phrases, corpus), top=7)
+            for corpus in (EmbeddingMatrix(values, dtype=np.float32), EmbeddingMatrix(values))
+        ]
+        assert described[0].slice_descriptions == described[1].slice_descriptions
+
+    @pytest.mark.parametrize("limit, dtype", [(12, np.float64), (11, np.float32)])
+    def test_corpus_size_rule(self, tmp_path, monkeypatch, limit, dtype):
+        # a 3 x 4 corpus holds 12 values: float32 only above the limit
+        monkeypatch.setattr(describe, "_FLOAT32_CORPUS_VALUES", limit)
+        (tmp_path / "phrases.tsv").write_text("a\nb\nc\n")
+        values = np.arange(12, dtype=np.float32).reshape(3, 4) / 8
+        save_embeddings(EmbeddingMatrix(values), tmp_path / "phrases.emb")
+        save_embeddings(EmbeddingMatrix(values), tmp_path / "phrases.csv")
+        corpus = load_phrase_corpus(tmp_path / "phrases.tsv", tmp_path / "phrases.emb")
+        assert corpus.embeddings.values.dtype == dtype
+        assert np.array_equal(corpus.embeddings.values, values)
+        # a CSV corpus is read as float64 whatever its size
+        corpus = load_phrase_corpus(tmp_path / "phrases.tsv", tmp_path / "phrases.csv")
+        assert corpus.embeddings.values.dtype == np.float64

@@ -212,8 +212,9 @@ def test_manifest_with_a_repeated_id(tmp_path):
 def test_emb1_with_empty_shape(tmp_path):
     path = tmp_path / "e.emb"
     path.write_bytes(struct.pack("<4sIQI", b"EMB1", 1, 5, 0))
-    with pytest.raises(SchemaError, match="empty"):
-        load_embeddings(path)
+    for dtype in (np.float64, np.float32):
+        with pytest.raises(SchemaError, match=f"{path}: declares an empty 5 x 0 matrix$"):
+            load_embeddings(path, dtype=dtype)
 
 
 def test_missing_file_is_io_error(tmp_path):
@@ -364,17 +365,21 @@ def odd_emb1(tmp_path_factory):
 @hsettings(max_examples=80, deadline=None)
 @given(edits=_EDITS)
 def test_mutated_emb1_read_in_small_chunks_raises_only_slicekit_errors(inputs, odd_emb1, edits):
-    # 4-value chunks end inside rows, so a mutation can land at any chunk edge
+    # 4-value chunks end inside rows, so a mutation can land at any chunk edge;
+    # a read kept in float32 must raise the same error or hold the same values
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fileio, "_CHUNK_VALUES", 4)
         for path, original in (inputs["emb1"][:2], odd_emb1):
             path.write_bytes(_mutate(original, edits))
             try:
-                load_embeddings(path)
-            except SliceKitError:
-                pass
+                wide, narrow = [
+                    _outcome(lambda: load_embeddings(path, dtype=dtype).values.astype(np.float64))
+                    for dtype in (np.float64, np.float32)
+                ]
             finally:
                 path.write_bytes(original)
+            assert narrow == wide
+            assert wide[0] == "returned" or issubclass(wide[1], SliceKitError)
 
 
 _JSON_VALUES = st.recursive(
