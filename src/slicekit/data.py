@@ -59,21 +59,28 @@ def keep_arrays(obj: Any, **arrays: np.ndarray | None) -> None:
         object.__setattr__(obj, name, arr)
 
 
+def storage_dtype(dtype: Any) -> np.dtype:
+    """``dtype`` as a numpy dtype; ValueError unless it is float64 or float32."""
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float64, np.float32):
+        raise ValueError(f"embeddings are stored as float64 or float32, not {dtype}")
+    return dtype
+
+
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """Dense n-by-d matrix of input or phrase embeddings, row i = example i.
 
     ``values`` follows the module's array rule in ``dtype``: float64, or
-    float32 storage as the module docstring describes.
+    float32 storage as the module docstring describes. ``dtype`` is not kept
+    as a field, so ``dataclasses.replace`` of a float32 matrix upcasts it.
     """
 
     values: np.ndarray
     dtype: InitVar[type] = np.float64
 
     def __post_init__(self, dtype: type) -> None:
-        dtype = np.dtype(dtype)
-        if dtype not in (np.float64, np.float32):
-            raise ValueError(f"embeddings are stored as float64 or float32, not {dtype}")
+        dtype = storage_dtype(dtype)
         if dtype == np.float32:
             given = np.asarray(self.values).dtype
             if not np.can_cast(given, dtype):

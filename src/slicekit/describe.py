@@ -18,18 +18,13 @@ import numpy as np
 
 from .data import EmbeddingMatrix, LabeledSplit, SliceScores, check_pair
 from .errors import DimensionMismatch, EmptyClass, EmptyCorpus, SchemaError, ZeroMass
-from .fileio import EMB1_HEADER, load_embeddings, read_lines
+from .fileio import load_embeddings, read_lines
 
 logger = logging.getLogger(__name__)
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
-# A corpus whose float64 form would exceed 64 MiB (n * d > 2**23 values) stays
-# in its file's float32 and is upcast a block at a time per query. That makes
-# each ranking slower (about 30 ms instead of 21 ms at 50k x 512 on one Xeon
-# core), which a smaller corpus, saving little memory, does not pay for.
-_FLOAT32_CORPUS_VALUES = 1 << 23
-# float64 values per upcast block when ranking a float32 corpus: 256 KiB
+# float64 values per block when ranking a corpus: 256 KiB
 _BLOCK_VALUES = 1 << 15
 
 
@@ -103,7 +98,8 @@ def rank_phrases(
 
     Best first, none when ``top`` is below 1. Ties are broken toward the
     lower phrase index; a zero distilled prototype degenerates to corpus
-    order and is logged. A float32 corpus is scored in float64 row blocks.
+    order and is logged. The corpus is scored in float64 row blocks, upcast
+    from float32 storage a block at a time.
     """
     proto = np.asarray(proto, dtype=np.float64).ravel()
     class_proto = np.asarray(class_proto, dtype=np.float64).ravel()
@@ -115,19 +111,17 @@ def rank_phrases(
     if top <= 0:
         return []
     values, n = corpus.embeddings.values, corpus.size
-    if values.dtype == np.float64:
-        scores = values @ query
-    else:
-        # OpenBLAS (0.3.31, SkylakeX) computes a mat-vec four rows at a time
-        # and the remainder rows with another kernel, so blocks of a multiple
-        # of 4 rows give the whole float64 matrix's bits at one BLAS thread;
-        # blocks of 1-3, 5-7, 109 or 333 rows do not. Blocks this small gave
-        # those bits at two threads too, where the whole matrix's own product
-        # can differ (at rows 2500, 5000 and 5001 of 5003 x 768).
-        rows = max(4, _BLOCK_VALUES // corpus.embeddings.d // 4 * 4)
-        scores = np.empty(n)
-        for a in range(0, n, rows):
-            np.matmul(values[a : a + rows].astype(np.float64), query, out=scores[a : a + rows])
+    # OpenBLAS (0.3.31, SkylakeX) computes a mat-vec four rows at a time and
+    # the remainder rows with another kernel, so blocks of a multiple of 4 rows
+    # give the whole matrix's one-thread bits; blocks of 1-3, 5-7, 109 or 333
+    # rows do not. Blocks this small gave those bits at two BLAS threads too,
+    # where the whole matrix's own product differs (at rows 2500, 5000 and
+    # 5001 of 5003 x 768), so the scores do not depend on the thread count.
+    rows = max(4, _BLOCK_VALUES // corpus.embeddings.d // 4 * 4)
+    scores = np.empty(n)
+    for a in range(0, n, rows):
+        block = values[a : a + rows].astype(np.float64, copy=False)
+        np.matmul(block, query, out=scores[a : a + rows])
     top = min(top, n)
     # Every score tied with the top-th largest is a candidate, and a stable
     # sort of the candidates (in index order) breaks those ties exactly as a
@@ -221,21 +215,11 @@ def describe_slices(
 def load_phrase_corpus(phrases_path: str | Path, embeddings_path: str | Path) -> PhraseCorpus:
     """Read phrases.tsv plus its row-aligned embeddings.
 
-    An EMB1 payload of more than ``_FLOAT32_CORPUS_VALUES`` values stays
-    float32, which only ``rank_phrases`` reads; a smaller one is float64.
+    An EMB1 payload stays float32, which only ``rank_phrases`` reads.
     """
     phrases = tuple(line.split("\t")[0] for line in read_lines(phrases_path) if line)
-    embeddings = load_embeddings(embeddings_path, dtype=_corpus_dtype(Path(embeddings_path)))
+    embeddings = load_embeddings(embeddings_path, dtype=np.float32)
     try:
         return PhraseCorpus(phrases=phrases, embeddings=embeddings)
     except ValueError as exc:
         raise SchemaError(f"{phrases_path}: {exc}") from exc
-
-
-def _corpus_dtype(path: Path) -> type:
-    """float32 when an EMB1 file's size declares more values than the corpus rule allows."""
-    try:
-        size = path.stat().st_size
-    except OSError:  # load_embeddings reports it
-        return np.float64
-    return np.float32 if size > EMB1_HEADER.size + 4 * _FLOAT32_CORPUS_VALUES else np.float64

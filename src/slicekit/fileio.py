@@ -40,7 +40,14 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .data import EmbeddingMatrix, LabeledSplit, SliceScores, SliceSetting, check_pair
+from .data import (
+    EmbeddingMatrix,
+    LabeledSplit,
+    SliceScores,
+    SliceSetting,
+    check_pair,
+    storage_dtype,
+)
 from .errors import (
     IoError,
     MagicMismatch,
@@ -53,7 +60,7 @@ from .settings import BaseTable
 
 _MAGIC = b"EMB1"
 _VERSION = 1
-EMB1_HEADER = struct.Struct("<4sIQI")
+_HEADER = struct.Struct("<4sIQI")
 # float32 values per EMB1 read: 4 MiB, through one reused buffer for float64
 _CHUNK_VALUES = 1 << 20
 
@@ -97,7 +104,7 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
         else:
             payload = np.ascontiguousarray(emb.values, dtype="<f4")
             with path.open("wb") as fh:
-                fh.write(EMB1_HEADER.pack(_MAGIC, _VERSION, emb.n, emb.d))
+                fh.write(_HEADER.pack(_MAGIC, _VERSION, emb.n, emb.d))
                 fh.write(payload.data)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
@@ -107,8 +114,10 @@ def load_embeddings(path: str | Path, *, dtype: type = np.float64) -> EmbeddingM
     """Read an EMB1 binary file, or headerless CSV for a .csv path.
 
     ``dtype=np.float32`` keeps an EMB1 payload as stored (see ``data``); a
-    CSV file is read as float64 either way.
+    CSV file is read as float64 either way. Any other ``dtype`` is a
+    ValueError.
     """
+    dtype = storage_dtype(dtype)
     path = Path(path)
     values = _read_embeddings_csv(path) if path.suffix == ".csv" else _read_emb1(path, dtype)
     try:
@@ -117,25 +126,25 @@ def load_embeddings(path: str | Path, *, dtype: type = np.float64) -> EmbeddingM
         raise NonFiniteValue(f"{path}: embedding payload contains NaN or Inf") from exc
 
 
-def _read_emb1(path: Path, dtype: type) -> np.ndarray:
+def _read_emb1(path: Path, dtype: np.dtype) -> np.ndarray:
     try:
         with path.open("rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            header = fh.read(EMB1_HEADER.size)
-            if len(header) < EMB1_HEADER.size:
-                raise TruncatedFile(f"{path}: shorter than the {EMB1_HEADER.size}-byte header")
-            magic, version, n, d = EMB1_HEADER.unpack(header)
+            header = fh.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise TruncatedFile(f"{path}: shorter than the {_HEADER.size}-byte header")
+            magic, version, n, d = _HEADER.unpack(header)
             if magic != _MAGIC:
                 raise MagicMismatch(f"{path}: bad magic {magic!r}")
             if version != _VERSION:
                 raise MagicMismatch(f"{path}: unsupported version {version}")
             if n < 1 or d < 1:
                 raise SchemaError(f"{path}: declares an empty {n} x {d} matrix")
-            expected = EMB1_HEADER.size + 4 * n * d
+            expected = _HEADER.size + 4 * n * d
             if size != expected:
                 raise TruncatedFile(f"{path}: {size} bytes, expected {expected}")
             count = n * d
-            direct = np.dtype(dtype) == np.float32
+            direct = dtype == np.float32
             values = np.empty(count, dtype="<f4" if direct else np.float64)
             buf = None if direct else np.empty(min(_CHUNK_VALUES, count), dtype="<f4")
             for start in range(0, count, _CHUNK_VALUES):
@@ -143,7 +152,7 @@ def _read_emb1(path: Path, dtype: type) -> np.ndarray:
                 chunk = values[start:stop] if direct else buf[: stop - start]
                 got = fh.readinto(chunk.data)
                 if got != chunk.nbytes:
-                    end = EMB1_HEADER.size + 4 * start + got
+                    end = _HEADER.size + 4 * start + got
                     raise TruncatedFile(f"{path}: ended at byte {end}, expected {expected}")
                 if not direct:
                     values[start:stop] = chunk

@@ -262,9 +262,18 @@ class TestFloat32Storage:
         with pytest.raises(DtypeMismatch, match="float32 storage would round"):
             EmbeddingMatrix(values, dtype=np.float32)
 
-    def test_only_float64_and_float32(self):
+    def test_only_float64_and_float32(self, tmp_path):
         with pytest.raises(ValueError, match="float64 or float32, not float16"):
             EmbeddingMatrix(np.ones((2, 2), np.float16), dtype=np.float16)
+        # the reader refuses the same dtypes with the same error, CSV included
+        for name in ("e.emb", "e.csv"):
+            save_embeddings(EmbeddingMatrix(np.ones((2, 2))), tmp_path / name)
+            with pytest.raises(ValueError, match="float64 or float32, not float16"):
+                load_embeddings(tmp_path / name, dtype=np.float16)
+
+    def test_replace_upcasts(self):
+        narrow = EmbeddingMatrix(np.ones((2, 2), np.float32), dtype=np.float32)
+        assert dataclasses.replace(narrow).values.dtype == np.float64
 
     def test_finiteness_checked_on_the_stored_values(self):
         bad = np.ones((2, 2), np.float32)

@@ -22,7 +22,6 @@ from slicekit import (
     rank_phrases,
     slice_prototype,
 )
-from slicekit import describe
 from slicekit.describe import dominant_class, load_phrase_corpus
 from slicekit.errors import EmptyClass, EmptyCorpus, ZeroMass
 from slicekit.fileio import save_embeddings
@@ -337,11 +336,14 @@ class TestDescribeSlices:
 
 
 # Ranks every phrase of corpora whose row counts are not multiples of 4 and
-# that span many upcast blocks, once kept in float32 and once as the exact
-# float64 upcast, and requires the same phrases and the same scores.
-_FLOAT32_RANKING = """
+# that span many blocks, kept in float32 and as the exact float64 upcast. At
+# one BLAS thread both must give the whole float64 product's scores in a
+# stable descending order; the script prints the scores' digest.
+_BLOCKED_RANKING = """
+import hashlib, os
 import numpy as np
 from slicekit import EmbeddingMatrix, PhraseCorpus, rank_phrases
+digest = hashlib.sha256()
 for n, d in ((1003, 300), (5003, 768)):
     rng = np.random.default_rng(n)
     values = rng.standard_normal((n, d)).astype(np.float32)
@@ -349,25 +351,34 @@ for n, d in ((1003, 300), (5003, 768)):
     proto, class_proto = rng.standard_normal((2, d))
     narrow = PhraseCorpus(phrases, EmbeddingMatrix(values, dtype=np.float32))
     wide = PhraseCorpus(phrases, EmbeddingMatrix(values))
-    assert narrow.embeddings.values.dtype == np.float32
-    assert rank_phrases(proto, class_proto, narrow, n) == rank_phrases(proto, class_proto, wide, n), (n, d)
+    ranked = rank_phrases(proto, class_proto, narrow, n)
+    assert rank_phrases(proto, class_proto, wide, n) == ranked, (n, d)
+    if os.environ["OPENBLAS_NUM_THREADS"] == "1":
+        scores = wide.embeddings.values @ (proto - class_proto)
+        order = np.argsort(-scores, kind="stable")
+        assert ranked == [(phrases[i], float(scores[i])) for i in order], (n, d)
+    digest.update(np.array([s for _, s in ranked]).tobytes())
+print(digest.hexdigest())
 """
 
 
-class TestFloat32Corpus:
-    def test_ranks_as_its_float64_upcast(self):
-        # With several BLAS threads OpenBLAS can split the whole float64
-        # product across them at row offsets that change its bits (5003 x 768
-        # does), so this runs in a fresh interpreter with one BLAS thread, as
-        # the benchmark runs.
+class TestBlockedRanking:
+    def test_gives_the_whole_product_at_any_thread_count(self):
+        # With two BLAS threads OpenBLAS splits the whole float64 product at
+        # row offsets that change its bits (5003 x 768 does); the blocked
+        # scores must not change. Fresh interpreters fix the thread count.
         src = str(Path(slicekit.__file__).parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-               "MKL_NUM_THREADS": "1", "PYTHONPATH": src}
-        run = subprocess.run([sys.executable, "-c", _FLOAT32_RANKING], env=env,
-                             capture_output=True, text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads, "PYTHONPATH": src}
+            run = subprocess.run([sys.executable, "-c", _BLOCKED_RANKING], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
 
-    def test_describes_as_its_float64_upcast(self):
+    def test_describes_float32_as_its_float64_upcast(self):
         rng = np.random.default_rng(8)
         split = tiny_split(rng.integers(0, 3, 60))
         emb = EmbeddingMatrix(rng.standard_normal((60, 5)))
@@ -380,17 +391,12 @@ class TestFloat32Corpus:
         ]
         assert described[0].slice_descriptions == described[1].slice_descriptions
 
-    @pytest.mark.parametrize("limit, dtype", [(12, np.float64), (11, np.float32)])
-    def test_corpus_size_rule(self, tmp_path, monkeypatch, limit, dtype):
-        # a 3 x 4 corpus holds 12 values: float32 only above the limit
-        monkeypatch.setattr(describe, "_FLOAT32_CORPUS_VALUES", limit)
+    def test_corpus_file_dtypes(self, tmp_path):
+        # an EMB1 corpus stays float32; a CSV corpus is read as float64
         (tmp_path / "phrases.tsv").write_text("a\nb\nc\n")
         values = np.arange(12, dtype=np.float32).reshape(3, 4) / 8
-        save_embeddings(EmbeddingMatrix(values), tmp_path / "phrases.emb")
-        save_embeddings(EmbeddingMatrix(values), tmp_path / "phrases.csv")
-        corpus = load_phrase_corpus(tmp_path / "phrases.tsv", tmp_path / "phrases.emb")
-        assert corpus.embeddings.values.dtype == dtype
-        assert np.array_equal(corpus.embeddings.values, values)
-        # a CSV corpus is read as float64 whatever its size
-        corpus = load_phrase_corpus(tmp_path / "phrases.tsv", tmp_path / "phrases.csv")
-        assert corpus.embeddings.values.dtype == np.float64
+        for name, dtype in (("phrases.emb", np.float32), ("phrases.csv", np.float64)):
+            save_embeddings(EmbeddingMatrix(values), tmp_path / name)
+            corpus = load_phrase_corpus(tmp_path / "phrases.tsv", tmp_path / name)
+            assert corpus.embeddings.values.dtype == dtype
+            assert np.array_equal(corpus.embeddings.values, values)
