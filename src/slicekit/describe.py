@@ -3,7 +3,9 @@
 A slice prototype is the score-weighted mean embedding of a discovered slice;
 subtracting the prototype of the slice's dominant class distills it into a
 query vector that is ranked against a corpus of phrase embeddings by plain
-dot product.
+dot product. ``describe_slices`` ranks every slice's query in one pass over
+the corpus: each row block is upcast to float64 once and multiplied by each
+query alone, so the scores keep the bits of one query ranked at a time.
 """
 
 from __future__ import annotations
@@ -88,48 +90,73 @@ def dominant_class(split: LabeledSplit, weights: np.ndarray) -> int:
     return int(np.argmax(mass))
 
 
-def rank_phrases(
-    proto: np.ndarray,
-    class_proto: np.ndarray,
-    corpus: PhraseCorpus,
-    top: int = 10,
-) -> list[tuple[str, float]]:
-    """The ``top`` phrases by dot product with the distilled slice prototype.
-
-    Best first, none when ``top`` is below 1. Ties are broken toward the
-    lower phrase index; a zero distilled prototype degenerates to corpus
-    order and is logged. The corpus is scored in float64 row blocks, upcast
-    from float32 storage a block at a time.
-    """
-    proto = np.asarray(proto, dtype=np.float64).ravel()
-    class_proto = np.asarray(class_proto, dtype=np.float64).ravel()
-    if proto.shape[0] != corpus.embeddings.d or class_proto.shape[0] != corpus.embeddings.d:
-        raise DimensionMismatch("prototype and corpus dimensionality disagree")
-    query = proto - class_proto
-    if not query.any():
-        logger.warning("distilled prototype is zero; phrase ranking is degenerate")
-    if top <= 0:
-        return []
-    values, n = corpus.embeddings.values, corpus.size
+def _score_corpus(queries: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The ``(k, n)`` dot products of ``k`` float64 queries with every row."""
+    n, d = values.shape
     # OpenBLAS (0.3.31, SkylakeX) computes a mat-vec four rows at a time and
     # the remainder rows with another kernel, so blocks of a multiple of 4 rows
     # give the whole matrix's one-thread bits; blocks of 1-3, 5-7, 109 or 333
     # rows do not. Blocks this small gave those bits at two BLAS threads too,
     # where the whole matrix's own product differs (at rows 2500, 5000 and
     # 5001 of 5003 x 768), so the scores do not depend on the thread count.
-    rows = max(4, _BLOCK_VALUES // corpus.embeddings.d // 4 * 4)
-    scores = np.empty(n)
+    # A block times all queries at once would be a GEMM, whose bits differ
+    # from a GEMV's, so each query gets its own mat-vec of the block.
+    rows = max(4, _BLOCK_VALUES // d // 4 * 4)
+    scores = np.empty((len(queries), n))
+    upcast = None if values.dtype == np.float64 else np.empty((min(rows, n), d))
     for a in range(0, n, rows):
-        block = values[a : a + rows].astype(np.float64, copy=False)
-        np.matmul(block, query, out=scores[a : a + rows])
-    top = min(top, n)
-    # Every score tied with the top-th largest is a candidate, and a stable
-    # sort of the candidates (in index order) breaks those ties exactly as a
-    # stable sort of the whole corpus would.
-    kth = np.partition(scores, n - top)[n - top]
-    candidates = np.flatnonzero(scores >= kth)
-    order = candidates[np.argsort(-scores[candidates], kind="stable")[:top]]
-    return [(corpus.phrases[i], float(scores[i])) for i in order]
+        block = values[a : a + rows]
+        if upcast is not None:
+            upcast[: len(block)] = block
+            block = upcast[: len(block)]
+        for query, out in zip(queries, scores):
+            np.matmul(block, query, out=out[a : a + rows])
+    return scores
+
+
+Ranking = list[tuple[str, float]]
+
+
+def rank_phrases(
+    proto: np.ndarray,
+    class_proto: np.ndarray,
+    corpus: PhraseCorpus,
+    top: int = 10,
+) -> Ranking | list[Ranking]:
+    """The ``top`` phrases by dot product with the distilled slice prototype.
+
+    Best first, none when ``top`` is below 1. Ties are broken toward the
+    lower phrase index; a zero distilled prototype degenerates to corpus
+    order and is logged with its row. A ``(k, d)`` stack of prototypes and
+    class prototypes gives one such list per row, all scored in one pass
+    over the corpus; a ``(d,)`` pair is a one-row stack and gives its list.
+    The corpus is scored in float64 row blocks, each upcast from float32
+    storage once and multiplied by every query alone, so each row's scores
+    have the bits of its own ``(d,)`` call.
+    """
+    proto = np.asarray(proto, dtype=np.float64)
+    class_proto = np.asarray(class_proto, dtype=np.float64)
+    n, d = corpus.size, corpus.embeddings.d
+    if proto.shape != class_proto.shape or proto.ndim not in (1, 2) or proto.shape[-1] != d:
+        raise DimensionMismatch("prototype and corpus dimensionality disagree")
+    queries = np.atleast_2d(proto - class_proto)
+    # Also catches finite prototypes whose difference overflows.
+    if not np.all(np.isfinite(queries)):
+        raise ValueError("prototype vector must be finite")
+    for j in np.flatnonzero(~queries.any(axis=1)):
+        logger.warning("distilled prototype %d is zero; phrase ranking is degenerate", j)
+    ranked: list[Ranking] = [[] for _ in queries]
+    if top > 0:
+        top = min(top, n)
+        for row, out in zip(_score_corpus(queries, corpus.embeddings.values), ranked):
+            # Every score tied with the top-th largest is a candidate, and a
+            # stable sort of the candidates (in index order) breaks those ties
+            # exactly as a stable sort of the whole corpus would.
+            kth = np.partition(row, n - top)[n - top]
+            candidates = np.flatnonzero(row >= kth)
+            order = candidates[np.argsort(-row[candidates], kind="stable")[:top]]
+            out.extend((corpus.phrases[i], float(row[i])) for i in order)
+    return ranked[0] if proto.ndim == 1 else ranked
 
 
 def _tokens(text: str) -> list[str]:
@@ -189,23 +216,24 @@ def describe_slices(
         raise DimensionMismatch(
             f"corpus d={corpus.embeddings.d} but input embeddings d={emb.d}"
         )
-    descriptions = []
+    protos, class_rows = [], []
     class_protos: dict[int, np.ndarray] = {}
     for j in range(scores.k_hat):
         weights = scores.scores[:, j]
         cls = dominant_class(split, weights)
         try:
-            proto = slice_prototype(emb, weights)
+            protos.append(slice_prototype(emb, weights))
         except ZeroMass as exc:
             raise ZeroMass(f"slice {j} carries no score mass") from exc
         if cls not in class_protos:
             class_protos[cls] = class_prototype(emb, split, cls)
-        ranked = rank_phrases(proto, class_protos[cls], corpus, top)
-        descriptions.append(tuple(phrase for phrase, _ in ranked))
+        class_rows.append(class_protos[cls])
+    # One call ranks every slice in one pass over the corpus.
+    ranked = rank_phrases(np.array(protos), np.array(class_rows), corpus, top)
     return SliceScores(
         scores=scores.scores,
         method=scores.method,
-        slice_descriptions=tuple(descriptions),
+        slice_descriptions=tuple(tuple(phrase for phrase, _ in r) for r in ranked),
     )
 
 
@@ -215,9 +243,16 @@ def describe_slices(
 def load_phrase_corpus(phrases_path: str | Path, embeddings_path: str | Path) -> PhraseCorpus:
     """Read phrases.tsv plus its row-aligned embeddings.
 
-    An EMB1 payload stays float32, which only ``rank_phrases`` reads.
+    Blank lines are skipped; a line whose phrase is empty is a
+    ``SchemaError``. An EMB1 payload stays float32, which only
+    ``rank_phrases`` reads.
     """
-    phrases = tuple(line.split("\t")[0] for line in read_lines(phrases_path) if line)
+    # One cell per line, so a cell's index is its line number less one; None
+    # marks a blank line, which is skipped.
+    cells = [line.partition("\t")[0] if line else None for line in read_lines(phrases_path)]
+    if "" in cells:
+        raise SchemaError(f"{phrases_path}: line {cells.index('') + 1} has an empty phrase")
+    phrases = [phrase for phrase in cells if phrase is not None]
     embeddings = load_embeddings(embeddings_path, dtype=np.float32)
     try:
         return PhraseCorpus(phrases=phrases, embeddings=embeddings)

@@ -22,8 +22,9 @@ from slicekit import (
     rank_phrases,
     slice_prototype,
 )
+from slicekit import describe
 from slicekit.describe import dominant_class, load_phrase_corpus
-from slicekit.errors import EmptyClass, EmptyCorpus, ZeroMass
+from slicekit.errors import DimensionMismatch, EmptyClass, EmptyCorpus, ZeroMass
 from slicekit.fileio import save_embeddings
 
 
@@ -150,6 +151,43 @@ class TestRankPhrases:
         assert all(s == 0.0 for _, s in ranked)
         assert any("degenerate" in r.message for r in caplog.records)
 
+    def test_zero_row_of_a_stack_is_named(self, caplog):
+        corpus = PhraseCorpus(phrases=("a", "b", "c"), embeddings=EmbeddingMatrix(np.eye(3)))
+        protos = np.array([[0.0, 0.0, 2.0], [1.0, 1.0, 1.0], [0.0, 3.0, 0.0]])
+        class_protos = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        with caplog.at_level("WARNING"):
+            ranked = rank_phrases(protos, class_protos, corpus, top=1)
+        assert [r.getMessage() for r in caplog.records] == [
+            "distilled prototype 1 is zero; phrase ranking is degenerate"
+        ]
+        assert [[p for p, _ in row] for row in ranked] == [["c"], ["a"], ["b"]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prototype(self, bad):
+        corpus = PhraseCorpus(phrases=tuple("abcdef"), embeddings=EmbeddingMatrix(np.eye(6)))
+        good = np.ones(6)
+        broken = good.copy()
+        broken[4] = bad
+        for proto, class_proto in ((broken, good), (good, broken)):
+            with pytest.raises(ValueError, match="prototype vector must be finite"):
+                rank_phrases(proto, class_proto, corpus, top=5)
+        # only the last row of a stack is broken
+        stack = np.array([good, 2 * good, broken])
+        with pytest.raises(ValueError, match="prototype vector must be finite"):
+            rank_phrases(stack, np.zeros((3, 6)), corpus, top=5)
+
+    def test_finite_prototypes_whose_difference_overflows(self):
+        corpus = PhraseCorpus(phrases=("a", "b"), embeddings=EmbeddingMatrix(np.eye(2)))
+        with pytest.raises(ValueError, match="prototype vector must be finite"):
+            rank_phrases(np.array([1e308, 0.0]), np.array([-1e308, 0.0]), corpus, top=1)
+
+    @pytest.mark.parametrize("shapes", [((3,), (3,)), ((2, 3), (2, 3)), ((2, 4), (4,)),
+                                        ((2, 4), (3, 4)), ((1, 2, 4), (1, 2, 4))])
+    def test_prototype_shapes_must_match_the_corpus(self, shapes):
+        corpus = PhraseCorpus(phrases=("a", "b"), embeddings=EmbeddingMatrix(np.ones((2, 4))))
+        with pytest.raises(DimensionMismatch):
+            rank_phrases(np.ones(shapes[0]), np.zeros(shapes[1]), corpus, top=1)
+
     def test_hand_computed_two_dimensional(self):
         corpus = PhraseCorpus(
             phrases=("east", "north", "diag"),
@@ -211,6 +249,24 @@ def ranking_case(draw):
     return np.array(rows), np.array(query), extra_top
 
 
+@st.composite
+def stacked_ranking_case(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    vectors = st.lists(_ENTRIES, min_size=d, max_size=d)
+    rows = draw(st.lists(vectors, min_size=n, max_size=n))
+    protos = draw(st.lists(vectors, min_size=k, max_size=k))
+    class_protos = draw(st.lists(vectors, min_size=k, max_size=k))
+    top = draw(st.sampled_from([-1, 0, 1, n - 1, n, n + 3]) | st.integers(1, n))
+    return np.array(rows), np.array(protos), np.array(class_protos), top
+
+
+def bits(ranked):
+    """A ranking with its scores as exact bit patterns (-0.0 differs from 0.0)."""
+    return [(phrase, score.hex()) for phrase, score in ranked]
+
+
 class TestRankPhrasesProperty:
     @hsettings(max_examples=200, deadline=None)
     @given(ranking_case())
@@ -231,10 +287,23 @@ class TestRankPhrasesProperty:
                 scores[reference].view(np.int64),
             )
 
+    @hsettings(max_examples=200, deadline=None)
+    @given(stacked_ranking_case())
+    def test_stacked_rows_equal_per_row_calls(self, case):
+        rows, protos, class_protos, top = case
+        corpus = PhraseCorpus(
+            phrases=tuple(f"p{i}" for i in range(rows.shape[0])), embeddings=EmbeddingMatrix(rows)
+        )
+        stacked = rank_phrases(protos, class_protos, corpus, top=top)
+        assert len(stacked) == protos.shape[0]
+        for ranked, proto, class_proto in zip(stacked, protos, class_protos):
+            assert bits(ranked) == bits(rank_phrases(proto, class_proto, corpus, top=top))
+
     @pytest.mark.parametrize("top", [0, -1])
     def test_top_below_one_is_empty(self, top):
         corpus = PhraseCorpus(phrases=("a", "b"), embeddings=EmbeddingMatrix(np.eye(2)))
         assert rank_phrases(np.ones(2), np.zeros(2), corpus, top=top) == []
+        assert rank_phrases(np.ones((3, 2)), np.zeros((3, 2)), corpus, top=top) == [[], [], []]
 
 
 class TestNameRecall:
@@ -314,6 +383,27 @@ class TestDescribeSlices:
         assert [dominant_class(split, weights[:, j]) for j in range(3)] == [2, 0, 2]
         assert described.slice_descriptions == tuple(expected)
 
+    def test_one_ranking_call_ranks_every_slice(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        emb = EmbeddingMatrix(rng.standard_normal((40, 4)))
+        split = tiny_split(rng.integers(0, 2, 40))
+        scores = SliceScores(rng.random((40, 5)), "manual")
+        corpus = PhraseCorpus(
+            phrases=tuple(f"p{i}" for i in range(25)),
+            embeddings=EmbeddingMatrix(rng.standard_normal((25, 4))),
+        )
+        calls = []
+        rank = describe.rank_phrases
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(describe, "rank_phrases", counted)
+        described = describe_slices(emb, split, scores, corpus, top=3)
+        assert len(calls) == 1
+        assert len(described.slice_descriptions) == 5
+
     def test_zero_mass_names_the_slice(self):
         emb = EmbeddingMatrix(np.eye(4))
         weights = np.zeros((4, 2))
@@ -338,7 +428,8 @@ class TestDescribeSlices:
 # Ranks every phrase of corpora whose row counts are not multiples of 4 and
 # that span many blocks, kept in float32 and as the exact float64 upcast. At
 # one BLAS thread both must give the whole float64 product's scores in a
-# stable descending order; the script prints the scores' digest.
+# stable descending order, and a 3-row stack must give its rows' own
+# rankings bit for bit; the script prints the scores' digest.
 _BLOCKED_RANKING = """
 import hashlib, os
 import numpy as np
@@ -358,6 +449,14 @@ for n, d in ((1003, 300), (5003, 768)):
         order = np.argsort(-scores, kind="stable")
         assert ranked == [(phrases[i], float(scores[i])) for i in order], (n, d)
     digest.update(np.array([s for _, s in ranked]).tobytes())
+    # a 3-row stack ranks each row with the bits of its own 1-D call
+    protos, class_protos = rng.standard_normal((2, 3, d))
+    for corpus in (narrow, wide):
+        stacked = rank_phrases(protos, class_protos, corpus, n)
+        for row, p, c in zip(stacked, protos, class_protos):
+            single = rank_phrases(p, c, corpus, n)
+            assert [(q, s.hex()) for q, s in row] == [(q, s.hex()) for q, s in single], (n, d)
+            digest.update(np.array([s for _, s in row]).tobytes())
 print(digest.hexdigest())
 """
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -215,6 +216,27 @@ def test_emb1_with_empty_shape(tmp_path):
     for dtype in (np.float64, np.float32):
         with pytest.raises(SchemaError, match=f"{path}: declares an empty 5 x 0 matrix$"):
             load_embeddings(path, dtype=dtype)
+
+
+def test_phrase_line_with_an_empty_phrase(tmp_path):
+    phrases = tmp_path / "phrases.tsv"
+    save_embeddings(EmbeddingMatrix(np.eye(3)), tmp_path / "p.emb")
+    # blank lines are skipped but counted
+    for text, number in (("sky\n\n\nsea\n\tg1\n", 5), ("sky\n\tg1\nsea\n", 2)):
+        phrases.write_text(text)
+        with pytest.raises(SchemaError,
+                           match=re.escape(f"{phrases}: line {number} has an empty phrase")):
+            load_phrase_corpus(phrases, tmp_path / "p.emb")
+    setting = _setting_dir(tmp_path)
+    save_scores(SliceScores(np.full((load_setting(setting).valid_emb.n, 1), 0.5), "domino"),
+                tmp_path / "s.json")
+    result = CliRunner().invoke(main, [
+        "describe", "--setting", str(setting), "--scores", str(tmp_path / "s.json"),
+        "--phrases", str(phrases), "--phrase-embeddings", str(tmp_path / "p.emb"),
+        "--out", str(tmp_path / "described.json"),
+    ])
+    assert result.exit_code == 1
+    assert "line 2 has an empty phrase" in result.output
 
 
 def test_missing_file_is_io_error(tmp_path):
