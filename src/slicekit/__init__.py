@@ -23,7 +23,6 @@ from .describe import (
     PhraseCorpus,
     class_prototype,
     describe_slices,
-    name_recall_at_k,
     rank_phrases,
     slice_prototype,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "load_split",
     "m_step",
     "make_synthetic_setting",
-    "name_recall_at_k",
     "precision_at_k",
     "rank_phrases",
     "reduce_dim",

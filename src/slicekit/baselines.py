@@ -41,6 +41,8 @@ class SpotlightConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.min_mass_fraction < 1.0:
             raise ValueError("min_mass_fraction must lie in (0, 1)")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         for name in ("steps", "num_spotlights"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -55,8 +57,9 @@ class MultiaccuracyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        for name in ("eta", "ridge_lambda"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if not 0.0 < self.fit_fraction < 1.0:
             raise ValueError("fit_fraction must lie in (0, 1)")
         if self.rounds < 1:

@@ -4,17 +4,16 @@ A slice prototype is the score-weighted mean embedding of a discovered slice;
 subtracting the prototype of the slice's dominant class distills it into a
 query vector that is ranked against a corpus of phrase embeddings by plain
 dot product. ``describe_slices`` ranks every slice's query in one pass over
-the corpus: each row block is upcast to float64 once and multiplied by each
-query alone, so the scores keep the bits of one query ranked at a time.
+the corpus: each row block, float32 or float64, is copied into one reused
+float64 buffer once and multiplied by each query alone, so the scores keep the
+bits of one query ranked at a time.
 """
 
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,8 +22,6 @@ from .errors import DimensionMismatch, EmptyClass, EmptyCorpus, SchemaError, Zer
 from .fileio import load_embeddings, read_lines
 
 logger = logging.getLogger(__name__)
-
-_TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
 # float64 values per block when ranking a corpus: 256 KiB
 _BLOCK_VALUES = 1 << 15
@@ -66,8 +63,9 @@ def slice_prototype(emb: EmbeddingMatrix, weights: np.ndarray) -> np.ndarray:
     total = weights.sum()
     if total <= 0:
         raise ZeroMass("the weights carry no score mass")
-    vector = (weights @ emb.values) / total
-    # NaN weights pass both comparisons above and surface here.
+    # NaN and inf weights pass both comparisons above and surface here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vector = (weights @ emb.values) / total
     if not np.all(np.isfinite(vector)):
         raise ValueError("prototype vector must be finite")
     return vector
@@ -103,12 +101,10 @@ def _score_corpus(queries: np.ndarray, values: np.ndarray) -> np.ndarray:
     # from a GEMV's, so each query gets its own mat-vec of the block.
     rows = max(4, _BLOCK_VALUES // d // 4 * 4)
     scores = np.empty((len(queries), n))
-    upcast = None if values.dtype == np.float64 else np.empty((min(rows, n), d))
+    buffer = np.empty((min(rows, n), d))
     for a in range(0, n, rows):
-        block = values[a : a + rows]
-        if upcast is not None:
-            upcast[: len(block)] = block
-            block = upcast[: len(block)]
+        block = buffer[: min(rows, n - a)]
+        block[:] = values[a : a + rows]
         for query, out in zip(queries, scores):
             np.matmul(block, query, out=out[a : a + rows])
     return scores
@@ -130,16 +126,17 @@ def rank_phrases(
     order and is logged with its row. A ``(k, d)`` stack of prototypes and
     class prototypes gives one such list per row, all scored in one pass
     over the corpus; a ``(d,)`` pair is a one-row stack and gives its list.
-    The corpus is scored in float64 row blocks, each upcast from float32
-    storage once and multiplied by every query alone, so each row's scores
-    have the bits of its own ``(d,)`` call.
+    The corpus is scored in row blocks, each copied once into one reused
+    float64 buffer (upcast from float32 storage) and multiplied by every
+    query alone, so each row's scores have the bits of its own ``(d,)`` call.
     """
     proto = np.asarray(proto, dtype=np.float64)
     class_proto = np.asarray(class_proto, dtype=np.float64)
     n, d = corpus.size, corpus.embeddings.d
     if proto.shape != class_proto.shape or proto.ndim not in (1, 2) or proto.shape[-1] != d:
         raise DimensionMismatch("prototype and corpus dimensionality disagree")
-    queries = np.atleast_2d(proto - class_proto)
+    with np.errstate(over="ignore", invalid="ignore"):
+        queries = np.atleast_2d(proto - class_proto)
     # Also catches finite prototypes whose difference overflows.
     if not np.all(np.isfinite(queries)):
         raise ValueError("prototype vector must be finite")
@@ -157,41 +154,6 @@ def rank_phrases(
             order = candidates[np.argsort(-row[candidates], kind="stable")[:top]]
             out.extend((corpus.phrases[i], float(row[i])) for i in order)
     return ranked[0] if proto.ndim == 1 else ranked
-
-
-def _tokens(text: str) -> list[str]:
-    return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
-
-
-def _contains_tokens(haystack: list[str], needle: list[str]) -> bool:
-    if not needle or len(needle) > len(haystack):
-        return False
-    return any(
-        haystack[i : i + len(needle)] == needle
-        for i in range(len(haystack) - len(needle) + 1)
-    )
-
-
-def name_recall_at_k(
-    ranked_phrases: Sequence[str],
-    name: str,
-    synonyms: Mapping[str, Sequence[str]] | None,
-    k: int,
-) -> bool:
-    """Whether the slice name or a synonym occurs in any of the top-k phrases.
-
-    Matching is case-insensitive on whole punctuation-stripped tokens;
-    multi-word names must appear as a contiguous token run.
-    """
-    candidates = [name]
-    if synonyms:
-        candidates.extend(synonyms.get(name, ()))
-    needles = [_tokens(c) for c in candidates]
-    for phrase in list(ranked_phrases)[: max(0, k)]:
-        haystack = _tokens(phrase)
-        if any(_contains_tokens(haystack, needle) for needle in needles):
-            return True
-    return False
 
 
 def describe_slices(

@@ -50,16 +50,16 @@ class FitConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.k_hat <= self.k_bar:
             raise ValueError(f"k_hat must lie in [1, k_bar={self.k_bar}], got {self.k_hat}")
-        if not 0 <= self.gamma < np.inf:
-            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
+        # Every float bound is written so that NaN fails it.
+        for name in ("gamma", "init_noise"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
+        for name in ("rel_tol", "cov_floor"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         for name in ("max_iter", "pca_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        for name in ("rel_tol", "cov_floor"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.init_noise < 0:
-            raise ValueError("init_noise must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,8 @@ class MixtureParams:
             for f in fields(self)
         }
         weights, means, variances, label_probs, pred_probs = arrays.values()
+        if not all(np.isfinite(a).all() for a in arrays.values()):
+            raise ValueError("mixture parameters must be finite")
         k = weights.shape[0]
         if means.shape[0] != k or variances.shape != means.shape:
             raise ValueError("component parameter shapes disagree")
@@ -136,7 +138,8 @@ class Responsibilities:
         q = np.ascontiguousarray(self.q, dtype=np.float64)
         if q.ndim != 2:
             raise ValueError("responsibilities must be 2-d")
-        if q.min() < 0.0 or q.max() > 1.0:
+        # Written so that a NaN entry fails it.
+        if not (q.min() >= 0.0 and q.max() <= 1.0):
             raise ValueError("responsibilities must lie in [0, 1]")
         if np.abs(q.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("responsibility rows must sum to 1")

@@ -422,8 +422,17 @@ class TestRun:
          ("--k-hat", "-1", "k_hat must lie in [1, k_bar=25], got -1"),
          ("--gamma", "nan", "gamma must be finite and non-negative, got nan"),
          ("--gamma", "inf", "gamma must be finite and non-negative, got inf"),
-         ("--pca-dim", "0", "pca_dim must be at least 1")],
-        ids=["k-hat-zero", "k-hat-negative", "gamma-nan", "gamma-inf", "pca-dim-zero"],
+         ("--pca-dim", "0", "pca_dim must be at least 1"),
+         ("--init-noise", "nan", "init_noise must be finite and non-negative, got nan"),
+         ("--init-noise", "inf", "init_noise must be finite and non-negative, got inf"),
+         ("--init-noise", "-1", "init_noise must be finite and non-negative, got -1.0"),
+         ("--cov-floor", "inf", "cov_floor must be finite and positive, got inf"),
+         ("--cov-floor", "nan", "cov_floor must be finite and positive, got nan"),
+         ("--rel-tol", "inf", "rel_tol must be finite and positive, got inf"),
+         ("--rel-tol", "nan", "rel_tol must be finite and positive, got nan")],
+        ids=["k-hat-zero", "k-hat-negative", "gamma-nan", "gamma-inf", "pca-dim-zero",
+             "init-noise-nan", "init-noise-inf", "init-noise-negative", "cov-floor-inf",
+             "cov-floor-nan", "rel-tol-inf", "rel-tol-nan"],
     )
     def test_bad_domino_flag_exit_two(self, runner, setting_dir, tmp_path, flag, value, message):
         out = tmp_path / "scores.json"
@@ -531,9 +540,22 @@ class TestEval:
             ("george", {"clusters_per_class": -1}, "clusters_per_class must be None or"),
             ("george", {"clusters_per_class": 0}, "clusters_per_class must be None or"),
             ("spotlight", {"num_spotlights": 0, "steps": 5}, "num_spotlights must be"),
+            ("domino", {"init_noise": float("nan")}, "init_noise must be finite and non-negative"),
+            ("domino", {"cov_floor": float("inf")}, "cov_floor must be finite and positive"),
+            ("spotlight", {"learning_rate": float("nan")}, "learning_rate must be finite and positive"),
+            ("spotlight", {"learning_rate": -1}, "learning_rate must be finite and positive"),
+            ("spotlight", {"learning_rate": float("inf")}, "learning_rate must be finite and positive"),
+            ("multiacc", {"ridge_lambda": float("nan")}, "ridge_lambda must be finite and positive"),
+            ("multiacc", {"ridge_lambda": -1e9}, "ridge_lambda must be finite and positive"),
+            ("multiacc", {"eta": float("inf")}, "eta must be finite and positive"),
+            ("multiacc", {"eta": float("nan")}, "eta must be finite and positive"),
         ],
         ids=["domino-bogus", "domino-k-hat", "domino-pca-dim", "george-restarts", "george-reduce-dim",
-             "george-clusters-negative", "george-clusters-zero", "spotlight-num-spotlights"],
+             "george-clusters-negative", "george-clusters-zero", "spotlight-num-spotlights",
+             "domino-init-noise-nan", "domino-cov-floor-inf", "spotlight-learning-rate-nan",
+             "spotlight-learning-rate-negative", "spotlight-learning-rate-inf",
+             "multiacc-ridge-lambda-nan", "multiacc-ridge-lambda-negative", "multiacc-eta-inf",
+             "multiacc-eta-nan"],
     )
     def test_bad_config_section_exit_two(self, runner, tmp_path, method, section, message):
         grid = synth_grid(runner, tmp_path, seeds=1, n=200, d=4)

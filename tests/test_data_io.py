@@ -514,6 +514,18 @@ class TestCallerArrays:
         assert np.array_equal(kept, before)
 
 
+@pytest.mark.parametrize(
+    "name", [n for n in _TAKERS if n.startswith(("MixtureParams.", "Responsibilities."))]
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mixture_values_reject_a_non_finite_entry(name, bad):
+    make, valid, dtype = _TAKERS[name]
+    a = np.array(valid, dtype=dtype)
+    a.flat[0] = bad
+    with pytest.raises(ValueError):
+        make(a)
+
+
 def test_mixture_params_do_not_follow_a_strided_view():
     m = np.zeros((2, 6))
     p = MixtureParams(np.full(2, .5), m[:, ::2], np.ones((2, 3)),
