@@ -77,7 +77,7 @@ class GeorgeConfig:
     def __post_init__(self) -> None:
         if self.clusters_per_class is not None and self.clusters_per_class < 1:
             raise ValueError("clusters_per_class must be None or at least 1")
-        for name in ("reduce_dim", "restarts"):
+        for name in ("reduce_dim", "restarts", "max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 

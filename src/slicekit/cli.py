@@ -66,16 +66,21 @@ def _method_section(file_cfg: dict, method: str) -> dict:
 def _build_method_cfg(method: str, values: dict):
     """The method's config; None for a method without one, which takes only a seed."""
     cfg_cls = ev.METHODS[method].config
-    fields = {f.name for f in dataclasses.fields(cfg_cls)} if cfg_cls else {"seed"}
-    unknown = set(values) - fields
+    hints = typing.get_type_hints(cfg_cls) if cfg_cls else {"seed": int}
+    unknown = set(values) - set(hints)
     if unknown:
         raise click.UsageError(
             f"unknown {method} parameters: {', '.join(sorted(unknown))}"
         )
-    if cfg_cls is None:
-        return None
     try:
-        return cfg_cls(**values)
+        # A JSON true is a Python int, and 2.5 passes an int field's bounds.
+        for name, value in values.items():
+            kinds = typing.get_args(hints[name]) or (hints[name],)
+            kinds += (int,) if float in kinds else ()
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                wanted = "a number" if float in kinds else "an integer"
+                raise TypeError(f"{name} must be {wanted}, got {value!r}")
+        return cfg_cls(**values) if cfg_cls else None
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"bad {method} configuration: {exc}") from exc
 

@@ -107,11 +107,11 @@ class MixtureParams:
             raise ValueError("component parameter shapes disagree")
         if label_probs.shape != pred_probs.shape or label_probs.shape[0] != k:
             raise ValueError("categorical parameter shapes disagree")
-        if abs(weights.sum() - 1.0) > 1e-9:
-            raise ValueError("component priors must sum to 1")
-        for name, probs in (("label", label_probs), ("prediction", pred_probs)):
-            if np.abs(probs.sum(axis=1) - 1.0).max() > 1e-9:
-                raise ValueError(f"{name} categoricals must sum to 1 per component")
+        # The prior is one distribution, each categorical one per component.
+        for name in ("weights", "label_probs", "pred_probs"):
+            rows = np.atleast_2d(arrays[name])
+            if np.abs(rows.sum(axis=1) - 1.0).max() > 1e-9 or rows.min() < 0:
+                raise ValueError(f"{name} rows must be non-negative and sum to 1")
         if variances.min() <= 0:
             raise ValueError("variances must be strictly positive")
         keep_arrays(self, **arrays)
@@ -174,7 +174,7 @@ def reduce_dim(emb: EmbeddingMatrix, cfg: FitConfig) -> tuple[EmbeddingMatrix, P
 
 
 def init_confusion(
-    split: LabeledSplit, cfg: FitConfig, emb: EmbeddingMatrix | None = None
+    split: LabeledSplit, cfg: FitConfig, emb: EmbeddingMatrix
 ) -> Responsibilities:
     """Seed responsibilities from confusion-matrix cells.
 
@@ -183,7 +183,7 @@ def init_confusion(
     1 + eps for cell members and eps otherwise, eps ~ Uniform[0, init_noise],
     then rows are normalized.
 
-    When embeddings are supplied and a cell holds several components, the
+    The embeddings are required: when a cell holds several components, the
     cell's members are further partitioned among its components by a seeded
     k-means run. The per-entry noise alone leaves same-cell components
     identical up to O(1/sqrt(n)) perturbations, a near-neutral configuration
@@ -195,25 +195,19 @@ def init_confusion(
     if cfg.k_bar < c * c:
         raise TooFewSlices(f"k_bar={cfg.k_bar} below {c * c} confusion cells")
     cell = np.arange(cfg.k_bar) % (c * c)
-    cell_y = cell // c
-    cell_yhat = cell % c
-    match = (split.labels[:, None] == cell_y[None, :]) & (
-        split.predictions[:, None] == cell_yhat[None, :]
-    )
+    example_cell = split.labels * c + split.predictions
+    match = example_cell[:, None] == cell[None, :]
     rng = derive_rng(cfg.seed, "init-confusion")
-    if emb is not None:
-        match = match.copy()
-        example_cell = split.labels * c + split.predictions
-        for cell_idx in range(c * c):
-            comps = np.flatnonzero(cell == cell_idx)
-            members = np.flatnonzero(example_cell == cell_idx)
-            if comps.shape[0] < 2 or members.shape[0] <= comps.shape[0]:
-                continue
-            _, assign, _ = kmeans(
-                emb.values[members], comps.shape[0], rng, restarts=3, max_iter=25
-            )
-            match[members, :] = False
-            match[members, comps[assign]] = True
+    for cell_idx in range(c * c):
+        comps = np.flatnonzero(cell == cell_idx)
+        members = np.flatnonzero(example_cell == cell_idx)
+        if comps.shape[0] < 2 or members.shape[0] <= comps.shape[0]:
+            continue
+        _, assign, _ = kmeans(
+            emb.values[members], comps.shape[0], rng, restarts=3, max_iter=25
+        )
+        match[members, :] = False
+        match[members, comps[assign]] = True
     noise = rng.uniform(0.0, cfg.init_noise, size=(split.n, cfg.k_bar))
     raw = match.astype(np.float64) + noise
     return Responsibilities(raw / raw.sum(axis=1, keepdims=True))
@@ -224,7 +218,6 @@ class _EMInputs:
     """What the E and M steps derive from a fixed batch, once per fit."""
 
     squares: np.ndarray       # values**2
-    cells: np.ndarray         # (n,) confusion cell, labels * C + predictions
     label_onehot: np.ndarray  # (n, C)
     pred_onehot: np.ndarray   # (n, C)
 
@@ -233,7 +226,6 @@ class _EMInputs:
         c = split.num_classes
         return cls(
             squares=emb.values**2,
-            cells=split.labels * c + split.predictions,
             label_onehot=np.eye(c)[split.labels],
             pred_onehot=np.eye(c)[split.predictions],
         )
@@ -289,11 +281,9 @@ def e_step(
     with np.errstate(divide="ignore"):
         log_joint = np.log(params.weights)[None, :] + (log_norm[None, :] - 0.5 * quad)
         if gamma != 0.0:
-            # One (k_bar, C^2) table of categorical terms, gathered by cell.
-            c = params.num_classes
-            pair = np.log(params.label_probs)[:, :, None] + np.log(params.pred_probs)[:, None, :]
-            table = gamma * pair.reshape(params.k_bar, c * c)
-            log_joint = log_joint + table[:, inputs.cells].T
+            # Looked up, not one-hot products: a zero entry gives -inf, not 0 * log 0 = NaN.
+            log_p_y, log_p_yhat = np.log(params.label_probs).T, np.log(params.pred_probs).T
+            log_joint += gamma * (log_p_y[split.labels] + log_p_yhat[split.predictions])
     row_max = log_joint.max(axis=1, keepdims=True)
     if np.isneginf(row_max).any():
         raise NumericalUnderflow("a responsibility row lost all mass in log space")

@@ -331,10 +331,12 @@ class SyntheticModelSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
+        if not 0 < self.kappa < np.inf:  # false for NaN too
+            raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
         for name in ("sens_in", "spec_in", "sens_out", "spec_out"):
             value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
             object.__setattr__(self, name, min(max(value, 0.001), 0.999))
 
     @classmethod

@@ -103,7 +103,11 @@ class TestSynth:
          {"model": {"kind": "synthetic", "sens_in": "high", "spec_in": 0.4,
                     "sens_out": 0.75, "spec_out": 0.75}},
          {"n": -5}, {"n": 0}, {"n": 3}, {"d": 0}, {"d": 1}, {"sigma": -1}, {"sigma": 0},
-         {"mu_a": 2}, {"mu_b": 0}],
+         {"mu_a": 2}, {"mu_b": 0},
+         {"model": {"kind": "synthetic", "sens_in": float("nan"), "spec_in": 0.4,
+                    "sens_out": 0.75, "spec_out": 0.75}},
+         {"model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
+                    "sens_out": 0.75, "spec_out": 0.75, "kappa": float("inf")}}],
     )
     def test_non_numeric_config_exit_two(self, runner, tmp_path, change):
         cfg = synth_config(tmp_path, **{"slice_types": ["rare"], "alphas": {"rare": [0.05]}, **change})
@@ -445,6 +449,19 @@ class TestRun:
         assert f"bad domino configuration: {message}" in result.output
         assert not out.exists()
 
+    def test_fractional_config_integer_exit_two(self, runner, setting_dir, tmp_path):
+        method_cfg = tmp_path / "methods.json"
+        method_cfg.write_text(json.dumps({"methods": {"domino": {"k_bar": 25.5}}}))
+        out = tmp_path / "scores.json"
+        result = runner.invoke(main, [
+            "run", "--setting", str(setting_dir), "--method", "domino",
+            "--config", str(method_cfg), "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "bad domino configuration: k_bar must be an integer, got 25.5" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "method, flag, value, message",
         [("domino", "--k-bar", "2000", "need at least k_bar=2000 examples"),
@@ -549,13 +566,23 @@ class TestEval:
             ("multiacc", {"ridge_lambda": -1e9}, "ridge_lambda must be finite and positive"),
             ("multiacc", {"eta": float("inf")}, "eta must be finite and positive"),
             ("multiacc", {"eta": float("nan")}, "eta must be finite and positive"),
+            ("domino", {"k_bar": 25.5}, "k_bar must be an integer, got 25.5"),
+            ("domino", {"max_iter": True}, "max_iter must be an integer, got True"),
+            ("domino", {"gamma": True}, "gamma must be a number, got True"),
+            ("george", {"reduce_dim": 2.5}, "reduce_dim must be an integer, got 2.5"),
+            ("george", {"clusters_per_class": 2.5}, "clusters_per_class must be an integer"),
+            ("george", {"max_iter": -3}, "max_iter must be at least 1"),
+            ("spotlight", {"steps": 2.5}, "steps must be an integer, got 2.5"),
+            ("multiacc", {"rounds": 1.5}, "rounds must be an integer, got 1.5"),
         ],
         ids=["domino-bogus", "domino-k-hat", "domino-pca-dim", "george-restarts", "george-reduce-dim",
              "george-clusters-negative", "george-clusters-zero", "spotlight-num-spotlights",
              "domino-init-noise-nan", "domino-cov-floor-inf", "spotlight-learning-rate-nan",
              "spotlight-learning-rate-negative", "spotlight-learning-rate-inf",
              "multiacc-ridge-lambda-nan", "multiacc-ridge-lambda-negative", "multiacc-eta-inf",
-             "multiacc-eta-nan"],
+             "multiacc-eta-nan", "domino-k-bar-fraction", "domino-max-iter-bool", "domino-gamma-bool",
+             "george-reduce-dim-fraction", "george-clusters-fraction", "george-max-iter-negative",
+             "spotlight-steps-fraction", "multiacc-rounds-fraction"],
     )
     def test_bad_config_section_exit_two(self, runner, tmp_path, method, section, message):
         grid = synth_grid(runner, tmp_path, seeds=1, n=200, d=4)

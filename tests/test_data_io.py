@@ -526,6 +526,19 @@ def test_mixture_values_reject_a_non_finite_entry(name, bad):
         make(a)
 
 
+@pytest.mark.parametrize(
+    "name", ["MixtureParams.weights", "MixtureParams.label_probs", "MixtureParams.pred_probs"]
+)
+def test_mixture_params_reject_a_negative_entry(name):
+    make, valid, dtype = _TAKERS[name]
+    a = np.array(valid, dtype=dtype)
+    row = a.reshape(-1, a.shape[-1])[0]
+    row[1] += row[0] + 0.5  # the row still sums to 1
+    row[0] = -0.5
+    with pytest.raises(ValueError, match=f"{name.split('.')[1]} rows must be non-negative"):
+        make(a)
+
+
 def test_mixture_params_do_not_follow_a_strided_view():
     m = np.zeros((2, 6))
     p = MixtureParams(np.full(2, .5), m[:, ::2], np.ones((2, 3)),

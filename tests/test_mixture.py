@@ -112,7 +112,8 @@ class TestReduceDim:
 class TestInitConfusion:
     def test_noise_free_binary_four_components(self):
         split = simple_split([0, 0, 1, 1], [0, 1, 0, 1])
-        q = init_confusion(split, FitConfig(k_bar=4, k_hat=4, init_noise=0.0))
+        emb = EmbeddingMatrix(np.zeros((4, 1)))
+        q = init_confusion(split, FitConfig(k_bar=4, k_hat=4, init_noise=0.0), emb)
         expected = np.zeros((4, 4))
         for i, (y, yh) in enumerate(zip(split.labels, split.predictions)):
             expected[i, y * 2 + yh] = 1.0
@@ -133,7 +134,7 @@ class TestInitConfusion:
     def test_too_few_slices(self):
         split = simple_split([0, 1], [0, 1])
         with pytest.raises(TooFewSlices):
-            init_confusion(split, FitConfig(k_bar=3, k_hat=2))
+            init_confusion(split, FitConfig(k_bar=3, k_hat=2), EmbeddingMatrix(np.zeros((2, 1))))
 
     def test_refinement_keeps_cell_structure(self):
         emb, split = random_instance(11, n=200)
@@ -157,11 +158,14 @@ def hand_params(weights, means, variances, label_probs, pred_probs):
 
 
 class TestEStep:
-    def test_single_component_degenerate(self):
-        emb, split = random_instance(5, n=40, d=2)
-        params = hand_params(
-            [1.0], [[0.0, 0.0]], [[1.0, 1.0]], [[0.6, 0.4]], [[0.3, 0.7]]
-        )
+    @pytest.mark.parametrize(
+        "label_probs, pred_probs",
+        [([0.6, 0.4], [0.3, 0.7]), ([0.5, 0.2, 0.3], [0.1, 0.6, 0.3])],
+        ids=["2-classes", "3-classes"],
+    )
+    def test_single_component_degenerate(self, label_probs, pred_probs):
+        emb, split = random_instance(5, n=40, d=2, num_classes=len(label_probs))
+        params = hand_params([1.0], [[0.0, 0.0]], [[1.0, 1.0]], [label_probs], [pred_probs])
         gamma = 2.5
         q, ll = e_step(emb, split, params, gamma)
         assert np.all(q.q == 1.0)
@@ -211,6 +215,21 @@ class TestEStep:
         # the single example's label has probability 0 under the only component
         with pytest.raises(NumericalUnderflow):
             e_step(emb, split, params, gamma=1.0)
+
+    def test_zero_categorical_entry_leaves_only_its_component_out(self):
+        # component 0 gives label 1 probability 0: example 1 must get exactly
+        # zero responsibility there, with no 0 * log 0 turning the row NaN
+        emb = EmbeddingMatrix(np.zeros((2, 1)))
+        split = simple_split([0, 1], [0, 1])
+        params = hand_params(
+            [0.5, 0.5], [[0.0], [0.0]], [[1.0], [1.0]],
+            [[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]],
+        )
+        q, ll = e_step(emb, split, params, gamma=1.0)
+        assert q.q.tolist() == [[0.6666666666666665, 0.3333333333333334], [0.0, 1.0]]
+        assert ll == -4.898147861100908
+        # the oracle: log(N(0) * (0.5 * 0.5 + 0.5 * 0.25)) + log(N(0) * 0.5 * 0.25)
+        assert ll == pytest.approx(-np.log(2 * np.pi) + np.log(0.375 * 0.125), rel=1e-15)
 
     def test_hand_computed_two_by_two(self):
         emb = EmbeddingMatrix(np.array([[0.0], [1.0]]))
