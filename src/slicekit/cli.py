@@ -73,16 +73,24 @@ def _build_method_cfg(method: str, values: dict):
             f"unknown {method} parameters: {', '.join(sorted(unknown))}"
         )
     try:
-        # A JSON true is a Python int, and 2.5 passes an int field's bounds.
         for name, value in values.items():
             kinds = typing.get_args(hints[name]) or (hints[name],)
-            kinds += (int,) if float in kinds else ()
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                wanted = "a number" if float in kinds else "an integer"
-                raise TypeError(f"{name} must be {wanted}, got {value!r}")
+            _check_kind(name, value, kinds + ((int,) if float in kinds else ()))
         return cfg_cls(**values) if cfg_cls else None
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"bad {method} configuration: {exc}") from exc
+
+
+def _check_kind(name: str, value, kinds: tuple[type, ...] = (int,)):
+    """The config value, if it is one of ``kinds``; raises TypeError otherwise.
+
+    A JSON true is a Python int, and 2.5 would pass an int field's bounds
+    or be truncated by ``int()``, so neither counts as an integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        wanted = "a number" if float in kinds else "an integer"
+        raise TypeError(f"{name} must be {wanted}, got {value!r}")
+    return value
 
 
 def _check_method(method: str) -> None:
@@ -105,7 +113,7 @@ def _model_spec_from_config(model: dict | None) -> SyntheticModelSpec | None:
     return SyntheticModelSpec(
         **{key: model[key] for key in keys},
         kappa=model.get("kappa", 5.0),
-        seed=int(model.get("seed", 0)),
+        seed=_check_kind("model seed", model.get("seed", 0)),
     )
 
 
@@ -135,7 +143,7 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
     if cfg.get("alphas") is None:
         raise click.UsageError("synth config requires an 'alphas' list or map")
     try:
-        master_seed = int(cfg.get("seed", 0) if seed is None else seed)
+        master_seed = _check_kind("seed", cfg.get("seed", 0)) if seed is None else seed
         slice_types = cfg.get("slice_types", list(SLICE_TYPES))
         alphas = cfg["alphas"]
         if isinstance(alphas, list):
@@ -144,18 +152,20 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
             if slice_type not in SLICE_TYPES:
                 raise click.UsageError(f"unknown slice type {slice_type!r}")
         replicates = cfg.get("seeds", 1)
-        if isinstance(replicates, int):
-            replicates = list(range(replicates))
+        if not isinstance(replicates, list):
+            replicates = range(_check_kind("seeds", replicates))
+        for rep in replicates:
+            _check_kind("seeds entry", rep)
         grid = []
         for slice_type in slice_types:
             if slice_type not in alphas:
                 raise click.UsageError(f"alphas gives no list for slice type {slice_type!r}")
             for alpha in alphas[slice_type]:
                 check_alpha(slice_type, alpha)
-                grid += [(slice_type, float(alpha), int(rep)) for rep in replicates]
+                grid += [(slice_type, float(alpha), rep) for rep in replicates]
         sizes = dict(
-            n=int(cfg.get("n", 2000)),
-            d=int(cfg.get("d", 32)),
+            n=_check_kind("n", cfg.get("n", 2000)),
+            d=_check_kind("d", cfg.get("d", 32)),
             offset_sigmas=float(cfg.get("offset_sigmas", 4.0)),
             class_sep_sigmas=float(cfg.get("class_sep_sigmas", 4.0)),
             sigma=float(cfg.get("sigma", 1.0)),
@@ -234,8 +244,8 @@ def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int
         raise click.UsageError(f"unknown slice_type {cfg['slice_type']!r}")
     model = cfg.get("model")
     try:
-        run_seed = int(cfg.get("seed", 0) if seed is None else seed)
-        alpha, n = float(cfg["alpha"]), int(cfg["n"])
+        run_seed = _check_kind("seed", cfg.get("seed", 0)) if seed is None else seed
+        alpha, n = float(cfg["alpha"]), _check_kind("n", cfg["n"])
         mu_a, mu_b = float(cfg.get("mu_a", 0.5)), float(cfg.get("mu_b", 0.5))
         check_alpha(cfg["slice_type"], alpha)
         _check_ranges(n, mu_a, mu_b)

@@ -167,8 +167,10 @@ class LabeledSplit:
                 )
             if not np.all(np.isfinite(probs)):
                 raise NonFiniteValue("prediction probabilities contain NaN or Inf")
-            if np.abs(probs.sum(axis=1) - 1.0).max() > 1e-6:
-                raise ValueError("probability rows must sum to 1 within 1e-6")
+            if np.abs(probs.sum(axis=1) - 1.0).max() > 1e-6 or probs.min() < 0:
+                raise ValueError(
+                    "probability rows must be non-negative and sum to 1 within 1e-6"
+                )
             # np.argmax breaks ties toward the lower class index, as required.
             if not np.array_equal(np.argmax(probs, axis=1), preds):
                 raise ArgmaxInconsistent(

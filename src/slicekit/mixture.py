@@ -2,9 +2,12 @@
 
 Each mixture component carries a diagonal Gaussian over embeddings plus two
 categorical distributions, one over labels and one over predictions, with the
-categorical log-terms weighted by gamma. Components are initialized from the
-confusion matrix and fit by expectation-maximization; the components with the
-largest label/prediction divergence are returned as slices.
+categorical log-terms weighted by gamma. A prediction is the model's
+probability vector over classes (Domino, arXiv 2203.14960 §4); a split with
+hard predictions only enters as one-hot probabilities. Components are seeded
+from the soft confusion matrix and fit by expectation-maximization until the
+mean per-example log-likelihood settles; the components with the largest
+label/prediction divergence are returned as slices.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .clustering import kmeans, pca_basis
+from .clustering import kmeans, pca_basis, sq_distances
 from .data import EmbeddingMatrix, LabeledSplit, SliceScores, check_pair, keep_arrays
 from .errors import (
     DimensionMismatch,
@@ -40,7 +43,8 @@ class FitConfig:
     k_hat: int = field(default=5, metadata={"cli_aliases": ("--khat",)})
     gamma: float = 10.0
     max_iter: int = 100
-    rel_tol: float = 1e-6
+    # EM stops once the mean per-example log-likelihood moves less than this.
+    tol: float = 1e-3
     init_noise: float = 1e-3
     pca_threshold: int = 256
     pca_dim: int = 128
@@ -54,7 +58,7 @@ class FitConfig:
         for name in ("gamma", "init_noise"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
-        for name in ("rel_tol", "cov_floor"):
+        for name in ("tol", "cov_floor"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         for name in ("max_iter", "pca_dim"):
@@ -173,43 +177,61 @@ def reduce_dim(emb: EmbeddingMatrix, cfg: FitConfig) -> tuple[EmbeddingMatrix, P
     return record.apply(emb), record
 
 
+def _soft_predictions(split: LabeledSplit) -> np.ndarray:
+    """The split's (n, C) prediction probabilities; one-hot rows without them."""
+    if split.prediction_probs is not None:
+        return split.prediction_probs
+    return np.eye(split.num_classes)[split.predictions]
+
+
 def init_confusion(
     split: LabeledSplit, cfg: FitConfig, emb: EmbeddingMatrix
 ) -> Responsibilities:
-    """Seed responsibilities from confusion-matrix cells.
+    """Seed responsibilities from soft confusion-matrix cells.
 
     Component j is assigned cell j mod C^2 (row-major over (y, y_hat)), so
-    every cell receives at least floor(k_bar / C^2) components. Entries are
-    1 + eps for cell members and eps otherwise, eps ~ Uniform[0, init_noise],
-    then rows are normalized.
+    every cell receives at least floor(k_bar / C^2) components. An example's
+    mass in cell (a, b) is [y == a] * p(y_hat = b), from its prediction
+    probabilities (one-hot for hard predictions). Entries are that mass plus
+    eps, eps ~ Uniform[0, init_noise], then rows are normalized.
 
     The embeddings are required: when a cell holds several components, the
-    cell's members are further partitioned among its components by a seeded
-    k-means run. The per-entry noise alone leaves same-cell components
-    identical up to O(1/sqrt(n)) perturbations, a near-neutral configuration
-    that EM cannot reliably split within the iteration budget; the k-means
-    partition breaks the tie macroscopically while keeping every component
-    inside its confusion cell.
+    cell's hard members (y == a and predicted b) are partitioned among its
+    components by a seeded k-means run, and every other example gives its
+    mass in the cell to the component whose k-means center is nearest (0 to
+    the cell's other components). The per-entry noise alone leaves same-cell
+    components identical up to O(1/sqrt(n)) perturbations, a near-neutral
+    configuration that EM cannot reliably split within the iteration budget;
+    the k-means partition breaks the tie macroscopically while keeping every
+    component inside its confusion cell.
     """
     c = split.num_classes
     if cfg.k_bar < c * c:
         raise TooFewSlices(f"k_bar={cfg.k_bar} below {c * c} confusion cells")
+    n = split.n
     cell = np.arange(cfg.k_bar) % (c * c)
+    # Row-major over (y, y_hat), as the component cells are.
+    cell_mass = np.zeros((n, c, c))
+    cell_mass[np.arange(n), split.labels] = _soft_predictions(split)
+    cell_mass = cell_mass.reshape(n, c * c)
+    # take, not cell_mass[:, cell]: that result is column-major, and its row
+    # sums below would add in another order and move the fitted bits.
+    raw = cell_mass.take(cell, axis=1)
     example_cell = split.labels * c + split.predictions
-    match = example_cell[:, None] == cell[None, :]
     rng = derive_rng(cfg.seed, "init-confusion")
     for cell_idx in range(c * c):
         comps = np.flatnonzero(cell == cell_idx)
         members = np.flatnonzero(example_cell == cell_idx)
         if comps.shape[0] < 2 or members.shape[0] <= comps.shape[0]:
             continue
-        _, assign, _ = kmeans(
+        centers, assign, _ = kmeans(
             emb.values[members], comps.shape[0], rng, restarts=3, max_iter=25
         )
-        match[members, :] = False
-        match[members, comps[assign]] = True
-    noise = rng.uniform(0.0, cfg.init_noise, size=(split.n, cfg.k_bar))
-    raw = match.astype(np.float64) + noise
+        nearest = sq_distances(emb.values, centers).argmin(axis=1)
+        nearest[members] = assign
+        raw[:, comps] = 0.0
+        raw[np.arange(n), comps[nearest]] = cell_mass[:, cell_idx]
+    raw += rng.uniform(0.0, cfg.init_noise, size=(n, cfg.k_bar))
     return Responsibilities(raw / raw.sum(axis=1, keepdims=True))
 
 
@@ -219,15 +241,14 @@ class _EMInputs:
 
     squares: np.ndarray       # values**2
     label_onehot: np.ndarray  # (n, C)
-    pred_onehot: np.ndarray   # (n, C)
+    pred_probs: np.ndarray    # (n, C) prediction probabilities, one-hot if hard
 
     @classmethod
     def of(cls, emb: EmbeddingMatrix, split: LabeledSplit) -> "_EMInputs":
-        c = split.num_classes
         return cls(
             squares=emb.values**2,
-            label_onehot=np.eye(c)[split.labels],
-            pred_onehot=np.eye(c)[split.predictions],
+            label_onehot=np.eye(split.num_classes)[split.labels],
+            pred_probs=_soft_predictions(split),
         )
 
 
@@ -269,28 +290,41 @@ def e_step(
                 f"model has {params.num_classes} classes, split has {split.num_classes}"
             )
         inputs = _EMInputs.of(emb, split)
-    # Diagonal-Gaussian log densities via the expanded quadratic. Doubling
-    # is exact, so 2 * (x @ m) is bit for bit (2 * x) @ m, at n*k multiplies.
+    # Diagonal-Gaussian log densities via the expanded quadratic, built in
+    # place: log_joint and one scratch buffer are the only (n, k) arrays.
+    # Doubling is exact, so 2 * (x @ m) is bit for bit (2 * x) @ m, at n*k
+    # multiplies.
     inv_var = 1.0 / params.variances
-    quad = (
-        inputs.squares @ inv_var.T
-        - 2.0 * (emb.values @ (params.means * inv_var).T)
-        + (params.means**2 * inv_var).sum(axis=1)[None, :]
-    )
-    log_norm = -0.5 * (emb.d * np.log(2.0 * np.pi) + np.log(params.variances).sum(axis=1))
+    log_joint = np.matmul(inputs.squares, inv_var.T)
+    cross = np.matmul(emb.values, (params.means * inv_var).T)
+    cross *= 2.0
+    log_joint -= cross
+    log_joint += (params.means**2 * inv_var).sum(axis=1)
+    log_joint *= -0.5
+    log_joint += -0.5 * (emb.d * np.log(2.0 * np.pi) + np.log(params.variances).sum(axis=1))
     with np.errstate(divide="ignore"):
-        log_joint = np.log(params.weights)[None, :] + (log_norm[None, :] - 0.5 * quad)
+        log_joint += np.log(params.weights)
         if gamma != 0.0:
-            # Looked up, not one-hot products: a zero entry gives -inf, not 0 * log 0 = NaN.
-            log_p_y, log_p_yhat = np.log(params.label_probs).T, np.log(params.pred_probs).T
-            log_joint += gamma * (log_p_y[split.labels] + log_p_yhat[split.predictions])
+            # The label term is looked up, so a zero entry gives -inf, not
+            # 0 * log 0 = NaN. The prediction term weighs the log table by the
+            # probabilities, counting 0 * log 0 as 0.
+            log_p_y = np.ascontiguousarray(np.log(params.label_probs).T)
+            log_p_yhat = np.log(params.pred_probs).T
+            zero = np.isneginf(log_p_yhat)
+            categorical = np.take(log_p_y, split.labels, axis=0, out=cross)
+            categorical += inputs.pred_probs @ np.where(zero, 0.0, log_p_yhat)
+            if zero.any():
+                categorical[(inputs.pred_probs > 0) @ zero] = -np.inf
+            categorical *= gamma
+            log_joint += categorical
     row_max = log_joint.max(axis=1, keepdims=True)
     if np.isneginf(row_max).any():
         raise NumericalUnderflow("a responsibility row lost all mass in log space")
-    shifted = np.exp(log_joint - row_max)
-    totals = shifted.sum(axis=1, keepdims=True)
+    log_joint -= row_max
+    q = np.exp(log_joint, out=log_joint)
+    totals = q.sum(axis=1, keepdims=True)
     log_lik = float((np.log(totals) + row_max).sum())
-    q = shifted / totals
+    q /= totals
     return (Responsibilities(q) if validate else _unchecked(Responsibilities, q=q)), log_lik
 
 
@@ -306,9 +340,10 @@ def m_step(
     """Closed-form parameter update from weighted moments and frequencies.
 
     Gamma scales the categorical log-terms by a constant, so the maximizing
-    categoricals are the plain weighted frequencies; gamma enters the E-step
-    only. Components whose total weight falls below 1e-12 are re-seeded at a
-    random data point with prior mass 1/k_bar.
+    categoricals are the plain weighted frequencies (of the labels, and of
+    the prediction probabilities); gamma enters the E-step only. Components
+    whose total weight falls below 1e-12 are re-seeded at a random data
+    point with prior mass 1/k_bar.
 
     ``fit`` passes its per-fit ``inputs`` and the column sums ``mass`` of
     ``q`` and gets unvalidated params back; every other caller has its
@@ -335,7 +370,7 @@ def m_step(
     variances = np.maximum(second - means**2, cfg.cov_floor)
 
     label_counts = q.q.T @ inputs.label_onehot + _SMOOTH
-    pred_counts = q.q.T @ inputs.pred_onehot + _SMOOTH
+    pred_counts = q.q.T @ inputs.pred_probs + _SMOOTH
     label_probs = label_counts / label_counts.sum(axis=1, keepdims=True)
     pred_probs = pred_counts / pred_counts.sum(axis=1, keepdims=True)
 
@@ -343,7 +378,7 @@ def m_step(
         rng = derive_rng(cfg.seed, "rescue")
         global_var = np.maximum(values.var(axis=0), cfg.cov_floor)
         global_label = inputs.label_onehot.mean(axis=0) + _SMOOTH
-        global_pred = inputs.pred_onehot.mean(axis=0) + _SMOOTH
+        global_pred = inputs.pred_probs.mean(axis=0) + _SMOOTH
         for j in np.flatnonzero(empty):
             anchor = int(rng.integers(n))
             logger.debug("re-seeding empty component %d at example %d", j, anchor)
@@ -372,8 +407,10 @@ def fit(
     """Fit the mixture on the validation split by expectation-maximization.
 
     Alternates E and M steps from the confusion-matrix initialization until
-    the relative log-likelihood improvement drops below ``cfg.rel_tol`` or
-    ``cfg.max_iter`` iterations are reached.
+    the mean per-example log-likelihood changes by less than ``cfg.tol``
+    between two E steps (the stopping test of sklearn's ``GaussianMixture``,
+    on which Domino's reference mixture builds) or ``cfg.max_iter``
+    iterations are reached.
     """
     check_pair(valid_emb, valid_split)
     if valid_emb.n < cfg.k_bar:
@@ -390,7 +427,7 @@ def fit(
     for iteration in range(cfg.max_iter):
         q, log_lik = e_step(emb, valid_split, params, cfg.gamma, inputs=inputs)
         log_liks.append(log_lik)
-        if np.isfinite(prev) and log_lik - prev < cfg.rel_tol * abs(prev):
+        if abs(log_lik - prev) < cfg.tol * emb.n:
             converged = True
             break
         prev = log_lik

@@ -84,7 +84,7 @@ def test_criterion_1_em_correctness():
         iterations = 25
         cfg = FitConfig(
             k_bar=6, k_hat=2, gamma=0.0, seed=seed,
-            max_iter=iterations, rel_tol=1e-300,
+            max_iter=iterations, tol=1e-300,
         )
         params, diag = fit(emb, split, cfg)
         assert diag.n_iter == iterations

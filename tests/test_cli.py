@@ -117,6 +117,28 @@ class TestSynth:
         assert "bad synth configuration" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"n": 400.9}, "n must be an integer, got 400.9"),
+         ({"d": 4.7}, "d must be an integer, got 4.7"),
+         ({"seed": 7.5}, "seed must be an integer, got 7.5"),
+         ({"seed": True}, "seed must be an integer, got True"),
+         ({"seeds": 2.5}, "seeds must be an integer, got 2.5"),
+         ({"seeds": [0, 1.5]}, "seeds entry must be an integer, got 1.5"),
+         ({"model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
+                    "sens_out": 0.75, "spec_out": 0.75, "seed": 1.5}},
+          "model seed must be an integer, got 1.5")],
+        ids=["n", "d", "seed", "seed-true", "seeds", "seeds-entry", "model-seed"],
+    )
+    def test_fractional_integer_exit_two(self, runner, tmp_path, change, message):
+        # int() would truncate these: n 400.9 and d 4.7 wrote n=400, d=4
+        cfg = synth_config(tmp_path, **{"slice_types": ["rare"], "alphas": {"rare": [0.05]}, **change})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"bad synth configuration: {message}" in result.output
+        assert not out.exists()
+
     def test_unknown_slice_type_exit_two(self, runner, tmp_path):
         # in slice_types, and as an alphas key
         for overrides, name in (
@@ -330,6 +352,25 @@ class TestGen:
         assert "bad gen configuration" in result.output
 
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"n": 100.5}, "n must be an integer, got 100.5"),
+         ({"n": True}, "n must be an integer, got True"),
+         ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+         ({"model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
+                    "sens_out": 0.75, "spec_out": 0.75, "seed": 1.5}},
+          "model seed must be an integer, got 1.5")],
+        ids=["n", "n-true", "seed", "model-seed"],
+    )
+    def test_fractional_integer_exit_two(self, runner, tmp_path, change, message):
+        base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
+        cfg = {"slice_type": "rare", "alpha": 0.1, "target": "target",
+               "attribute": "tube", "n": 100, **change}
+        result = run_gen(runner, tmp_path, base, emb_path, cfg)
+        assert result.exit_code == 2, result.output
+        assert f"bad gen configuration: {message}" in result.output
+
+
 class TestRun:
     @pytest.fixture()
     def setting_dir(self, runner, tmp_path):
@@ -432,11 +473,11 @@ class TestRun:
          ("--init-noise", "-1", "init_noise must be finite and non-negative, got -1.0"),
          ("--cov-floor", "inf", "cov_floor must be finite and positive, got inf"),
          ("--cov-floor", "nan", "cov_floor must be finite and positive, got nan"),
-         ("--rel-tol", "inf", "rel_tol must be finite and positive, got inf"),
-         ("--rel-tol", "nan", "rel_tol must be finite and positive, got nan")],
+         ("--tol", "inf", "tol must be finite and positive, got inf"),
+         ("--tol", "nan", "tol must be finite and positive, got nan")],
         ids=["k-hat-zero", "k-hat-negative", "gamma-nan", "gamma-inf", "pca-dim-zero",
              "init-noise-nan", "init-noise-inf", "init-noise-negative", "cov-floor-inf",
-             "cov-floor-nan", "rel-tol-inf", "rel-tol-nan"],
+             "cov-floor-nan", "tol-inf", "tol-nan"],
     )
     def test_bad_domino_flag_exit_two(self, runner, setting_dir, tmp_path, flag, value, message):
         out = tmp_path / "scores.json"
@@ -845,7 +886,7 @@ Options:
   --k-hat, --khat INTEGER
   --gamma FLOAT
   --max-iter INTEGER
-  --rel-tol FLOAT
+  --tol FLOAT
   --init-noise FLOAT
   --pca-threshold INTEGER
   --pca-dim INTEGER

@@ -418,6 +418,18 @@ class TestInvariantEnforcement:
                 prediction_probs=[[0.6, 0.6]],
             )
 
+    def test_split_prob_entries_must_be_non_negative(self):
+        # [1.5, -0.5] sums to 1 and agrees with the prediction under argmax
+        with pytest.raises(ValueError, match="non-negative"):
+            LabeledSplit(
+                labels=[0],
+                predictions=[0],
+                slices=[[0]],
+                slice_names=("a",),
+                num_classes=2,
+                prediction_probs=[[1.5, -0.5]],
+            )
+
     def test_split_prediction_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
             LabeledSplit(

@@ -13,7 +13,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +42,11 @@ def sha256(array: np.ndarray) -> str:
 
 
 MIXTURE_DIGESTS = {
-    "weights": "fbd225630a854763a408f439d06d60205061b974e40a2b8de0788afd40316e5e",
-    "means": "26cbdeaa99376503466b0c068f8e8a429b7e61a6bc8a8333e05243624a930c5b",
-    "variances": "07985232b9f9a80577aa125b22d0c40602747c3ebd489e6e0ab535d7fe655827",
-    "label_probs": "8012a84ad87728864b91e797124d431a1661b60c763f03af5146d6ae01c02a6d",
-    "pred_probs": "cfc8c8cfff568c8576c346f560e02758c7544816d8118cd5e76b5096332fe2c5",
+    "weights": "157f9fa460b27f45ad90b95ff61eb3d616a31fb80311351d84173ebd31f63d8d",
+    "means": "b98396455bd723bca0698291897b81243dbbc094a3c5a710f8942f862a31ffe1",
+    "variances": "682fc5a87de753f29887a34b0075339fc12725fdbbb52a736658e2f872d3fbda",
+    "label_probs": "3435e983c45fc33d1359f07f3036a4f7cd96e0193feefc672f03751ba4457dae",
+    "pred_probs": "bae99778fea7a9098dd34dac8235a2eb947e3eb68c3ca93af75364724360786a",
 }
 
 GEORGE_CENTER_DIGESTS = {
@@ -71,7 +71,7 @@ def test_fitted_bytes_are_pinned():
     assert {f.name: sha256(getattr(params, f.name)) for f in fields(MixtureParams)} == (
         MIXTURE_DIGESTS
     )
-    assert (diagnostics.n_iter, diagnostics.converged) == (54, True)
+    assert (diagnostics.n_iter, diagnostics.converged) == (23, True)
 
     george = GeorgeSDM(GeorgeConfig(clusters_per_class=3, seed=1))
     george.fit(setting.valid_emb, setting.valid_split)
@@ -79,7 +79,35 @@ def test_fitted_bytes_are_pinned():
     assert centers == GEORGE_CENTER_DIGESTS
 
 
-DESCRIPTIONS_DIGEST = "49cb4a5709c6421ea30a0dd2966bd7b85db7fbc2f91b25b4783834bb6615a8ab"
+HARD_PREDICTION_DIGESTS = {
+    "weights": "5404f5b4bbc0213095a7b4671075a85b11a241e286cebfbbde17b78e8416bc97",
+    "means": "0203f197fb651650c90f7bcd17520d541b248f05009c75a4b16197c99d7b70b3",
+    "variances": "3cdf88b8e21e5d76f52b62c2ab9dba5b9b4281f7712ad8db1bd4cae745536314",
+    "label_probs": "4b6f649d1517ad2f47d934068ac858971cf824da47a71ce15ab72b8b4507a989",
+    "pred_probs": "2b6e64a51633be29698cf7dcc67754e160821567d269e741b7fc0ffafd08d4da",
+    "log_likelihoods": "5de3aec447601027b7d3786a020d25de830fbae00ad17c61d1bca5eb3c66d832",
+    "q": "8d6699d40fa413d6ce590bb411d368f318ae330aa565308ac817b924b352fbb3",
+}
+
+
+def test_hard_prediction_fit_is_pinned():
+    # A split without probabilities enters EM as one-hot probabilities. These
+    # digests were recorded when EM read hard predictions through a separate
+    # lookup, so they pin that the one code path kept those bits. The tiny
+    # tolerance runs every iteration under either stopping rule.
+    setting = golden_setting()
+    split = replace(setting.valid_split, prediction_probs=None)
+    params, diagnostics = fit(
+        setting.valid_emb, split, FitConfig(k_bar=12, k_hat=3, seed=1, max_iter=40, tol=1e-300)
+    )
+    digests = {f.name: sha256(getattr(params, f.name)) for f in fields(MixtureParams)}
+    digests["log_likelihoods"] = sha256(np.array(diagnostics.log_likelihoods))
+    digests["q"] = sha256(diagnostics.responsibilities.q)
+    assert digests == HARD_PREDICTION_DIGESTS
+    assert diagnostics.n_iter == 40
+
+
+DESCRIPTIONS_DIGEST = "87cc5d342ff20919e21445e0a276c95687f074e15a877266267479ac66f5200d"
 
 
 def test_descriptions_are_pinned():
@@ -107,8 +135,8 @@ def tree_sha256(root: Path) -> str:
 GRID_DIGEST = "0bfdba30d1c980635109b794a2fed9bf40ae9b2ab2708954a37a2cde69a10070"
 
 REPORT_DIGESTS = {
-    "report.json": "43e3d54da989e55eaf7ab7b2c2878844865281df3720efca8572d5fc6f33d044",
-    "report.md": "b47f440ac2ea685d3d7f2627951e993157a4708ff3bd3ba6403682a5c66101f3",
+    "report.json": "f6b06a0b93ba36c89f338ae29cc8ad2448fab217b187219e2ee2845e2c2d42cb",
+    "report.md": "95893c7734ae1288f70e01744cc650a4f181631ccf6c38b09b8a72ea8698c90f",
 }
 
 
@@ -196,13 +224,13 @@ def test_gen_bytes_are_pinned(tmp_path, monkeypatch):
 
 WIDE_DIGESTS = {
     "mixture": {
-        "weights": "03a5502dce06e892879df68fae83e576ac252a4552941113246a2cb19ee99b6d",
-        "means": "f61ff932efd4cfc55acff7c3f52c521cfd9cb9333f096c153af51abd9f6dc82a",
-        "variances": "d51811b7e3d6eafffa30408d1d40511a55ba7065162376b920a26ccb6d586306",
-        "label_probs": "b91ed5bf3afd33838a93cff27856dacfcb8a018b8db7ec20e8dec792e7412fd2",
-        "pred_probs": "909b698443f0f6aeb7a1c1ae9c4a3a95b06f67cf12839264e5cc8c63ac7088c7",
+        "weights": "18b168261ef4788f151813fdfec6c41bb9597c0168920e7426313291d3f06c32",
+        "means": "66563a0c6ebf6207f1be843123351d64993156e3ff7a833ef71bdd6af06a63ed",
+        "variances": "84eb3213e40d16720ac3d782ae5ac1a0fd2698b54d83738807a631d00696a89e",
+        "label_probs": "c0601a43846df1b092a83a466bc57cf8e3a4ea2eb47dcfe756dd0898743e1429",
+        "pred_probs": "913cd3cb0fe9781a325fb95d3a15e317e8ce4371ec404d5e69bd8b7bd0105f60",
     },
-    "n_iter": 40,
+    "n_iter": 36,
     "converged": True,
     # class -> [PCA basis, k-means centres]
     "george": {

@@ -15,6 +15,7 @@ from slicekit import (
     fit,
     init_confusion,
     m_step,
+    make_synthetic_setting,
     reduce_dim,
     score,
     select_slices,
@@ -36,6 +37,19 @@ def simple_split(labels, predictions, num_classes=2):
     )
 
 
+def soft_split(labels, probs):
+    """A binary split whose predictions are the argmax of ``probs``."""
+    probs = np.asarray(probs, float)
+    return LabeledSplit(
+        labels=np.asarray(labels),
+        predictions=probs.argmax(axis=1),
+        slices=np.zeros((probs.shape[0], 1), dtype=int),
+        slice_names=("s",),
+        num_classes=probs.shape[1],
+        prediction_probs=probs,
+    )
+
+
 def random_instance(seed, n=60, d=3, num_classes=2):
     rng = np.random.default_rng(seed)
     emb = EmbeddingMatrix(rng.standard_normal((n, d)))
@@ -54,7 +68,7 @@ class TestConfigDefaults:
         assert cfg.pca_threshold == 256
         assert cfg.pca_dim == 128
         assert cfg.max_iter == 100
-        assert cfg.rel_tol == 1e-6
+        assert cfg.tol == 1e-3
         assert cfg.cov_floor == 1e-6
 
     def test_k_hat_bounded_by_k_bar(self):
@@ -135,6 +149,33 @@ class TestInitConfusion:
         split = simple_split([0, 1], [0, 1])
         with pytest.raises(TooFewSlices):
             init_confusion(split, FitConfig(k_bar=3, k_hat=2), EmbeddingMatrix(np.zeros((2, 1))))
+
+    def test_soft_seed_is_label_times_prediction_probability(self):
+        split = soft_split([0, 0, 1], [[0.7, 0.3], [0.2, 0.8], [0.55, 0.45]])
+        emb = EmbeddingMatrix(np.zeros((3, 1)))
+        q = init_confusion(split, FitConfig(k_bar=4, k_hat=4, init_noise=0.0), emb)
+        expected = np.zeros((3, 4))
+        for i, y in enumerate(split.labels):
+            expected[i, 2 * y:2 * y + 2] = split.prediction_probs[i]
+        assert np.array_equal(q.q, expected)
+
+    def test_soft_mass_goes_to_the_nearest_center(self):
+        # Cell (0, 0) has two components (0 and 4) and hard members in two
+        # clusters, at x = -10 and x = +10. The two examples predicted 1 sit
+        # at +10: their 0.4 mass in cell (0, 0) goes to the component that
+        # took the +10 cluster, and none to the other.
+        x = np.array([-10.0] * 10 + [10.0] * 10 + [10.0, 10.0])
+        emb = EmbeddingMatrix(np.column_stack([x, np.zeros(22)]))
+        p0 = np.array([0.9] * 20 + [0.4, 0.4])
+        split = soft_split(np.zeros(22, dtype=int), np.column_stack([p0, 1.0 - p0]))
+        q = init_confusion(split, FitConfig(k_bar=8, k_hat=2, init_noise=0.0), emb).q
+        plus, minus = (0, 4) if q[10, 0] > 0 else (4, 0)
+        assert np.all(q[:10, minus] > 0) and np.all(q[:10, plus] == 0)
+        assert np.all(q[10:, plus] > 0) and np.all(q[10:, minus] == 0)
+        # cell (0, 1) has too few hard members to split: both its components
+        # (1 and 5) get an example's whole mass there
+        assert np.array_equal(q[20:, 1], q[20:, 5])
+        assert q[20, plus] / q[20, 1] == pytest.approx(0.4 / 0.6, rel=1e-12)
 
     def test_refinement_keeps_cell_structure(self):
         emb, split = random_instance(11, n=200)
@@ -230,6 +271,23 @@ class TestEStep:
         assert ll == -4.898147861100908
         # the oracle: log(N(0) * (0.5 * 0.5 + 0.5 * 0.25)) + log(N(0) * 0.5 * 0.25)
         assert ll == pytest.approx(-np.log(2 * np.pi) + np.log(0.375 * 0.125), rel=1e-15)
+
+    def test_zero_prediction_weight_meets_zero_entry(self):
+        # component 0 gives prediction class 1 probability 0. Example 0 puts
+        # weight 0 on class 1, so 0 * log 0 counts as 0 and the row stays
+        # finite (a RuntimeWarning would fail the suite); example 1 puts
+        # weight 0.3 there, so only component 0 loses it.
+        emb = EmbeddingMatrix(np.zeros((2, 1)))
+        split = soft_split([0, 0], [[1.0, 0.0], [0.7, 0.3]])
+        params = hand_params(
+            [0.5, 0.5], [[0.0], [0.0]], [[1.0], [1.0]],
+            [[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.5, 0.5]],
+        )
+        q, ll = e_step(emb, split, params, gamma=1.0)
+        assert q.q[0] == pytest.approx([2 / 3, 1 / 3], rel=1e-12)
+        assert q.q[1].tolist() == [0.0, 1.0]
+        # the oracle: log(N(0) * 0.25 * (1 + 0.5)) + log(N(0) * 0.25 * 0.5)
+        assert ll == pytest.approx(-np.log(2 * np.pi) + np.log(0.375 * 0.125), rel=1e-12)
 
     def test_hand_computed_two_by_two(self):
         emb = EmbeddingMatrix(np.array([[0.0], [1.0]]))
@@ -417,6 +475,27 @@ class TestFit:
         assert all(b - a >= -1e-8 for a, b in zip(lls, lls[1:]))
         assert len(select_slices(params, 4)) == 4
 
+    def test_one_hot_probabilities_fit_like_hard_predictions(self):
+        emb, split = random_instance(12, n=150, d=3)
+        one_hot = soft_split(split.labels, np.eye(2)[split.predictions])
+        cfg = FitConfig(k_bar=8, k_hat=2, seed=4)
+        params_hard, diag_hard = fit(emb, split, cfg)
+        params_soft, diag_soft = fit(emb, one_hot, cfg)
+        assert diag_hard.log_likelihoods == diag_soft.log_likelihoods
+        for f in fields(MixtureParams):
+            assert np.array_equal(getattr(params_hard, f.name), getattr(params_soft, f.name))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stops_at_the_first_small_mean_change(self, seed):
+        emb, split = random_instance(seed, n=240, d=6)
+        cfg = FitConfig(k_bar=8, k_hat=3, seed=seed)
+        _, diag = fit(emb, split, cfg)
+        changes = np.abs(np.diff(diag.log_likelihoods)) / emb.n
+        assert diag.converged and diag.n_iter < cfg.max_iter
+        assert diag.n_iter == len(diag.log_likelihoods)
+        assert changes[-1] < cfg.tol
+        assert np.all(changes[:-1] >= cfg.tol)
+
     def test_determinism_bit_identical(self):
         emb, split = random_instance(33, n=100, d=3)
         cfg = FitConfig(k_bar=6, k_hat=2, seed=5, max_iter=30)
@@ -429,9 +508,9 @@ class TestFit:
     def test_scale_robustness(self):
         emb, split = random_instance(44, n=150, d=4)
         scale = 37.0
-        cfg = FitConfig(k_bar=6, k_hat=2, seed=3, max_iter=25, rel_tol=1e-12)
+        cfg = FitConfig(k_bar=6, k_hat=2, seed=3, max_iter=25, tol=1e-12)
         cfg_scaled = FitConfig(
-            k_bar=6, k_hat=2, seed=3, max_iter=25, rel_tol=1e-12,
+            k_bar=6, k_hat=2, seed=3, max_iter=25, tol=1e-12,
             cov_floor=1e-6 * scale**2,
         )
         _, diag = fit(emb, split, cfg)
@@ -447,7 +526,7 @@ class TestFit:
         iterations = 20
         cfg = FitConfig(
             k_bar=6, k_hat=2, gamma=0.0, seed=9,
-            max_iter=iterations, rel_tol=1e-300,
+            max_iter=iterations, tol=1e-300,
         )
         params, diag = fit(emb, split, cfg)
 
@@ -485,6 +564,18 @@ def plain_gmm(values, q, iterations, cov_floor):
 
 
 class TestSelection:
+    def test_soft_predictions_leave_no_near_tie_at_the_top(self):
+        # With hard predictions the pure error-cell components all sat within
+        # 1e-6 of the top divergence (12 of 25 here), so the selected slices
+        # were picked on rounding.
+        setting = make_synthetic_setting(
+            "rare", 0.1, n=2000, d=32, seed=0,
+            model=SyntheticModelSpec.natural_defaults(seed=0),
+        )
+        params, _ = fit(setting.valid_emb, setting.valid_split, FitConfig(seed=0))
+        divergence = np.abs(params.pred_probs - params.label_probs).sum(axis=1)
+        assert (divergence >= divergence.max() - 1e-6).sum() <= 1
+
     def test_total_variation_extremes(self):
         params = hand_params(
             [0.5, 0.5],
