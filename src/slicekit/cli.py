@@ -40,6 +40,8 @@ from .settings import (
     apply_ingested_predictions,
     apply_synthetic_model,
     build_setting,
+    check_sizes,
+    check_synthetic_base,
     make_synthetic_setting,
 )
 
@@ -73,9 +75,7 @@ def _build_method_cfg(method: str, values: dict):
             f"unknown {method} parameters: {', '.join(sorted(unknown))}"
         )
     try:
-        for name, value in values.items():
-            kinds = typing.get_args(hints[name]) or (hints[name],)
-            _check_kind(name, value, kinds + ((int,) if float in kinds else ()))
+        _check_fields(hints, values)
         return cfg_cls(**values) if cfg_cls else None
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"bad {method} configuration: {exc}") from exc
@@ -93,6 +93,18 @@ def _check_kind(name: str, value, kinds: tuple[type, ...] = (int,)):
     return value
 
 
+def _check_fields(hints: dict, values: dict, prefix: str = "") -> None:
+    """Raise TypeError unless each value has its hint's kind; a float field takes an int too."""
+    for name, value in values.items():
+        kinds = typing.get_args(hints[name]) or (hints[name],)
+        _check_kind(prefix + name, value, kinds + ((int,) if float in kinds else ()))
+
+
+def _number(name: str, value) -> float:
+    """The config value as a float, if it is a JSON number; raises TypeError otherwise."""
+    return float(_check_kind(name, value, (int, float)))
+
+
 def _check_method(method: str) -> None:
     if method not in ev.METHODS:
         raise click.UsageError(
@@ -106,23 +118,14 @@ def _model_spec_from_config(model: dict | None) -> SyntheticModelSpec | None:
     kind = model.get("kind", "synthetic")
     if kind != "synthetic":
         raise click.UsageError(f"synth settings support only synthetic models, got {kind!r}")
-    keys = {"sens_in", "spec_in", "sens_out", "spec_out"}
-    missing = keys - set(model)
+    keys = ("sens_in", "spec_in", "sens_out", "spec_out")
+    missing = set(keys) - set(model)
     if missing:
         raise click.UsageError(f"model config missing {', '.join(sorted(missing))}")
-    return SyntheticModelSpec(
-        **{key: model[key] for key in keys},
-        kappa=model.get("kappa", 5.0),
-        seed=_check_kind("model seed", model.get("seed", 0)),
-    )
-
-
-def _check_ranges(n: int, mu_a: float, mu_b: float) -> None:
-    """Reject a setting size or class marginal the generators cannot honour."""
-    if n < 4:
-        raise ValueError(f"n must be at least 4, got {n}")
-    if not (0.0 < mu_a < 1.0 and 0.0 < mu_b < 1.0):
-        raise ValueError(f"mu_a and mu_b must lie in (0, 1), got {mu_a} and {mu_b}")
+    values = {key: model[key] for key in keys}
+    values.update(kappa=model.get("kappa", 5.0), seed=model.get("seed", 0))
+    _check_fields(typing.get_type_hints(SyntheticModelSpec), values, "model ")
+    return SyntheticModelSpec(**values)
 
 
 @click.group()
@@ -161,23 +164,20 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
             if slice_type not in alphas:
                 raise click.UsageError(f"alphas gives no list for slice type {slice_type!r}")
             for alpha in alphas[slice_type]:
+                alpha = _number("alpha", alpha)
                 check_alpha(slice_type, alpha)
-                grid += [(slice_type, float(alpha), rep) for rep in replicates]
+                grid += [(slice_type, alpha, rep) for rep in replicates]
         sizes = dict(
             n=_check_kind("n", cfg.get("n", 2000)),
             d=_check_kind("d", cfg.get("d", 32)),
-            offset_sigmas=float(cfg.get("offset_sigmas", 4.0)),
-            class_sep_sigmas=float(cfg.get("class_sep_sigmas", 4.0)),
-            sigma=float(cfg.get("sigma", 1.0)),
-            mu_a=float(cfg.get("mu_a", 0.5)),
-            mu_b=float(cfg.get("mu_b", 0.5)),
+            offset_sigmas=_number("offset_sigmas", cfg.get("offset_sigmas", 4.0)),
+            class_sep_sigmas=_number("class_sep_sigmas", cfg.get("class_sep_sigmas", 4.0)),
+            sigma=_number("sigma", cfg.get("sigma", 1.0)),
+            mu_a=_number("mu_a", cfg.get("mu_a", 0.5)),
+            mu_b=_number("mu_b", cfg.get("mu_b", 0.5)),
         )
-        _check_ranges(sizes["n"], sizes["mu_a"], sizes["mu_b"])
-        # synthetic_base writes the slice offset into dimension 1
-        if sizes["d"] < 2:
-            raise ValueError(f"d must be at least 2, got {sizes['d']}")
-        if not sizes["sigma"] > 0:
-            raise ValueError(f"sigma must be positive, got {sizes['sigma']}")
+        check_sizes(sizes["n"], sizes["mu_a"], sizes["mu_b"])
+        check_synthetic_base(sizes["d"], sizes["sigma"])
         model = _model_spec_from_config(cfg.get("model"))
     except (AlphaOutOfRange, AttributeError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad synth configuration: {exc}") from exc
@@ -245,10 +245,10 @@ def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int
     model = cfg.get("model")
     try:
         run_seed = _check_kind("seed", cfg.get("seed", 0)) if seed is None else seed
-        alpha, n = float(cfg["alpha"]), _check_kind("n", cfg["n"])
-        mu_a, mu_b = float(cfg.get("mu_a", 0.5)), float(cfg.get("mu_b", 0.5))
+        alpha, n = _number("alpha", cfg["alpha"]), _check_kind("n", cfg["n"])
+        mu_a, mu_b = _number("mu_a", cfg.get("mu_a", 0.5)), _number("mu_b", cfg.get("mu_b", 0.5))
         check_alpha(cfg["slice_type"], alpha)
-        _check_ranges(n, mu_a, mu_b)
+        check_sizes(n, mu_a, mu_b)
         ingested = model is not None and model.get("kind") == "ingested"
         spec = None if ingested else _model_spec_from_config(model)
     except (AlphaOutOfRange, AttributeError, TypeError, ValueError) as exc:
@@ -308,9 +308,6 @@ def _config_flags(command):
 @click.option("--score-split", type=click.Choice(["test", "valid"]), default="test", show_default=True)
 @click.option("--k", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--phrases", "phrases_path", type=click.Path(exists=True), default=None)
-@click.option("--phrase-embeddings", "phrase_emb_path", type=click.Path(exists=True), default=None)
-@click.option("--top", type=click.IntRange(min=1), default=10, show_default=True)
 @_config_flags
 def run(
     setting_dir: str,
@@ -320,9 +317,6 @@ def run(
     score_split: str,
     k: int,
     seed: int,
-    phrases_path: str | None,
-    phrase_emb_path: str | None,
-    top: int,
     **flags,
 ) -> None:
     """Fit one method on a setting and write its scores document."""
@@ -347,16 +341,6 @@ def run(
         else:
             emb, split = setting.valid_emb, setting.valid_split
         scores = sdm.transform(emb, split)
-        if phrases_path is not None:
-            if phrase_emb_path is None:
-                raise click.UsageError("--phrases requires --phrase-embeddings")
-            if score_split != "valid":
-                raise click.UsageError(
-                    "descriptions need validation-split scores; use --score-split valid"
-                )
-            corpus = load_phrase_corpus(phrases_path, phrase_emb_path)
-            scores = describe_slices(emb, split, scores, corpus, top=top)
-
         precisions, best_columns = ev.score_setting(scores, split, k)
         for name, precision, best in zip(split.slice_names, precisions, best_columns):
             click.echo(

@@ -39,7 +39,6 @@ from .errors import (
     RowCountMismatch,
 )
 
-SLICE_TYPES = ("rare", "correlation", "noisy_label")
 MODEL_KINDS = ("trained_ingested", "synthetic")
 
 # Legal slice-strength ranges per slice type (inclusive endpoints; the
@@ -49,6 +48,7 @@ ALPHA_RANGES: Mapping[str, tuple[float, float]] = {
     "correlation": (0.2, 0.8),
     "noisy_label": (0.01, 0.3),
 }
+SLICE_TYPES = tuple(ALPHA_RANGES)
 
 
 def keep_arrays(obj: Any, **arrays: np.ndarray | None) -> None:

@@ -74,6 +74,14 @@ _CELLS = ((1, 1), (1, 0), (0, 1), (0, 0))
 _CELL_NAMES = ("n11", "n10", "n01", "n00")
 
 
+def check_sizes(n: int, mu_a: float, mu_b: float) -> None:
+    """Reject a setting size or class marginal the generators cannot honour."""
+    if n < 4:
+        raise ValueError(f"n must be at least 4, got {n}")
+    if not (0.0 < mu_a < 1.0 and 0.0 < mu_b < 1.0):
+        raise ValueError(f"mu_a and mu_b must lie in (0, 1), got {mu_a} and {mu_b}")
+
+
 def correlation_counts(
     alpha: float, mu_a: float, mu_b: float, n: int
 ) -> tuple[int, int, int, int]:
@@ -87,10 +95,7 @@ def correlation_counts(
     """
     if not -1.0 < alpha < 1.0:
         raise ValueError(f"alpha {alpha} outside (-1, 1)")
-    if not (0.0 < mu_a < 1.0 and 0.0 < mu_b < 1.0):
-        raise ValueError("mu_a and mu_b must lie in (0, 1)")
-    if n < 4:
-        raise ValueError("n must be at least 4")
+    check_sizes(n, mu_a, mu_b)
 
     ny1 = _round_half_up(mu_a * n)
     nc1 = _round_half_up(mu_b * n)
@@ -482,6 +487,14 @@ _ATTR_RATE = 0.2
 _ATTRIBUTE = "planted"
 
 
+def check_synthetic_base(d: int, sigma: float) -> None:
+    """Reject a width or noise scale ``synthetic_base`` cannot honour; it offsets dimension 1."""
+    if d < 2:
+        raise ValueError(f"d must be at least 2, got {d}")
+    if not sigma > 0:  # false for NaN too
+        raise ValueError(f"sigma must be positive, got {sigma}")
+
+
 def synthetic_base(
     slice_type: str,
     n_base: int,
@@ -497,6 +510,7 @@ def synthetic_base(
     feasible target correlation can be subsampled; for rare and noisy settings
     the attribute occurs only inside the positive class, at ``_ATTR_RATE``.
     """
+    check_synthetic_base(d, sigma)
     rng = derive_rng(seed, "synthetic-base", slice_type)
     y = (np.arange(n_base) % 2 == 1).astype(np.int64)
     if slice_type == "correlation":

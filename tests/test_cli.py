@@ -107,7 +107,16 @@ class TestSynth:
          {"model": {"kind": "synthetic", "sens_in": float("nan"), "spec_in": 0.4,
                     "sens_out": 0.75, "spec_out": 0.75}},
          {"model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
-                    "sens_out": 0.75, "spec_out": 0.75, "kappa": float("inf")}}],
+                    "sens_out": 0.75, "spec_out": 0.75, "kappa": float("inf")}},
+         # float() takes numeric strings and booleans; a JSON number field takes neither
+         {"sigma": "2"}, {"sigma": True}, {"offset_sigmas": "4"},
+         {"alphas": {"rare": ["0.05"]}},
+         {"model": {"kind": "synthetic", "sens_in": "0.4", "spec_in": 0.4,
+                    "sens_out": 0.75, "spec_out": 0.75}},
+         {"model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": True,
+                    "sens_out": 0.75, "spec_out": 0.75}},
+         {"model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
+                    "sens_out": 0.75, "spec_out": 0.75, "kappa": True}}],
     )
     def test_non_numeric_config_exit_two(self, runner, tmp_path, change):
         cfg = synth_config(tmp_path, **{"slice_types": ["rare"], "alphas": {"rare": [0.05]}, **change})
@@ -341,7 +350,11 @@ class TestGen:
          {"slice_type": "correlation", "alpha": 1.5},
          {"slice_type": "correlation", "alpha": 0.9},
          {"slice_type": "correlation", "alpha": -0.5},
-         {"alpha": 0.5}],
+         {"alpha": 0.5},
+         # float() takes numeric strings and booleans; a JSON number field takes neither
+         {"slice_type": "correlation", "alpha": "0.6"}, {"mu_a": "0.5"},
+         {"model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
+                    "sens_out": "0.75", "spec_out": 0.75}}],
     )
     def test_non_numeric_config_exit_two(self, runner, tmp_path, change):
         base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
@@ -403,52 +416,12 @@ class TestRun:
         assert scores.method == "confusion"
         assert scores.k_hat == 4
 
-    def test_inline_descriptions_on_validation_scores(self, runner, setting_dir, tmp_path):
-        rng = np.random.default_rng(5)
-        phrases = tmp_path / "phrases.tsv"
-        phrases.write_text("".join(f"phrase {i}\n" for i in range(12)))
-        emb_path = tmp_path / "phrases.emb"
-        save_embeddings(EmbeddingMatrix(rng.standard_normal((12, 6))), emb_path)
-        out = tmp_path / "scores.json"
-        result = runner.invoke(main, [
-            "run", "--setting", str(setting_dir), "--method", "confusion",
-            "--score-split", "valid", "--out", str(out),
-            "--phrases", str(phrases), "--phrase-embeddings", str(emb_path),
-            "--top", "4",
-        ])
-        assert result.exit_code == 0, result.output
-        scores = load_scores(out)
-        assert scores.slice_descriptions is not None
-        assert all(len(d) == 4 for d in scores.slice_descriptions)
-
-    @pytest.mark.parametrize("top", ["0", "-3"])
-    def test_top_below_one_exit_two(self, runner, setting_dir, tmp_path, top):
-        phrases = tmp_path / "phrases.tsv"
-        phrases.write_text("phrase\n")
-        emb_path = tmp_path / "phrases.emb"
-        save_embeddings(EmbeddingMatrix(np.ones((1, 6))), emb_path)
-        out = tmp_path / "scores.json"
-        result = runner.invoke(main, [
-            "run", "--setting", str(setting_dir), "--method", "confusion",
-            "--score-split", "valid", "--out", str(out),
-            "--phrases", str(phrases), "--phrase-embeddings", str(emb_path),
-            "--top", top,
-        ])
-        assert result.exit_code == 2
-        assert "--top" in result.output
-        assert not out.exists()
-
-    def test_descriptions_require_validation_split(self, runner, setting_dir, tmp_path):
-        phrases = tmp_path / "phrases.tsv"
-        phrases.write_text("phrase\n")
-        emb_path = tmp_path / "phrases.emb"
-        save_embeddings(EmbeddingMatrix(np.ones((1, 6))), emb_path)
-        result = runner.invoke(main, [
-            "run", "--setting", str(setting_dir), "--method", "confusion",
-            "--phrases", str(phrases), "--phrase-embeddings", str(emb_path),
-        ])
-        assert result.exit_code == 2
-        assert "valid" in result.output
+    def test_run_has_no_description_options(self, runner):
+        # descriptions come from `describe` on a `run --score-split valid` scores file
+        for option in ("--phrases", "--phrase-embeddings", "--top"):
+            result = runner.invoke(main, ["run", option, "3", "--setting", "x", "--method", "confusion"])
+            assert result.exit_code == 2
+            assert "No such option" in result.output and option in result.output
 
     @pytest.mark.parametrize(
         "method, flag, value",
@@ -879,9 +852,6 @@ Options:
   --score-split [test|valid]  [default: test]
   --k INTEGER RANGE           [default: 10; x>=1]
   --seed INTEGER              [default: 0]
-  --phrases PATH
-  --phrase-embeddings PATH
-  --top INTEGER RANGE         [default: 10; x>=1]
   --k-bar, --kbar INTEGER
   --k-hat, --khat INTEGER
   --gamma FLOAT

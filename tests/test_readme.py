@@ -1,0 +1,28 @@
+"""The README's CLI examples name only options their commands have."""
+
+import re
+from pathlib import Path
+
+from slicekit.cli import main
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def cli_lines() -> list[list[str]]:
+    """The words of each ``slicekit`` line in the README's bash blocks, continuations joined."""
+    blocks = re.findall(r"^```bash\n(.*?)^```", README.read_text(), re.M | re.S)
+    joined = "\n".join(blocks).replace("\\\n", " ")
+    return [line.split() for line in joined.splitlines() if line.startswith("slicekit ")]
+
+
+def test_readme_cli_examples_use_real_options():
+    lines = cli_lines()
+    # every command has an example, so an empty parse cannot pass
+    assert {words[1] for words in lines} == set(main.commands)
+    for words in lines:
+        command = main.commands[words[1]]
+        options = {o for param in command.params for o in param.opts + param.secondary_opts}
+        for word in words[2:]:
+            flag = word.split("=", 1)[0]
+            if flag.startswith("--"):
+                assert flag in options, f"slicekit {words[1]} has no option {flag}"

@@ -368,6 +368,18 @@ class TestSynthEmbeddings:
 
 
 class TestSyntheticSettingPipeline:
+    @pytest.mark.parametrize(
+        "size, message",
+        [({"d": 1}, "d must be at least 2, got 1"),
+         ({"sigma": 0.0}, "sigma must be positive, got 0.0"),
+         ({"sigma": -1.0}, "sigma must be positive, got -1.0")],
+        ids=["d-1", "sigma-0", "sigma-negative"],
+    )
+    def test_unusable_base_size_raises(self, size, message):
+        # d=1 leaves no dimension 1 for the slice offset; sigma=0 zeroes every embedding
+        with pytest.raises(ValueError, match=message):
+            make_synthetic_setting("rare", 0.1, **{"n": 100, "d": 4, "seed": 0, **size})
+
     def test_setting_is_degraded_with_natural_rates(self):
         setting = make_synthetic_setting(
             "rare", 0.1, n=2000, d=8, seed=0,
