@@ -6,6 +6,8 @@ settings; compares baseline methods; and ranks natural-language phrases as
 slice descriptions.
 """
 
+from types import ModuleType as _ModuleType
+
 from .data import (
     ALPHA_RANGES,
     EmbeddingMatrix,
@@ -75,57 +77,8 @@ from .settings import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHA_RANGES",
-    "AggregateReport",
-    "BaseTable",
-    "EmbeddingMatrix",
-    "FitConfig",
-    "FitDiagnostics",
-    "GeorgeConfig",
-    "LabeledSplit",
-    "METHODS",
-    "MixtureParams",
-    "MixtureSDM",
-    "MultiaccuracyConfig",
-    "PhraseCorpus",
-    "Responsibilities",
-    "SettingResult",
-    "SliceScores",
-    "SliceSetting",
-    "SpotlightConfig",
-    "SyntheticModelSpec",
-    "aggregate",
-    "apply_ingested_predictions",
-    "apply_synthetic_model",
-    "build_correlation_setting",
-    "build_noisy_setting",
-    "build_rare_setting",
-    "check_alpha",
-    "check_degradation",
-    "class_prototype",
-    "correlation_counts",
-    "describe_slices",
-    "e_step",
-    "fit",
-    "init_confusion",
-    "load_embeddings",
-    "load_scores",
-    "load_setting",
-    "load_split",
-    "m_step",
-    "make_synthetic_setting",
-    "precision_at_k",
-    "rank_phrases",
-    "reduce_dim",
-    "run_setting",
-    "save_embeddings",
-    "save_scores",
-    "save_setting",
-    "save_split",
-    "score",
-    "select_slices",
-    "slice_prototype",
-    "solve_beta",
-    "synth_predictions",
-]
+# Every name imported above is public: the export list is derived, not kept twice.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
+)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import shutil
+import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -18,7 +19,6 @@ import click
 import numpy as np
 
 from . import evaluate as ev
-from .data import SLICE_TYPES, check_alpha
 from .errors import AlphaOutOfRange, SchemaError, SliceKitError
 from .fileio import (
     duplicates,
@@ -36,12 +36,12 @@ from .fileio import (
 from .describe import describe_slices, load_phrase_corpus
 from .seeding import derive_seed
 from .settings import (
-    SyntheticModelSpec,
+    GenConfig,
+    IngestedModel,
+    SynthConfig,
     apply_ingested_predictions,
     apply_synthetic_model,
     build_setting,
-    check_sizes,
-    check_synthetic_base,
     make_synthetic_setting,
 )
 
@@ -56,6 +56,84 @@ def _load_json(path: str | Path) -> dict:
     return doc
 
 
+# --- configs ----------------------------------------------------------------
+
+_KIND_WORDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _container(option) -> type:
+    """list or dict if a type hint option takes a JSON array or object, else object."""
+    origin = dict if dataclasses.is_dataclass(option) else typing.get_origin(option)
+    return origin if origin in (list, dict) else object
+
+
+def _kind_words(options) -> str:
+    words = (_KIND_WORDS.get(_container(o), _KIND_WORDS.get(o)) for o in options)
+    return " or ".join(dict.fromkeys(filter(None, words)))
+
+
+def _field_value(name: str, hint, value, error: str | None = None):
+    """``value`` as a field of type ``hint``; raises TypeError (or ``error``) unless its JSON kind fits.
+
+    A JSON true is a Python int, and 2.5 would pass an int field's bounds, so
+    neither counts as an integer; an integer in a float field becomes a float.
+    An object for a dataclass field picks the dataclass by its ``kind`` key.
+    """
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    options = typing.get_args(hint) if union else (hint,)
+    container = type(value) if isinstance(value, (list, dict)) else object
+    fits = [o for o in options if _container(o) is container]
+    if fits and container is list:
+        return [_field_value(f"{name} entry", typing.get_args(fits[0])[0], v) for v in value]
+    if fits and container is dict and dataclasses.is_dataclass(fits[0]):
+        kind = value.get("kind", fits[0].kind)
+        chosen = [o for o in fits if o.kind == kind]
+        if not chosen:
+            raise TypeError(f"{name} kind must be {' or '.join(repr(o.kind) for o in fits)}, got {kind!r}")
+        return _build(chosen[0], {k: v for k, v in value.items() if k != "kind"}, name, f"{name} ")
+    if fits and container is dict:
+        return {k: _field_value(name, typing.get_args(fits[0])[1], v) for k, v in value.items()}
+    if container is object and not isinstance(value, bool):
+        if float in fits and isinstance(value, int):
+            return float(value)
+        if isinstance(value, tuple(fits)):
+            return value
+    raise TypeError(error or f"{name} must be {_kind_words(fits) or _kind_words(options)}, got {value!r}")
+
+
+def _build(cls, values: dict, label: str, prefix: str = ""):
+    """``cls`` from the JSON object ``values``; raises TypeError or ValueError."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(values) - set(fields))
+    if unknown:
+        raise TypeError(f"unknown {label} parameters: {', '.join(unknown)}")
+    for f in fields.values():
+        if f.name not in values and f.default is f.default_factory is dataclasses.MISSING:
+            raise TypeError(f"{prefix}{f.name} is required")
+    hints = typing.get_type_hints(cls)
+    return cls(**{
+        name: _field_value(prefix + name, hints[name], value, fields[name].metadata.get("kind_error"))
+        for name, value in values.items()
+    })
+
+
+def build_config(cls, values: dict, label: str):
+    """The config dataclass ``cls`` built from a JSON object; any fault in it exits 2.
+
+    Method, ``synth`` and ``gen`` configs, and their ``model`` sections, all
+    come through here: an unknown or missing key, a value of the wrong JSON
+    kind and a value ``cls`` rejects are usage errors that name ``label``.
+    """
+    try:
+        return _build(cls, values, label)
+    except (AlphaOutOfRange, TypeError, ValueError) as exc:
+        raise click.UsageError(f"bad {label} configuration: {exc}") from exc
+
+
+# The config of a method that takes only a seed.
+_SEED_ONLY = dataclasses.make_dataclass("SeedOnly", [("seed", int, 0)], frozen=True)
+
+
 def _method_section(file_cfg: dict, method: str) -> dict:
     """The method's object under ``methods`` in a config file."""
     section = file_cfg.get("methods", {})
@@ -68,41 +146,8 @@ def _method_section(file_cfg: dict, method: str) -> dict:
 def _build_method_cfg(method: str, values: dict):
     """The method's config; None for a method without one, which takes only a seed."""
     cfg_cls = ev.METHODS[method].config
-    hints = typing.get_type_hints(cfg_cls) if cfg_cls else {"seed": int}
-    unknown = set(values) - set(hints)
-    if unknown:
-        raise click.UsageError(
-            f"unknown {method} parameters: {', '.join(sorted(unknown))}"
-        )
-    try:
-        _check_fields(hints, values)
-        return cfg_cls(**values) if cfg_cls else None
-    except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"bad {method} configuration: {exc}") from exc
-
-
-def _check_kind(name: str, value, kinds: tuple[type, ...] = (int,)):
-    """The config value, if it is one of ``kinds``; raises TypeError otherwise.
-
-    A JSON true is a Python int, and 2.5 would pass an int field's bounds
-    or be truncated by ``int()``, so neither counts as an integer.
-    """
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        wanted = "a number" if float in kinds else "an integer"
-        raise TypeError(f"{name} must be {wanted}, got {value!r}")
-    return value
-
-
-def _check_fields(hints: dict, values: dict, prefix: str = "") -> None:
-    """Raise TypeError unless each value has its hint's kind; a float field takes an int too."""
-    for name, value in values.items():
-        kinds = typing.get_args(hints[name]) or (hints[name],)
-        _check_kind(prefix + name, value, kinds + ((int,) if float in kinds else ()))
-
-
-def _number(name: str, value) -> float:
-    """The config value as a float, if it is a JSON number; raises TypeError otherwise."""
-    return float(_check_kind(name, value, (int, float)))
+    cfg = build_config(cfg_cls or _SEED_ONLY, values, method)
+    return cfg if cfg_cls else None
 
 
 def _check_method(method: str) -> None:
@@ -110,22 +155,6 @@ def _check_method(method: str) -> None:
         raise click.UsageError(
             f"unknown method {method!r}; valid methods: {', '.join(ev.METHODS)}"
         )
-
-
-def _model_spec_from_config(model: dict | None) -> SyntheticModelSpec | None:
-    if model is None:
-        return None
-    kind = model.get("kind", "synthetic")
-    if kind != "synthetic":
-        raise click.UsageError(f"synth settings support only synthetic models, got {kind!r}")
-    keys = ("sens_in", "spec_in", "sens_out", "spec_out")
-    missing = set(keys) - set(model)
-    if missing:
-        raise click.UsageError(f"model config missing {', '.join(sorted(missing))}")
-    values = {key: model[key] for key in keys}
-    values.update(kappa=model.get("kappa", 5.0), seed=model.get("seed", 0))
-    _check_fields(typing.get_type_hints(SyntheticModelSpec), values, "model ")
-    return SyntheticModelSpec(**values)
 
 
 @click.group()
@@ -143,84 +172,41 @@ def main() -> None:
 def synth(config_path: str, out_dir: str, seed: int | None) -> None:
     """Generate a grid of fully synthetic slice discovery settings."""
     cfg = _load_json(config_path)
-    if cfg.get("alphas") is None:
-        raise click.UsageError("synth config requires an 'alphas' list or map")
-    try:
-        master_seed = _check_kind("seed", cfg.get("seed", 0)) if seed is None else seed
-        slice_types = cfg.get("slice_types", list(SLICE_TYPES))
-        alphas = cfg["alphas"]
-        if isinstance(alphas, list):
-            alphas = {t: alphas for t in slice_types}
-        for slice_type in (*slice_types, *alphas):
-            if slice_type not in SLICE_TYPES:
-                raise click.UsageError(f"unknown slice type {slice_type!r}")
-        replicates = cfg.get("seeds", 1)
-        if not isinstance(replicates, list):
-            replicates = range(_check_kind("seeds", replicates))
-        for rep in replicates:
-            _check_kind("seeds entry", rep)
-        grid = []
-        for slice_type in slice_types:
-            if slice_type not in alphas:
-                raise click.UsageError(f"alphas gives no list for slice type {slice_type!r}")
-            for alpha in alphas[slice_type]:
-                alpha = _number("alpha", alpha)
-                check_alpha(slice_type, alpha)
-                grid += [(slice_type, alpha, rep) for rep in replicates]
-        sizes = dict(
-            n=_check_kind("n", cfg.get("n", 2000)),
-            d=_check_kind("d", cfg.get("d", 32)),
-            offset_sigmas=_number("offset_sigmas", cfg.get("offset_sigmas", 4.0)),
-            class_sep_sigmas=_number("class_sep_sigmas", cfg.get("class_sep_sigmas", 4.0)),
-            sigma=_number("sigma", cfg.get("sigma", 1.0)),
-            mu_a=_number("mu_a", cfg.get("mu_a", 0.5)),
-            mu_b=_number("mu_b", cfg.get("mu_b", 0.5)),
-        )
-        check_sizes(sizes["n"], sizes["mu_a"], sizes["mu_b"])
-        check_synthetic_base(sizes["d"], sizes["sigma"])
-        model = _model_spec_from_config(cfg.get("model"))
-    except (AlphaOutOfRange, AttributeError, TypeError, ValueError) as exc:
-        raise click.UsageError(f"bad synth configuration: {exc}") from exc
+    if seed is not None:
+        cfg["seed"] = seed
+    config = build_config(SynthConfig, cfg, "synth")
+    grid = config.grid()
     if not grid:
         raise click.UsageError("synth grid is empty")
-    ids = [f"{slice_type}_a{alpha:g}_r{rep}" for slice_type, alpha, rep in grid]
-    repeated = duplicates(ids)
+    repeated = duplicates([setting_id for setting_id, *_ in grid])
     if repeated:
         raise click.UsageError(f"synth grid repeats setting ids: {', '.join(repeated)}")
+    names = ("n", "d", "offset_sigmas", "class_sep_sigmas", "sigma", "mu_a", "mu_b")
+    sizes = {name: getattr(config, name) for name in names}
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
     created: list[Path] = []
-    manifest = []
     try:
-        for setting_id, (slice_type, alpha, rep) in zip(ids, grid):
+        for setting_id, slice_type, alpha, rep in grid:
+            setting_seed = derive_seed(config.seed, "setting", slice_type, alpha, rep)
             setting = make_synthetic_setting(
-                slice_type,
-                alpha,
-                seed=derive_seed(master_seed, "setting", slice_type, alpha, rep),
-                model=model,
-                **sizes,
+                slice_type, alpha, seed=setting_seed, model=config.model, **sizes
             )
             path = out / setting_id
             created.append(path)
             save_setting(setting, path)
-            manifest.append(
-                {
-                    "id": setting_id,
-                    "path": setting_id,
-                    "slice_type": slice_type,
-                    "alpha": alpha,
-                    "replicate": rep,
-                }
-            )
             click.echo(f"generated {setting_id}")
     except SliceKitError as exc:
         for path in created:
             shutil.rmtree(path, ignore_errors=True)
         raise click.ClickException(f"generation failed: {exc}") from exc
 
-    write_json(out / "synth_config.json", {**cfg, "seed": master_seed})
+    manifest = [
+        {"id": setting_id, "path": setting_id, "slice_type": slice_type, "alpha": alpha, "replicate": rep}
+        for setting_id, slice_type, alpha, rep in grid
+    ]
+    write_json(out / "synth_config.json", {**cfg, "seed": config.seed})
     write_json(out / "manifest.json", {"settings": manifest})
     click.echo(f"wrote {len(manifest)} settings to {out}")
 
@@ -237,38 +223,23 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
 def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int | None) -> None:
     """Generate one setting from a base table CSV and its embeddings."""
     cfg = _load_json(config_path)
-    for key in ("slice_type", "alpha", "target", "attribute", "n"):
-        if key not in cfg:
-            raise click.UsageError(f"gen config missing {key!r}")
-    if cfg["slice_type"] not in SLICE_TYPES:
-        raise click.UsageError(f"unknown slice_type {cfg['slice_type']!r}")
-    model = cfg.get("model")
+    if seed is not None:
+        cfg["seed"] = seed
+    config = build_config(GenConfig, cfg, "gen")
     try:
-        run_seed = _check_kind("seed", cfg.get("seed", 0)) if seed is None else seed
-        alpha, n = _number("alpha", cfg["alpha"]), _check_kind("n", cfg["n"])
-        mu_a, mu_b = _number("mu_a", cfg.get("mu_a", 0.5)), _number("mu_b", cfg.get("mu_b", 0.5))
-        check_alpha(cfg["slice_type"], alpha)
-        check_sizes(n, mu_a, mu_b)
-        ingested = model is not None and model.get("kind") == "ingested"
-        spec = None if ingested else _model_spec_from_config(model)
-    except (AlphaOutOfRange, AttributeError, TypeError, ValueError) as exc:
-        raise click.UsageError(f"bad gen configuration: {exc}") from exc
-    if ingested and not (isinstance(model.get("predictions"), str) and model["predictions"]):
-        raise click.UsageError("ingested model config needs a 'predictions' path")
-
-    try:
-        base = load_base_table(base_path, cfg["target"], cfg["attribute"])
+        base = load_base_table(base_path, config.target, config.attribute)
         # gen only gathers base rows, so the payload stays float32 until then
         embeddings = load_embeddings(emb_path, dtype=np.float32)
-        setting = build_setting(cfg["slice_type"], base, embeddings, alpha, n, run_seed, mu_a, mu_b)
-        if ingested:
-            preds, probs = load_ingested_predictions(model["predictions"])
+        setting = build_setting(config.slice_type, base, embeddings, config.alpha, config.n,
+                                config.seed, config.mu_a, config.mu_b)
+        if isinstance(config.model, IngestedModel):
+            preds, probs = load_ingested_predictions(config.model.predictions)
             setting = apply_ingested_predictions(setting, preds, probs)
-        elif spec is not None:
-            setting = apply_synthetic_model(setting, spec)
+        elif config.model is not None:
+            setting = apply_synthetic_model(setting, config.model)
         out = Path(out_dir)
         save_setting(setting, out)
-        write_json(out / "gen_config.json", {**cfg, "seed": run_seed})
+        write_json(out / "gen_config.json", {**cfg, "seed": config.seed})
     except SliceKitError as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"wrote setting to {out_dir}")

@@ -240,6 +240,8 @@ class SliceSetting:
 
 def check_alpha(slice_type: str, alpha: float) -> None:
     """Raise AlphaOutOfRange unless alpha lies in the benchmark range of its slice type."""
+    if slice_type not in ALPHA_RANGES:
+        raise ValueError(f"unknown slice type {slice_type!r}")
     lo, hi = ALPHA_RANGES[slice_type]
     if not lo <= float(alpha) <= hi:
         raise AlphaOutOfRange(f"{slice_type} alpha {alpha} is outside [{lo}, {hi}]")

@@ -10,11 +10,12 @@ calibrated to target sensitivity/specificity inside and outside the slice.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .data import EmbeddingMatrix, LabeledSplit, SliceSetting, check_alpha, keep_arrays
+from .data import SLICE_TYPES, EmbeddingMatrix, LabeledSplit, SliceSetting, check_alpha, keep_arrays
 from .errors import (
     InfeasibleCounts,
     InsufficientBase,
@@ -328,6 +329,7 @@ def build_setting(
 class SyntheticModelSpec:
     """Target rates for the four beta distributions of a simulated classifier."""
 
+    kind: ClassVar[str] = "synthetic"
     sens_in: float
     spec_in: float
     sens_out: float
@@ -438,6 +440,24 @@ def apply_synthetic_model(setting: SliceSetting, spec: SyntheticModelSpec) -> Sl
         model_kind="synthetic",
         provenance=provenance,
     )
+
+
+_NO_PREDICTIONS = "ingested model config needs a 'predictions' path"
+
+
+@dataclass(frozen=True)
+class IngestedModel:
+    """Predictions read from a CSV of ``id,y_hat[,p_0,p_1]`` rows aligned to the base table.
+
+    ``kind_error`` words a config builder's message for a value that is not a string.
+    """
+
+    kind: ClassVar[str] = "ingested"
+    predictions: str = field(default="", metadata={"kind_error": _NO_PREDICTIONS})
+
+    def __post_init__(self) -> None:
+        if not self.predictions:
+            raise ValueError(_NO_PREDICTIONS)
 
 
 def apply_ingested_predictions(
@@ -563,3 +583,73 @@ def make_synthetic_setting(
     if model is not None:
         setting = apply_synthetic_model(setting, model)
     return setting
+
+
+# --- generation configs -----------------------------------------------------
+# The ``synth`` and ``gen`` config files: each field, its JSON kind (the type
+# hint), its default and its bounds.
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    """A ``slicekit synth`` grid of slice type x alpha x replicate, all under one model.
+
+    ``alphas`` maps each slice type to its alphas; a list applies to every type
+    and is stored as that map. ``seeds`` is a replicate count or a list of ids.
+    """
+
+    alphas: list[float] | dict[str, list[float]]
+    model: SyntheticModelSpec
+    slice_types: list[str] = field(default_factory=lambda: list(SLICE_TYPES))
+    seeds: int | list[int] = 1
+    n: int = 2000
+    d: int = 32
+    seed: int = 0
+    offset_sigmas: float = 4.0
+    class_sep_sigmas: float = 4.0
+    sigma: float = 1.0
+    mu_a: float = 0.5
+    mu_b: float = 0.5
+
+    def __post_init__(self) -> None:
+        if isinstance(self.alphas, list):
+            object.__setattr__(self, "alphas", dict.fromkeys(self.slice_types, self.alphas))
+        for slice_type in (*self.slice_types, *self.alphas):
+            if slice_type not in SLICE_TYPES:
+                raise ValueError(f"unknown slice type {slice_type!r}")
+        for slice_type in self.slice_types:
+            if slice_type not in self.alphas:
+                raise ValueError(f"alphas gives no list for slice type {slice_type!r}")
+            for alpha in self.alphas[slice_type]:
+                check_alpha(slice_type, alpha)
+        check_sizes(self.n, self.mu_a, self.mu_b)
+        check_synthetic_base(self.d, self.sigma)
+
+    def grid(self) -> list[tuple[str, str, float, int]]:
+        """(setting id, slice type, alpha, replicate) of every setting, in generation order."""
+        reps = self.seeds if isinstance(self.seeds, list) else range(self.seeds)
+        return [
+            (f"{slice_type}_a{alpha:g}_r{rep}", slice_type, alpha, rep)
+            for slice_type in self.slice_types
+            for alpha in self.alphas[slice_type]
+            for rep in reps
+        ]
+
+
+@dataclass(frozen=True)
+class GenConfig:
+    """A ``slicekit gen`` config: one setting subsampled from a base table."""
+
+    slice_type: str
+    alpha: float
+    target: str
+    attribute: str
+    n: int
+    mu_a: float = 0.5
+    mu_b: float = 0.5
+    seed: int = 0
+    model: SyntheticModelSpec | IngestedModel | None = None
+
+    def __post_init__(self) -> None:
+        check_alpha(self.slice_type, self.alpha)
+        check_sizes(self.n, self.mu_a, self.mu_b)

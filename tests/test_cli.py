@@ -148,6 +148,51 @@ class TestSynth:
         assert f"bad synth configuration: {message}" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"sigmaa": 3}, "unknown synth parameters: sigmaa"),
+         ({"model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
+                     "sens_out": 0.75, "spec_out": 0.75, "kapa": 50.0}},
+          "unknown model parameters: kapa")],
+        ids=["top-level", "model"],
+    )
+    def test_unknown_key_exit_two(self, runner, tmp_path, change, message):
+        # a misspelled optional field must not fall back to its default
+        cfg = synth_config(tmp_path, **{"slice_types": ["rare"], "alphas": {"rare": [0.05]}, **change})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"bad synth configuration: {message}" in result.output
+        assert not out.exists()
+
+    def test_config_without_model_exit_two(self, runner, tmp_path):
+        # without a model every prediction equals its label, and eval excludes every setting
+        cfg = synth_config(tmp_path, slice_types=["rare"], alphas={"rare": [0.05]})
+        doc = json.loads(cfg.read_text())
+        del doc["model"]
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "bad synth configuration: model is required" in result.output
+        assert not out.exists()
+
+    def test_integer_and_float_numbers_give_identical_settings(self, runner, tmp_path):
+        # a float field holds a float, so provenance records kappa 5 as 5.0
+        trees = []
+        for kappa in (5, 5.0):
+            work = tmp_path / repr(kappa)
+            work.mkdir()
+            model = {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
+                     "sens_out": 0.75, "spec_out": 0.75, "kappa": kappa}
+            grid = synth_grid(runner, work, seeds=1, n=100, d=4, model=model)
+            trees.append({
+                path.relative_to(grid): path.read_bytes() for path in grid.rglob("*")
+                if path.is_file() and path.name != "synth_config.json"
+            })
+        assert len(trees[0]) > 1
+        assert trees[0] == trees[1]
+
     def test_unknown_slice_type_exit_two(self, runner, tmp_path):
         # in slice_types, and as an alphas key
         for overrides, name in (
@@ -372,8 +417,10 @@ class TestGen:
          ({"seed": 2.5}, "seed must be an integer, got 2.5"),
          ({"model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
                     "sens_out": 0.75, "spec_out": 0.75, "seed": 1.5}},
-          "model seed must be an integer, got 1.5")],
-        ids=["n", "n-true", "seed", "model-seed"],
+          "model seed must be an integer, got 1.5"),
+         ({"model": {"kind": "foo"}}, "model kind must be 'synthetic' or 'ingested', got 'foo'"),
+         ({"model": [1]}, "model must be an object, got [1]")],
+        ids=["n", "n-true", "seed", "model-seed", "model-kind", "model-list"],
     )
     def test_fractional_integer_exit_two(self, runner, tmp_path, change, message):
         base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
@@ -382,6 +429,26 @@ class TestGen:
         result = run_gen(runner, tmp_path, base, emb_path, cfg)
         assert result.exit_code == 2, result.output
         assert f"bad gen configuration: {message}" in result.output
+
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"alpah": 0.2}, "unknown gen parameters: alpah"),
+         ({"model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
+                     "sens_out": 0.75, "spec_out": 0.75, "kapa": 50.0}},
+          "unknown model parameters: kapa"),
+         ({"model": {"kind": "ingested", "predictions": "preds.csv", "sens_in": 0.4}},
+          "unknown model parameters: sens_in")],
+        ids=["top-level", "synthetic-model", "ingested-model"],
+    )
+    def test_unknown_key_exit_two(self, runner, tmp_path, change, message):
+        base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
+        cfg = {"slice_type": "rare", "alpha": 0.1, "target": "target",
+               "attribute": "tube", "n": 100, **change}
+        result = run_gen(runner, tmp_path, base, emb_path, cfg)
+        assert result.exit_code == 2, result.output
+        assert f"bad gen configuration: {message}" in result.output
+        assert not (tmp_path / "setting").exists()
 
 
 class TestRun:

@@ -1,9 +1,11 @@
-"""The README's CLI examples name only options their commands have."""
+"""The README's CLI examples name only options their commands have, and its configs build."""
 
+import json
 import re
 from pathlib import Path
 
-from slicekit.cli import main
+from slicekit.cli import build_config, main
+from slicekit.settings import GenConfig, IngestedModel, SynthConfig, SyntheticModelSpec
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -26,3 +28,18 @@ def test_readme_cli_examples_use_real_options():
             flag = word.split("=", 1)[0]
             if flag.startswith("--"):
                 assert flag in options, f"slicekit {words[1]} has no option {flag}"
+
+
+def test_readme_config_examples_build():
+    # the examples go through the CLI's config builder, so the documented
+    # schema and the config dataclasses cannot drift apart
+    text = README.read_text()
+    examples = dict(re.findall(r"^Example `(\w+\.json)`.*?^```json\n(.*?)^```", text, re.M | re.S))
+    assert set(examples) == {"synth.json", "gen.json"}
+    synth = build_config(SynthConfig, json.loads(examples["synth.json"]), "synth")
+    assert isinstance(synth.model, SyntheticModelSpec) and len(synth.grid()) == 30
+    gen = json.loads(examples["gen.json"])
+    assert isinstance(build_config(GenConfig, gen, "gen").model, SyntheticModelSpec)
+    ingested = re.search(r'`(\{"kind": "ingested".*?\})`', text).group(1)
+    built = build_config(GenConfig, {**gen, "model": json.loads(ingested)}, "gen")
+    assert isinstance(built.model, IngestedModel)
