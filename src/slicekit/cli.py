@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import shutil
-import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -22,6 +21,7 @@ from . import evaluate as ev
 from .errors import AlphaOutOfRange, SchemaError, SliceKitError
 from .fileio import (
     duplicates,
+    from_json,
     load_base_table,
     load_embeddings,
     load_ingested_predictions,
@@ -58,75 +58,12 @@ def _load_json(path: str | Path) -> dict:
 
 # --- configs ----------------------------------------------------------------
 
-_KIND_WORDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
-
-
-def _container(option) -> type:
-    """list or dict if a type hint option takes a JSON array or object, else object."""
-    origin = dict if dataclasses.is_dataclass(option) else typing.get_origin(option)
-    return origin if origin in (list, dict) else object
-
-
-def _kind_words(options) -> str:
-    words = (_KIND_WORDS.get(_container(o), _KIND_WORDS.get(o)) for o in options)
-    return " or ".join(dict.fromkeys(filter(None, words)))
-
-
-def _field_value(name: str, hint, value, error: str | None = None):
-    """``value`` as a field of type ``hint``; raises TypeError (or ``error``) unless its JSON kind fits.
-
-    A JSON true is a Python int, and 2.5 would pass an int field's bounds, so
-    neither counts as an integer; an integer in a float field becomes a float.
-    An object for a dataclass field picks the dataclass by its ``kind`` key.
-    """
-    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
-    options = typing.get_args(hint) if union else (hint,)
-    container = type(value) if isinstance(value, (list, dict)) else object
-    fits = [o for o in options if _container(o) is container]
-    if fits and container is list:
-        return [_field_value(f"{name} entry", typing.get_args(fits[0])[0], v) for v in value]
-    if fits and container is dict and dataclasses.is_dataclass(fits[0]):
-        kind = value.get("kind", fits[0].kind)
-        chosen = [o for o in fits if o.kind == kind]
-        if not chosen:
-            raise TypeError(f"{name} kind must be {' or '.join(repr(o.kind) for o in fits)}, got {kind!r}")
-        return _build(chosen[0], {k: v for k, v in value.items() if k != "kind"}, name, f"{name} ")
-    if fits and container is dict:
-        return {k: _field_value(name, typing.get_args(fits[0])[1], v) for k, v in value.items()}
-    if container is object and not isinstance(value, bool):
-        if float in fits and isinstance(value, int):
-            return float(value)
-        if isinstance(value, tuple(fits)):
-            return value
-    raise TypeError(error or f"{name} must be {_kind_words(fits) or _kind_words(options)}, got {value!r}")
-
-
-def _build(cls, values: dict, label: str, prefix: str = ""):
-    """``cls`` from the JSON object ``values``; raises TypeError or ValueError."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(values) - set(fields))
-    if unknown:
-        raise TypeError(f"unknown {label} parameters: {', '.join(unknown)}")
-    for f in fields.values():
-        if f.name not in values and f.default is f.default_factory is dataclasses.MISSING:
-            raise TypeError(f"{prefix}{f.name} is required")
-    hints = typing.get_type_hints(cls)
-    return cls(**{
-        name: _field_value(prefix + name, hints[name], value, fields[name].metadata.get("kind_error"))
-        for name, value in values.items()
-    })
-
 
 def build_config(cls, values: dict, label: str):
-    """The config dataclass ``cls`` built from a JSON object; any fault in it exits 2.
-
-    Method, ``synth`` and ``gen`` configs, and their ``model`` sections, all
-    come through here: an unknown or missing key, a value of the wrong JSON
-    kind and a value ``cls`` rejects are usage errors that name ``label``.
-    """
+    """``from_json(cls, values, label)``; any fault in the config exits 2 and names ``label``."""
     try:
-        return _build(cls, values, label)
-    except (AlphaOutOfRange, TypeError, ValueError) as exc:
+        return from_json(cls, values, label)
+    except (AlphaOutOfRange, OverflowError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad {label} configuration: {exc}") from exc
 
 
@@ -134,13 +71,20 @@ def build_config(cls, values: dict, label: str):
 _SEED_ONLY = dataclasses.make_dataclass("SeedOnly", [("seed", int, 0)], frozen=True)
 
 
-def _method_section(file_cfg: dict, method: str) -> dict:
-    """The method's object under ``methods`` in a config file."""
-    section = file_cfg.get("methods", {})
-    section = section.get(method, {}) if isinstance(section, dict) else None
-    if not isinstance(section, dict):
-        raise click.UsageError("config 'methods' must map method names to objects")
-    return section
+@dataclasses.dataclass(frozen=True)
+class _ConfigFile:
+    """A ``run`` or ``eval`` --config file: each method's config section by method name."""
+
+    methods: dict[str, dict[str, typing.Any]] = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for method in self.methods:
+            ev.check_method(method)
+
+
+def _method_sections(config_path: str | None) -> dict[str, dict]:
+    """The method sections of a --config file; none without one."""
+    return build_config(_ConfigFile, _load_json(config_path), "--config").methods if config_path else {}
 
 
 def _build_method_cfg(method: str, values: dict):
@@ -151,10 +95,10 @@ def _build_method_cfg(method: str, values: dict):
 
 
 def _check_method(method: str) -> None:
-    if method not in ev.METHODS:
-        raise click.UsageError(
-            f"unknown method {method!r}; valid methods: {', '.join(ev.METHODS)}"
-        )
+    try:
+        ev.check_method(method)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 @click.group()
@@ -235,7 +179,7 @@ def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int
         if isinstance(config.model, IngestedModel):
             preds, probs = load_ingested_predictions(config.model.predictions)
             setting = apply_ingested_predictions(setting, preds, probs)
-        elif config.model is not None:
+        else:
             setting = apply_synthetic_model(setting, config.model)
         out = Path(out_dir)
         save_setting(setting, out)
@@ -299,8 +243,7 @@ def run(
         raise click.UsageError(
             f"{', '.join(foreign)} not accepted by --method {method}"
         )
-    file_cfg = _load_json(config_path) if config_path else {}
-    section = _method_section(file_cfg, method)
+    section = _method_sections(config_path).get(method, {})
     method_cfg = _build_method_cfg(method, {"seed": seed, **section, **given})
 
     try:
@@ -372,14 +315,10 @@ def eval_cmd(
         entries = load_manifest(manifest_path)
     except SliceKitError as exc:
         raise click.UsageError(str(exc)) from exc
-    file_cfg = _load_json(config_path) if config_path else {}
-    sections = file_cfg.get("methods", {})
+    sections = _method_sections(config_path)
     # Every config is built before any task runs, so a bad section is a usage
     # error; each task then replaces the seed with its own derived one.
-    configs = {
-        m: _build_method_cfg(m, {**_method_section(file_cfg, m), "seed": 0})
-        for m in method_list
-    }
+    configs = {m: _build_method_cfg(m, {**sections.get(m, {}), "seed": 0}) for m in method_list}
 
     tasks = []
     for setting_id, setting_path in entries:

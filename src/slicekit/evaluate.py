@@ -9,7 +9,7 @@ percentile-bootstrap 95% confidence intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, make_dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .baselines import (
 )
 from .data import MODEL_KINDS, SLICE_TYPES, LabeledSplit, SliceScores, SliceSetting
 from .errors import EmptyGroup, KTooLarge, SchemaError
-from .fileio import duplicates
+from .fileio import duplicates, from_json
 from .mixture import FitConfig, MixtureSDM
 from .seeding import derive_rng
 
@@ -55,10 +55,15 @@ METHODS: dict[str, Method] = {
 }
 
 
-def make_sdm(method: str, cfg: object = None):
-    """Instantiate the named method; each method builds its default config."""
+def check_method(method: str) -> None:
+    """Raise ValueError unless ``method`` names a registered method."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid methods: {', '.join(METHODS)}")
+
+
+def make_sdm(method: str, cfg: object = None):
+    """Instantiate the named method; each method builds its default config."""
+    check_method(method)
     return METHODS[method].sdm(cfg)
 
 
@@ -105,6 +110,15 @@ class SettingResult:
     best_slices: tuple[int, ...]
     degraded: bool
     success_at_beta: bool
+
+    def __post_init__(self) -> None:
+        if not self.precisions or not all(0.0 <= p <= 1.0 for p in self.precisions):
+            raise ValueError(f"precisions must be non-empty and lie in [0, 1], got {self.precisions!r}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be a finite number, got {self.alpha!r}")
+        for name, known in (("slice_type", SLICE_TYPES), ("model_kind", MODEL_KINDS)):
+            if getattr(self, name) not in known:
+                raise ValueError(f"{name} must be one of {', '.join(known)}, got {getattr(self, name)!r}")
 
     @property
     def precision(self) -> float:
@@ -236,60 +250,28 @@ def result_to_dict(result: SettingResult) -> dict:
     return {**asdict(result), "excluded": is_excluded(result)}
 
 
-def _json_number(value: Any) -> bool:
-    """Whether a parsed JSON value is a number; true and false are not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _json_bool(doc: Mapping, name: str) -> bool:
-    if not isinstance(doc[name], bool):
-        raise ValueError(f"{name} must be true or false, got {doc[name]!r}")
-    return doc[name]
-
-
-def _json_ints(doc: Mapping, name: str) -> tuple[int, ...]:
-    values = tuple(doc[name])
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-        raise ValueError(f"{name} must be a list of integers, got {doc[name]!r}")
-    return values
-
-
-def result_from_dict(doc: Mapping) -> SettingResult:
-    precisions = tuple(doc["precisions"])
-    if not precisions or not all(_json_number(p) and 0.0 <= p <= 1.0 for p in precisions):
-        raise ValueError(
-            f"precisions must be a non-empty list of numbers in [0, 1], got {doc['precisions']!r}"
-        )
-    if not (_json_number(doc["alpha"]) and math.isfinite(doc["alpha"])):
-        raise ValueError(f"alpha must be a finite number, got {doc['alpha']!r}")
-    for name, known in (("slice_type", SLICE_TYPES), ("model_kind", MODEL_KINDS)):
-        if doc[name] not in known:
-            raise ValueError(f"{name} must be one of {', '.join(known)}, got {doc[name]!r}")
-    return SettingResult(
-        setting_id=str(doc["setting_id"]),
-        method=str(doc["method"]),
-        slice_type=doc["slice_type"],
-        alpha=float(doc["alpha"]),
-        model_kind=doc["model_kind"],
-        precisions=tuple(map(float, precisions)),
-        best_slices=_json_ints(doc, "best_slices"),
-        degraded=_json_bool(doc, "degraded"),
-        success_at_beta=_json_bool(doc, "success_at_beta"),
-    )
+# The report config fields ``report`` reads back: the ``k`` of precision@k and the bootstrap seed.
+_REPORT_KEYS = make_dataclass("ReportKeys", [("k", int), ("seed", int)], frozen=True)
 
 
 def read_report_document(doc: Any) -> tuple[list[SettingResult], list[dict], dict]:
     """The results, errors and config of a ``report_document``; SchemaError if malformed.
 
-    The config holds the ``k`` and the bootstrap ``seed`` the report was built with.
+    The config, returned as it is, holds the ``k`` and bootstrap ``seed`` the report was built with.
     """
     try:
-        config = {**doc["config"], "k": int(doc["config"]["k"]), "seed": int(doc["config"]["seed"])}
+        config = doc["config"]
+        keys = {name: config[name] for name in ("k", "seed")} if isinstance(config, dict) else config
+        if from_json(_REPORT_KEYS, keys, "config").k < 1:
+            raise ValueError(f"k must be at least 1, got {config['k']}")
         errors = [
             {**e, "setting_id": str(e["setting_id"]), "method": str(e["method"])}
             for e in doc.get("errors", [])
         ]
-        results = [result_from_dict(row) for row in doc["results"]]
+        # a row's ``excluded`` is derived from its other keys, so it is not a field
+        rows = [{k: v for k, v in r.items() if k != "excluded"} if isinstance(r, dict) else r
+                for r in doc["results"]]
+        results = [from_json(SettingResult, row, "result row") for row in rows]
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad report document: {type(exc).__name__}: {exc}") from exc
     if not results:

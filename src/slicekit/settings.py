@@ -442,22 +442,16 @@ def apply_synthetic_model(setting: SliceSetting, spec: SyntheticModelSpec) -> Sl
     )
 
 
-_NO_PREDICTIONS = "ingested model config needs a 'predictions' path"
-
-
 @dataclass(frozen=True)
 class IngestedModel:
-    """Predictions read from a CSV of ``id,y_hat[,p_0,p_1]`` rows aligned to the base table.
-
-    ``kind_error`` words a config builder's message for a value that is not a string.
-    """
+    """Predictions read from a CSV of ``id,y_hat[,p_0,p_1]`` rows aligned to the base table."""
 
     kind: ClassVar[str] = "ingested"
-    predictions: str = field(default="", metadata={"kind_error": _NO_PREDICTIONS})
+    predictions: str
 
     def __post_init__(self) -> None:
         if not self.predictions:
-            raise ValueError(_NO_PREDICTIONS)
+            raise ValueError("model predictions must be a non-empty path")
 
 
 def apply_ingested_predictions(
@@ -645,10 +639,10 @@ class GenConfig:
     target: str
     attribute: str
     n: int
+    model: SyntheticModelSpec | IngestedModel
     mu_a: float = 0.5
     mu_b: float = 0.5
     seed: int = 0
-    model: SyntheticModelSpec | IngestedModel | None = None
 
     def __post_init__(self) -> None:
         check_alpha(self.slice_type, self.alpha)

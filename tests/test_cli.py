@@ -165,6 +165,14 @@ class TestSynth:
         assert f"bad synth configuration: {message}" in result.output
         assert not out.exists()
 
+    def test_integer_too_large_for_a_number_field_exit_two(self, runner, tmp_path):
+        cfg = synth_config(tmp_path, slice_types=["rare"], alphas={"rare": [10**400]})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "bad synth configuration: int too large to convert to float" in result.output
+        assert not out.exists()
+
     def test_config_without_model_exit_two(self, runner, tmp_path):
         # without a model every prediction equals its label, and eval excludes every setting
         cfg = synth_config(tmp_path, slice_types=["rare"], alphas={"rare": [0.05]})
@@ -278,6 +286,9 @@ def write_base(tmp_path, n_base, d, seed):
     return base, emb_path, c
 
 
+GEN_MODEL = {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4, "sens_out": 0.75, "spec_out": 0.75}
+
+
 def run_gen(runner, tmp_path, base, emb_path, cfg):
     path = tmp_path / "gen.json"
     path.write_text(json.dumps(cfg))
@@ -322,7 +333,7 @@ class TestGen:
         try:
             result = run_gen(runner, tmp_path, base, emb_path, {
                 "slice_type": "correlation", "alpha": 0.4, "target": "target",
-                "attribute": "tube", "n": 2000, "seed": 1,
+                "attribute": "tube", "n": 2000, "seed": 1, "model": GEN_MODEL,
             })
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -382,7 +393,17 @@ class TestGen:
             "n": 100, "model": {"kind": "ingested", **model},
         })
         assert result.exit_code == 2, result.output
-        assert "needs a 'predictions' path" in result.output
+        assert "bad gen configuration: model predictions" in result.output
+
+    def test_config_without_model_exit_two(self, runner, tmp_path):
+        # without a model every prediction would equal its label, and eval would exclude the setting
+        base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
+        result = run_gen(runner, tmp_path, base, emb_path, {
+            "slice_type": "rare", "alpha": 0.1, "target": "target", "attribute": "tube", "n": 100,
+        })
+        assert result.exit_code == 2, result.output
+        assert "bad gen configuration: model is required" in result.output
+        assert not (tmp_path / "setting").exists()
 
     @pytest.mark.parametrize(
         "change",
@@ -404,7 +425,7 @@ class TestGen:
     def test_non_numeric_config_exit_two(self, runner, tmp_path, change):
         base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
         cfg = {"slice_type": "rare", "alpha": 0.1, "target": "target",
-               "attribute": "tube", "n": 100, **change}
+               "attribute": "tube", "n": 100, "model": GEN_MODEL, **change}
         result = run_gen(runner, tmp_path, base, emb_path, cfg)
         assert result.exit_code == 2, result.output
         assert "bad gen configuration" in result.output
@@ -425,7 +446,7 @@ class TestGen:
     def test_fractional_integer_exit_two(self, runner, tmp_path, change, message):
         base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
         cfg = {"slice_type": "rare", "alpha": 0.1, "target": "target",
-               "attribute": "tube", "n": 100, **change}
+               "attribute": "tube", "n": 100, "model": GEN_MODEL, **change}
         result = run_gen(runner, tmp_path, base, emb_path, cfg)
         assert result.exit_code == 2, result.output
         assert f"bad gen configuration: {message}" in result.output
@@ -444,7 +465,7 @@ class TestGen:
     def test_unknown_key_exit_two(self, runner, tmp_path, change, message):
         base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
         cfg = {"slice_type": "rare", "alpha": 0.1, "target": "target",
-               "attribute": "tube", "n": 100, **change}
+               "attribute": "tube", "n": 100, "model": GEN_MODEL, **change}
         result = run_gen(runner, tmp_path, base, emb_path, cfg)
         assert result.exit_code == 2, result.output
         assert f"bad gen configuration: {message}" in result.output
@@ -587,6 +608,28 @@ class TestRun:
         sdm.fit(setting.valid_emb, setting.valid_split)
         lib_scores = sdm.transform(setting.test_emb, setting.test_split)
         assert np.array_equal(cli_scores.scores, lib_scores.scores)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [({"method": {"domino": {"k_bar": 3}}}, "unknown --config parameters: method"),
+     ({"methods": {"domino": 5}}, "methods['domino'] must be an object, got 5"),
+     ({"methods": [{"domino": {}}]}, "methods must be an object, got [{'domino': {}}]"),
+     ({"methods": {"dominoo": {}}}, "unknown method 'dominoo'; valid methods: domino,")],
+    ids=["top-level-key", "section-not-object", "methods-not-object", "unknown-method"],
+)
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_bad_config_file_exit_two(runner, tmp_path, command, doc, message):
+    grid = synth_grid(runner, tmp_path, seeds=1, n=200, d=4)
+    method_cfg = tmp_path / "methods.json"
+    method_cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    where = (["--setting", str(grid / "rare_a0.1_r0"), "--method", "domino"] if command == "run"
+             else ["--manifest", str(grid / "manifest.json"), "--methods", "domino"])
+    result = runner.invoke(main, [command, *where, "--config", str(method_cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"bad --config configuration: {message}" in result.output
+    assert not out.exists()
 
 
 class TestEval:
@@ -861,9 +904,10 @@ class TestReportCommand:
         [
             ({"results": [{"setting_id": "a"}]}, "bad report document: KeyError: 'config'"),
             ({"config": {"k": 10, "seed": 0}, "results": [{"setting_id": "a"}]},
-             "bad report document: KeyError: 'precisions'"),
+             "bad report document: ValueError: method is required"),
             ({"config": {"seed": 0}, "results": []}, "bad report document: KeyError: 'k'"),
-            ({"config": {"k": "five", "seed": 0}, "results": []}, "bad report document: ValueError"),
+            ({"config": {"k": "five", "seed": 0}, "results": []},
+             "bad report document: ValueError: k must be an integer, got 'five'"),
             ({"config": {"k": 10, "seed": 0}, "results": []}, "no results"),
             ({"config": {"k": 10, "seed": 0}, "results": [ROW, {**ROW, "setting_id": "b"}, ROW]},
              "rows repeat setting/method pairs: a [confusion]"),
@@ -874,14 +918,13 @@ class TestReportCommand:
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "success_at_beta": 1}]},
              "bad report document: ValueError: success_at_beta must be true or false, got 1"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "best_slices": [1.9]}]},
-             "bad report document: ValueError: best_slices must be a list of integers, got [1.9]"),
+             "bad report document: ValueError: best_slices entry must be an integer, got 1.9"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "best_slices": [True]}]},
-             "bad report document: ValueError: best_slices must be a list of integers"),
+             "bad report document: ValueError: best_slices entry must be an integer, got True"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "precisions": [True, "0.5"]}]},
-             "bad report document: ValueError: precisions must be a non-empty list of numbers "
-             "in [0, 1], got [True, '0.5']"),
+             "bad report document: ValueError: precisions entry must be a number, got True"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "alpha": "0.1"}]},
-             "bad report document: ValueError: alpha must be a finite number, got '0.1'"),
+             "bad report document: ValueError: alpha must be a number, got '0.1'"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "alpha": float("nan")}]},
              "bad report document: ValueError: alpha must be a finite number, got nan"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "slice_type": "rarest"}]},
@@ -891,6 +934,22 @@ class TestReportCommand:
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "model_kind": "trained"}]},
              "bad report document: ValueError: model_kind must be one of trained_ingested, "
              "synthetic, got 'trained'"),
+            ({"config": {"k": True, "seed": 0}, "results": [ROW]},
+             "bad report document: ValueError: k must be an integer, got True"),
+            ({"config": {"k": 10.7, "seed": 0}, "results": [ROW]},
+             "bad report document: ValueError: k must be an integer, got 10.7"),
+            ({"config": {"k": "10", "seed": 0}, "results": [ROW]},
+             "bad report document: ValueError: k must be an integer, got '10'"),
+            ({"config": {"k": 0, "seed": 0}, "results": [ROW]},
+             "bad report document: ValueError: k must be at least 1, got 0"),
+            ({"config": {"k": 10, "seed": 1.5}, "results": [ROW]},
+             "bad report document: ValueError: seed must be an integer, got 1.5"),
+            ({"config": [10, 0], "results": [ROW]},
+             "bad report document: ValueError: config must be a JSON object, got [10, 0]"),
+            ({"config": {"k": 10, "seed": 0}, "results": [None]},
+             "bad report document: ValueError: result row must be a JSON object, got None"),
+            ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "precisions": []}]},
+             "bad report document: ValueError: precisions must be non-empty and lie in [0, 1], got ()"),
         ],
     )
     def test_malformed_document_exit_two(self, runner, tmp_path, doc, message):

@@ -1,5 +1,8 @@
 """Evaluation harness: precision-at-k, degradation, run/aggregate."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings
@@ -21,6 +24,7 @@ from slicekit.errors import EmptyGroup, KTooLarge
 from slicekit.evaluate import (
     SettingResult,
     is_excluded,
+    read_report_document,
     report_document,
     report_markdown,
     score_setting,
@@ -260,6 +264,33 @@ class TestReportDocuments:
         assert "wall_time" not in doc["results"][0]
         assert doc["errors"][0]["setting_id"] == "z"
         assert {a["method"] for a in doc["aggregates"]} == {"domino", "confusion"}
+
+    def test_read_back_without_the_cli(self):
+        results = [
+            make_result("b", method="confusion", model_kind="trained_ingested", degraded=False),
+            make_result("a", alpha=0.05, precision=0.9),
+        ]
+        errors = [{"setting_id": "z", "method": "domino", "error": "missing"}]
+        config = {"k": 5, "seed": 3, "beta": 0.5}
+        doc = report_document(results, aggregate(results), errors=errors, config=config)
+        assert read_report_document(doc) == (results[::-1], errors, config)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"precisions": ()}, "precisions must be non-empty"),
+         ({"precisions": (0.5, 1.5)}, "precisions must be non-empty and lie in [0, 1]"),
+         ({"precisions": (-0.1,)}, "precisions must be non-empty and lie in [0, 1]"),
+         ({"precisions": (float("nan"),)}, "precisions must be non-empty and lie in [0, 1]"),
+         ({"alpha": float("nan")}, "alpha must be a finite number, got nan"),
+         ({"slice_type": "rarest"}, "slice_type must be one of rare, correlation, noisy_label"),
+         ({"model_kind": "trained"}, "model_kind must be one of trained_ingested, synthetic")],
+        ids=["precisions-empty", "precision-above-one", "precision-negative", "precision-nan",
+             "alpha-nan", "slice-type", "model-kind"],
+    )
+    def test_setting_result_rejects_out_of_range_fields(self, change, message):
+        fields = {**dataclasses.asdict(make_result("a")), **change}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SettingResult(**fields)
 
     def test_markdown_table(self):
         reports = aggregate([make_result("a", precision=0.25)])

@@ -170,13 +170,10 @@ def test_report_bytes_are_pinned(tmp_path, monkeypatch):
 GEN_DIGESTS = {
     "rare-synthetic": "3583e805ba7edbfe117370d28b137bf4abf3f8d190a409d933acbfa29f84152c",
     "rare-ingested": "a23e9fd81feb6832f771ca0999e055ae638b95add05f4d828a0cffcbd56dce1b",
-    "rare-none": "3fa2ae79d343511c9b71e9e313e08d9145aed9ac75ee197796f4d5a1d5a21c9c",
     "correlation-synthetic": "6e28a4828fc50b4de45bd6002ca46b44b567df7b923fad93cbec38123115e643",
     "correlation-ingested": "6109965be9d6f5afa22ba5042d9f6b870ccf8476f6471d093284f8f00b902c08",
-    "correlation-none": "5af2eac9cf0125fe7d601d3e59990d9c42d3c6678029e98bbcb90b409a7feea1",
     "noisy_label-synthetic": "00b58618413c0a83ff77602b8186618998ec76dbf544a937b068496d28721728",
     "noisy_label-ingested": "b78f676127d1e213ed46a0c088d5025d184ae724612cb92b90748f6ce995db3b",
-    "noisy_label-none": "e76e780835b196b1060db7b1e5fb70fee2b80f8a9bd25849c4a22dc9fb0c570d",
 }
 
 
@@ -200,7 +197,6 @@ def test_gen_bytes_are_pinned(tmp_path, monkeypatch):
         "synthetic": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
                       "sens_out": 0.75, "spec_out": 0.75, "seed": 4},
         "ingested": {"kind": "ingested", "predictions": "preds.csv"},
-        "none": None,
     }
     alphas = {"rare": 0.05, "correlation": 0.4, "noisy_label": 0.2}
     runner = CliRunner()
@@ -209,9 +205,7 @@ def test_gen_bytes_are_pinned(tmp_path, monkeypatch):
         for name, model in models.items():
             out = f"{slice_type}-{name}"
             cfg = {"slice_type": slice_type, "alpha": alpha, "target": "target",
-                   "attribute": "tube", "n": 300, "seed": 5}
-            if model is not None:
-                cfg["model"] = model
+                   "attribute": "tube", "n": 300, "seed": 5, "model": model}
             Path("gen.json").write_text(json.dumps(cfg))
             result = runner.invoke(main, [
                 "gen", "--base", "base.csv", "--embeddings", "base.emb",

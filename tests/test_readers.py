@@ -133,6 +133,24 @@ def test_setting_json_not_an_object(tmp_path):
         load_setting(setting)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [({"seed": True}, "seed must be an integer, got True"),
+     ({"seed": "7"}, "seed must be an integer, got '7'"),
+     ({"alpha": "0.1"}, "alpha must be a number, got '0.1'"),
+     ({"alphaa": 0.1}, "unknown setting parameters: alphaa"),
+     # the splits come from the CSV and embedding files, never from setting.json
+     ({"valid_emb": []}, "unknown setting parameters: valid_emb")],
+    ids=["seed-true", "seed-string", "alpha-string", "unknown-key", "split-key"],
+)
+def test_setting_json_field_of_wrong_kind(tmp_path, change, message):
+    setting = _setting_dir(tmp_path)
+    path = setting / "setting.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    with pytest.raises(SchemaError, match=re.escape(f"setting.json: bad setting: ValueError: {message}")):
+        load_setting(setting)
+
+
 def test_corrupt_scores_json(tmp_path):
     path = tmp_path / "s.json"
     path.write_text('{"method": "domino", "n": ')
@@ -250,6 +268,7 @@ def test_gen_with_empty_base_exits_one(tmp_path):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({
         "slice_type": "rare", "alpha": 0.1, "target": "target", "attribute": "attr", "n": 4,
+        "model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4, "sens_out": 0.75, "spec_out": 0.75},
     }))
     result = CliRunner().invoke(main, [
         "gen", "--base", str(tmp_path / "base.csv"), "--embeddings", str(tmp_path / "base.emb"),
