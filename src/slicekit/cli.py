@@ -87,10 +87,16 @@ def _method_sections(config_path: str | None) -> dict[str, dict]:
     return build_config(_ConfigFile, _load_json(config_path), "--config").methods if config_path else {}
 
 
-def _build_method_cfg(method: str, values: dict):
-    """The method's config; None for a method without one, which takes only a seed."""
+def _build_method_cfg(method: str, section: dict, seed: int):
+    """The method's config from its --config section, seeded with ``seed``.
+
+    None for a method without a config, which takes only a seed. A fit's seed
+    comes from --seed alone, so a section that sets one is a usage error.
+    """
+    if "seed" in section:
+        raise click.UsageError(f"bad {method} configuration: seed is set by --seed, not by --config")
     cfg_cls = ev.METHODS[method].config
-    cfg = build_config(cfg_cls or _SEED_ONLY, values, method)
+    cfg = build_config(cfg_cls or _SEED_ONLY, {**section, "seed": seed}, method)
     return cfg if cfg_cls else None
 
 
@@ -192,29 +198,6 @@ def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int
 # --- run --------------------------------------------------------------------
 
 
-def _flag_fields(method: str) -> tuple[dataclasses.Field, ...]:
-    """The config fields that ``run`` exposes as flags for ``method``."""
-    spec = ev.METHODS[method]
-    if not spec.cli_flags:
-        return ()
-    return tuple(f for f in dataclasses.fields(spec.config) if f.name != "seed")
-
-
-def _flag_name(field_name: str) -> str:
-    return "--" + field_name.replace("_", "-")
-
-
-def _config_flags(command):
-    """Add one flag per exposed config field, in registry then field order."""
-    for method in reversed(ev.METHODS):
-        fields = _flag_fields(method)
-        hints = typing.get_type_hints(ev.METHODS[method].config) if fields else {}
-        for f in reversed(fields):
-            names = (_flag_name(f.name), *f.metadata.get("cli_aliases", ()), f.name)
-            command = click.option(*names, type=hints[f.name], default=None)(command)
-    return command
-
-
 @main.command()
 @click.option("--setting", "setting_dir", required=True, type=click.Path(exists=True))
 @click.option("--method", required=True)
@@ -223,7 +206,6 @@ def _config_flags(command):
 @click.option("--score-split", type=click.Choice(["test", "valid"]), default="test", show_default=True)
 @click.option("--k", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@_config_flags
 def run(
     setting_dir: str,
     method: str,
@@ -232,19 +214,10 @@ def run(
     score_split: str,
     k: int,
     seed: int,
-    **flags,
 ) -> None:
     """Fit one method on a setting and write its scores document."""
     _check_method(method)
-    own = {f.name for f in _flag_fields(method)}
-    given = {name: value for name, value in flags.items() if value is not None}
-    foreign = [_flag_name(name) for name in given if name not in own]
-    if foreign:
-        raise click.UsageError(
-            f"{', '.join(foreign)} not accepted by --method {method}"
-        )
-    section = _method_sections(config_path).get(method, {})
-    method_cfg = _build_method_cfg(method, {"seed": seed, **section, **given})
+    method_cfg = _build_method_cfg(method, _method_sections(config_path).get(method, {}), seed)
 
     try:
         setting = load_setting(setting_dir)
@@ -318,7 +291,7 @@ def eval_cmd(
     sections = _method_sections(config_path)
     # Every config is built before any task runs, so a bad section is a usage
     # error; each task then replaces the seed with its own derived one.
-    configs = {m: _build_method_cfg(m, {**sections.get(m, {}), "seed": 0}) for m in method_list}
+    configs = {m: _build_method_cfg(m, sections.get(m, {}), seed) for m in method_list}
 
     tasks = []
     for setting_id, setting_path in entries:

@@ -35,23 +35,20 @@ class Method:
     """One registered slice discovery method.
 
     ``config`` is the method's config dataclass (None when it takes no
-    settings). With ``cli_flags``, ``slicekit run`` gets one flag per config
-    field other than ``seed``.
+    settings).
     """
 
     sdm: type
     config: type | None
-    cli_flags: bool
 
 
-# The single method registry, in the order the CLI lists methods. GEORGE is
-# configured through --config only: its max_iter would clash with domino's.
+# The single method registry, in the order the CLI lists methods.
 METHODS: dict[str, Method] = {
-    "domino": Method(MixtureSDM, FitConfig, cli_flags=True),
-    "confusion": Method(ConfusionSDM, None, cli_flags=False),
-    "spotlight": Method(SpotlightSDM, SpotlightConfig, cli_flags=True),
-    "multiacc": Method(MultiaccuracySDM, MultiaccuracyConfig, cli_flags=True),
-    "george": Method(GeorgeSDM, GeorgeConfig, cli_flags=False),
+    "domino": Method(MixtureSDM, FitConfig),
+    "confusion": Method(ConfusionSDM, None),
+    "spotlight": Method(SpotlightSDM, SpotlightConfig),
+    "multiacc": Method(MultiaccuracySDM, MultiaccuracyConfig),
+    "george": Method(GeorgeSDM, GeorgeConfig),
 }
 
 

@@ -13,7 +13,7 @@ label/prediction divergence are returned as slices.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -38,9 +38,8 @@ _SMOOTH = 1e-9
 class FitConfig:
     """Hyperparameters for one mixture fit."""
 
-    # ``cli_aliases`` are extra spellings of the field's ``slicekit run`` flag.
-    k_bar: int = field(default=25, metadata={"cli_aliases": ("--kbar",)})
-    k_hat: int = field(default=5, metadata={"cli_aliases": ("--khat",)})
+    k_bar: int = 25
+    k_hat: int = 5
     gamma: float = 10.0
     max_iter: int = 100
     # EM stops once the mean per-example log-likelihood moves less than this.

@@ -501,12 +501,18 @@ _ATTR_RATE = 0.2
 _ATTRIBUTE = "planted"
 
 
-def check_synthetic_base(d: int, sigma: float) -> None:
-    """Reject a width or noise scale ``synthetic_base`` cannot honour; it offsets dimension 1."""
+def check_synthetic_base(n_base: int, d: int, sigma: float) -> None:
+    """Reject a base ``synthetic_base`` cannot build.
+
+    It offsets dimension 1, and it holds all ``n_base x d`` float64 values in
+    one numpy array, whose size in bytes numpy bounds by ``intp``.
+    """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     if not sigma > 0:  # false for NaN too
         raise ValueError(f"sigma must be positive, got {sigma}")
+    if n_base * d * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+        raise ValueError(f"a base of {n_base} x {d} float64 values exceeds numpy's maximum array size")
 
 
 def synthetic_base(
@@ -524,7 +530,7 @@ def synthetic_base(
     feasible target correlation can be subsampled; for rare and noisy settings
     the attribute occurs only inside the positive class, at ``_ATTR_RATE``.
     """
-    check_synthetic_base(d, sigma)
+    check_synthetic_base(n_base, d, sigma)
     rng = derive_rng(seed, "synthetic-base", slice_type)
     y = (np.arange(n_base) % 2 == 1).astype(np.int64)
     if slice_type == "correlation":
@@ -617,7 +623,7 @@ class SynthConfig:
             for alpha in self.alphas[slice_type]:
                 check_alpha(slice_type, alpha)
         check_sizes(self.n, self.mu_a, self.mu_b)
-        check_synthetic_base(self.d, self.sigma)
+        check_synthetic_base(_BASE_FACTOR * self.n, self.d, self.sigma)
 
     def grid(self) -> list[tuple[str, str, float, int]]:
         """(setting id, slice type, alpha, replicate) of every setting, in generation order."""

@@ -116,7 +116,9 @@ class TestSynth:
          {"model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": True,
                     "sens_out": 0.75, "spec_out": 0.75}},
          {"model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
-                    "sens_out": 0.75, "spec_out": 0.75, "kappa": True}}],
+                    "sens_out": 0.75, "spec_out": 0.75, "kappa": True}},
+         # a base numpy cannot hold as one array; never a size it could try to allocate
+         {"n": 10**30}, {"d": 10**30}],
     )
     def test_non_numeric_config_exit_two(self, runner, tmp_path, change):
         cfg = synth_config(tmp_path, **{"slice_types": ["rare"], "alphas": {"rare": [0.05]}, **change})
@@ -505,51 +507,13 @@ class TestRun:
         assert scores.k_hat == 4
 
     def test_run_has_no_description_options(self, runner):
-        # descriptions come from `describe` on a `run --score-split valid` scores file
-        for option in ("--phrases", "--phrase-embeddings", "--top"):
+        # descriptions come from `describe` on a `run --score-split valid` scores file,
+        # and hyperparameters from --config
+        for option in ("--phrases", "--phrase-embeddings", "--top",
+                       "--gamma", "--kbar", "--k-bar", "--steps", "--eta"):
             result = runner.invoke(main, ["run", option, "3", "--setting", "x", "--method", "confusion"])
             assert result.exit_code == 2
             assert "No such option" in result.output and option in result.output
-
-    @pytest.mark.parametrize(
-        "method, flag, value",
-        [("george", "--max-iter", "1"), ("domino", "--steps", "0"), ("confusion", "--gamma", "1")],
-    )
-    def test_flag_of_another_method_exit_two(self, runner, setting_dir, method, flag, value):
-        result = runner.invoke(main, [
-            "run", "--setting", str(setting_dir), "--method", method, flag, value,
-        ])
-        assert result.exit_code == 2, result.output
-        assert f"{flag} not accepted by --method {method}" in result.output
-
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [("--k-hat", "0", "k_hat must lie in [1, k_bar=25], got 0"),
-         ("--k-hat", "-1", "k_hat must lie in [1, k_bar=25], got -1"),
-         ("--gamma", "nan", "gamma must be finite and non-negative, got nan"),
-         ("--gamma", "inf", "gamma must be finite and non-negative, got inf"),
-         ("--pca-dim", "0", "pca_dim must be at least 1"),
-         ("--init-noise", "nan", "init_noise must be finite and non-negative, got nan"),
-         ("--init-noise", "inf", "init_noise must be finite and non-negative, got inf"),
-         ("--init-noise", "-1", "init_noise must be finite and non-negative, got -1.0"),
-         ("--cov-floor", "inf", "cov_floor must be finite and positive, got inf"),
-         ("--cov-floor", "nan", "cov_floor must be finite and positive, got nan"),
-         ("--tol", "inf", "tol must be finite and positive, got inf"),
-         ("--tol", "nan", "tol must be finite and positive, got nan")],
-        ids=["k-hat-zero", "k-hat-negative", "gamma-nan", "gamma-inf", "pca-dim-zero",
-             "init-noise-nan", "init-noise-inf", "init-noise-negative", "cov-floor-inf",
-             "cov-floor-nan", "tol-inf", "tol-nan"],
-    )
-    def test_bad_domino_flag_exit_two(self, runner, setting_dir, tmp_path, flag, value, message):
-        out = tmp_path / "scores.json"
-        result = runner.invoke(main, [
-            "run", "--setting", str(setting_dir), "--method", "domino", flag, value,
-            "--out", str(out),
-        ])
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert f"bad domino configuration: {message}" in result.output
-        assert not out.exists()
 
     def test_fractional_config_integer_exit_two(self, runner, setting_dir, tmp_path):
         method_cfg = tmp_path / "methods.json"
@@ -565,14 +529,17 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "method, flag, value, message",
-        [("domino", "--k-bar", "2000", "need at least k_bar=2000 examples"),
-         ("spotlight", "--min-mass-fraction", "0.0005",
+        "method, section, message",
+        [("domino", {"k_bar": 2000}, "need at least k_bar=2000 examples"),
+         ("spotlight", {"min_mass_fraction": 0.0005},
           "min_mass_fraction admits no examples at this n")],
+        ids=["domino-k-bar", "spotlight-min-mass-fraction"],
     )
-    def test_fit_precondition_exit_one(self, runner, setting_dir, method, flag, value, message):
+    def test_fit_precondition_exit_one(self, runner, setting_dir, tmp_path, method, section, message):
+        method_cfg = tmp_path / "methods.json"
+        method_cfg.write_text(json.dumps({"methods": {method: section}}))
         result = runner.invoke(main, [
-            "run", "--setting", str(setting_dir), "--method", method, flag, value,
+            "run", "--setting", str(setting_dir), "--method", method, "--config", str(method_cfg),
         ])
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
@@ -595,10 +562,12 @@ class TestRun:
         assert "multiaccuracy requires prediction probabilities" in result.output
 
     def test_domino_flags_reproduce_library_fit(self, runner, setting_dir, tmp_path):
+        method_cfg = tmp_path / "methods.json"
+        method_cfg.write_text(json.dumps({"methods": {"domino": {"gamma": 10, "k_bar": 25}}}))
         out = tmp_path / "scores.json"
         result = runner.invoke(main, [
             "run", "--setting", str(setting_dir), "--method", "domino",
-            "--gamma", "10", "--kbar", "25", "--seed", "5", "--out", str(out),
+            "--config", str(method_cfg), "--seed", "5", "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
         cli_scores = load_scores(out)
@@ -629,6 +598,21 @@ def test_bad_config_file_exit_two(runner, tmp_path, command, doc, message):
     result = runner.invoke(main, [command, *where, "--config", str(method_cfg), "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert f"bad --config configuration: {message}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, method", [("run", "domino"), ("eval", "domino"), ("eval", "confusion")])
+def test_seed_in_a_method_section_exit_two(runner, tmp_path, command, method):
+    # a fit's seed comes only from --seed; eval derives each task's seed from it
+    grid = synth_grid(runner, tmp_path, seeds=1, n=200, d=4)
+    method_cfg = tmp_path / "methods.json"
+    method_cfg.write_text(json.dumps({"methods": {method: {"seed": 3}}}))
+    out = tmp_path / "out"
+    where = (["--setting", str(grid / "rare_a0.1_r0"), "--method", method] if command == "run"
+             else ["--manifest", str(grid / "manifest.json"), "--methods", method])
+    result = runner.invoke(main, [command, *where, "--config", str(method_cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"bad {method} configuration: seed is set by --seed" in result.output
     assert not out.exists()
 
 
@@ -675,6 +659,9 @@ class TestEval:
         [
             ("domino", {"bogus": 1}, "bogus"),
             ("domino", {"k_hat": 0}, "k_hat must lie in [1, k_bar=25]"),
+            ("domino", {"k_hat": -1}, "k_hat must lie in [1, k_bar=25], got -1"),
+            ("domino", {"gamma": float("nan")}, "gamma must be finite and non-negative, got nan"),
+            ("domino", {"gamma": float("inf")}, "gamma must be finite and non-negative, got inf"),
             ("domino", {"pca_dim": 0}, "pca_dim must be at least 1"),
             ("george", {"restarts": 0}, "restarts must be at least 1"),
             ("george", {"reduce_dim": 0}, "reduce_dim must be at least 1"),
@@ -682,7 +669,12 @@ class TestEval:
             ("george", {"clusters_per_class": 0}, "clusters_per_class must be None or"),
             ("spotlight", {"num_spotlights": 0, "steps": 5}, "num_spotlights must be"),
             ("domino", {"init_noise": float("nan")}, "init_noise must be finite and non-negative"),
+            ("domino", {"init_noise": float("inf")}, "init_noise must be finite and non-negative, got inf"),
+            ("domino", {"init_noise": -1}, "init_noise must be finite and non-negative, got -1.0"),
             ("domino", {"cov_floor": float("inf")}, "cov_floor must be finite and positive"),
+            ("domino", {"cov_floor": float("nan")}, "cov_floor must be finite and positive, got nan"),
+            ("domino", {"tol": float("inf")}, "tol must be finite and positive, got inf"),
+            ("domino", {"tol": float("nan")}, "tol must be finite and positive, got nan"),
             ("spotlight", {"learning_rate": float("nan")}, "learning_rate must be finite and positive"),
             ("spotlight", {"learning_rate": -1}, "learning_rate must be finite and positive"),
             ("spotlight", {"learning_rate": float("inf")}, "learning_rate must be finite and positive"),
@@ -699,9 +691,12 @@ class TestEval:
             ("spotlight", {"steps": 2.5}, "steps must be an integer, got 2.5"),
             ("multiacc", {"rounds": 1.5}, "rounds must be an integer, got 1.5"),
         ],
-        ids=["domino-bogus", "domino-k-hat", "domino-pca-dim", "george-restarts", "george-reduce-dim",
+        ids=["domino-bogus", "domino-k-hat", "domino-k-hat-negative", "domino-gamma-nan",
+             "domino-gamma-inf", "domino-pca-dim", "george-restarts", "george-reduce-dim",
              "george-clusters-negative", "george-clusters-zero", "spotlight-num-spotlights",
-             "domino-init-noise-nan", "domino-cov-floor-inf", "spotlight-learning-rate-nan",
+             "domino-init-noise-nan", "domino-init-noise-inf", "domino-init-noise-negative",
+             "domino-cov-floor-inf", "domino-cov-floor-nan", "domino-tol-inf", "domino-tol-nan",
+             "spotlight-learning-rate-nan",
              "spotlight-learning-rate-negative", "spotlight-learning-rate-inf",
              "multiacc-ridge-lambda-nan", "multiacc-ridge-lambda-negative", "multiacc-eta-inf",
              "multiacc-eta-nan", "domino-k-bar-fraction", "domino-max-iter-bool", "domino-gamma-bool",
@@ -963,8 +958,8 @@ class TestReportCommand:
         assert not out.exists()
 
 
-# ``slicekit run --help`` as the hand-written flag table printed it; the flags
-# generated from the method registry must keep these names, types and order.
+# ``slicekit run --help``: hyperparameters come only from --config and a fit's
+# seed only from --seed, so no option is generated from a config dataclass.
 RUN_HELP = """\
 Usage: slicekit run [OPTIONS]
 
@@ -978,23 +973,6 @@ Options:
   --score-split [test|valid]  [default: test]
   --k INTEGER RANGE           [default: 10; x>=1]
   --seed INTEGER              [default: 0]
-  --k-bar, --kbar INTEGER
-  --k-hat, --khat INTEGER
-  --gamma FLOAT
-  --max-iter INTEGER
-  --tol FLOAT
-  --init-noise FLOAT
-  --pca-threshold INTEGER
-  --pca-dim INTEGER
-  --cov-floor FLOAT
-  --min-mass-fraction FLOAT
-  --steps INTEGER
-  --learning-rate FLOAT
-  --num-spotlights INTEGER
-  --eta FLOAT
-  --rounds INTEGER
-  --fit-fraction FLOAT
-  --ridge-lambda FLOAT
   --help                      Show this message and exit.
 """
 

@@ -4,7 +4,8 @@ import json
 import re
 from pathlib import Path
 
-from slicekit.cli import build_config, main
+from slicekit.cli import _build_method_cfg, _ConfigFile, build_config, main
+from slicekit.evaluate import METHODS
 from slicekit.settings import GenConfig, IngestedModel, SynthConfig, SyntheticModelSpec
 
 README = Path(__file__).parents[1] / "README.md"
@@ -35,7 +36,12 @@ def test_readme_config_examples_build():
     # schema and the config dataclasses cannot drift apart
     text = README.read_text()
     examples = dict(re.findall(r"^Example `(\w+\.json)`.*?^```json\n(.*?)^```", text, re.M | re.S))
-    assert set(examples) == {"synth.json", "gen.json"}
+    assert set(examples) == {"methods.json", "synth.json", "gen.json"}
+    sections = build_config(_ConfigFile, json.loads(examples["methods.json"]), "--config").methods
+    assert set(sections) == set(METHODS)
+    for method, section in sections.items():
+        cfg = _build_method_cfg(method, section, seed=5)
+        assert cfg is None if METHODS[method].config is None else cfg.seed == 5
     synth = build_config(SynthConfig, json.loads(examples["synth.json"]), "synth")
     assert isinstance(synth.model, SyntheticModelSpec) and len(synth.grid()) == 30
     gen = json.loads(examples["gen.json"])
