@@ -515,6 +515,38 @@ class TestRun:
             assert result.exit_code == 2
             assert "No such option" in result.output and option in result.output
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("k_hat", 0, "k_hat must lie in [1, k_bar=25], got 0"),
+         ("k_hat", -1, "k_hat must lie in [1, k_bar=25], got -1"),
+         ("gamma", float("nan"), "gamma must be finite and non-negative, got nan"),
+         ("gamma", float("inf"), "gamma must be finite and non-negative, got inf"),
+         ("pca_dim", 0, "pca_dim must be at least 1"),
+         ("init_noise", float("nan"), "init_noise must be finite and non-negative, got nan"),
+         ("init_noise", float("inf"), "init_noise must be finite and non-negative, got inf"),
+         ("init_noise", -1, "init_noise must be finite and non-negative, got -1.0"),
+         ("cov_floor", float("inf"), "cov_floor must be finite and positive, got inf"),
+         ("cov_floor", float("nan"), "cov_floor must be finite and positive, got nan"),
+         ("tol", float("inf"), "tol must be finite and positive, got inf"),
+         ("tol", float("nan"), "tol must be finite and positive, got nan")],
+        ids=["k-hat-zero", "k-hat-negative", "gamma-nan", "gamma-inf", "pca-dim-zero",
+             "init-noise-nan", "init-noise-inf", "init-noise-negative", "cov-floor-inf",
+             "cov-floor-nan", "tol-inf", "tol-nan"],
+    )
+    def test_bad_domino_flag_exit_two(self, runner, setting_dir, tmp_path, field, value, message):
+        # the bad value reaches run through the domino section of --config
+        method_cfg = tmp_path / "methods.json"
+        method_cfg.write_text(json.dumps({"methods": {"domino": {field: value}}}))
+        out = tmp_path / "scores.json"
+        result = runner.invoke(main, [
+            "run", "--setting", str(setting_dir), "--method", "domino",
+            "--config", str(method_cfg), "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"bad domino configuration: {message}" in result.output
+        assert not out.exists()
+
     def test_fractional_config_integer_exit_two(self, runner, setting_dir, tmp_path):
         method_cfg = tmp_path / "methods.json"
         method_cfg.write_text(json.dumps({"methods": {"domino": {"k_bar": 25.5}}}))
