@@ -87,6 +87,16 @@ def _method_sections(config_path: str | None) -> dict[str, dict]:
     return build_config(_ConfigFile, _load_json(config_path), "--config").methods if config_path else {}
 
 
+def _method_configs(sections: dict[str, dict], methods: list[str], seed: int) -> dict:
+    """Each method's config by name, seeded with ``seed``.
+
+    Every section is built, whether or not its method runs, so a misspelled
+    key or a seed in any section is a usage error.
+    """
+    names = dict.fromkeys([*methods, *sections])
+    return {m: _build_method_cfg(m, sections.get(m, {}), seed) for m in names}
+
+
 def _build_method_cfg(method: str, section: dict, seed: int):
     """The method's config from its --config section, seeded with ``seed``.
 
@@ -217,7 +227,7 @@ def run(
 ) -> None:
     """Fit one method on a setting and write its scores document."""
     _check_method(method)
-    method_cfg = _build_method_cfg(method, _method_sections(config_path).get(method, {}), seed)
+    method_cfg = _method_configs(_method_sections(config_path), [method], seed)[method]
 
     try:
         setting = load_setting(setting_dir)
@@ -291,7 +301,7 @@ def eval_cmd(
     sections = _method_sections(config_path)
     # Every config is built before any task runs, so a bad section is a usage
     # error; each task then replaces the seed with its own derived one.
-    configs = {m: _build_method_cfg(m, sections.get(m, {}), seed) for m in method_list}
+    configs = _method_configs(sections, method_list, seed)
 
     tasks = []
     for setting_id, setting_path in entries:

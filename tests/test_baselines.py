@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as st
 
 from slicekit import (
     EmbeddingMatrix,
@@ -22,9 +24,12 @@ from slicekit.baselines import (
     SpotlightSDM,
     example_losses,
 )
-from slicekit.clustering import kmeans, pca_basis, sq_distances, update_centers
+from slicekit import clustering
+from slicekit.clustering import kmeans, kmeans_pp_init, pca_basis, sq_distances, update_centers
 from slicekit.errors import DegenerateLoss, ProbOnBoundary, SchemaError, TooFewPoints
 from slicekit.seeding import derive_rng
+
+import kmeans_oracle
 
 
 def split_with_probs(labels, prob_one, slices=None):
@@ -500,6 +505,105 @@ class TestGeorge:
         scores = model.transform(setting.test_emb, setting.test_split)
         assert scores.k_hat == 6
         assert (scores.scores.sum(axis=1) == 1).all()
+
+
+@st.composite
+def kmeans_cases(draw):
+    """(values, k, max_iter, restarts, seed) for the k-means oracle test.
+
+    Values are normal at a drawn scale, small integers (tied distances), all
+    one row (every seeding draw after the first takes the ``total <= 0``
+    branch), or copies of fewer distinct rows than clusters (coinciding
+    centers, so a cluster empties), in C or Fortran order.
+    """
+    d = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32, 128]))
+    k = draw(st.integers(1, 14))
+    n = draw(st.integers(k, 150))
+    kind = draw(st.sampled_from(["normal", "integer", "identical", "few-distinct"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "normal":
+        values = rng.standard_normal((n, d)) * 10.0 ** draw(st.integers(-3, 3))
+    elif kind == "integer":
+        values = rng.integers(-2, 3, size=(n, d)).astype(float)
+    elif kind == "identical":
+        values = np.repeat(rng.standard_normal((1, d)), n, axis=0)
+    else:
+        distinct = rng.standard_normal((max(1, k // 2), d))
+        values = distinct[rng.integers(distinct.shape[0], size=n)]
+    if draw(st.booleans()):
+        values = np.asfortranarray(values)
+    return values, k, draw(st.integers(1, 30)), draw(st.integers(1, 3)), draw(st.integers(0, 2**32))
+
+
+class TestKmeansKernel:
+    @hsettings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=kmeans_cases())
+    def test_kmeans_matches_oracle_bit_for_bit(self, case):
+        values, k, max_iter, restarts, seed = case
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        centers, assign, inertia = kmeans(values, k, rng, restarts=restarts, max_iter=max_iter)
+        expected = kmeans_oracle.kmeans(values, k, oracle_rng, restarts=restarts, max_iter=max_iter)
+        assert centers.tobytes() == expected[0].tobytes()
+        assert np.array_equal(assign, expected[1])
+        assert np.float64(inertia).tobytes() == np.float64(expected[2]).tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+        seeded = kmeans_pp_init(values, k, np.random.default_rng(seed))
+        assert seeded.tobytes() == kmeans_oracle.kmeans_pp_init(
+            values, k, np.random.default_rng(seed)
+        ).tobytes()
+        dist = sq_distances(values, seeded)
+        assert dist.tobytes() == kmeans_oracle.sq_distances(values, seeded).tobytes()
+        some = np.random.default_rng(seed).integers(0, k, size=values.shape[0])
+        assert update_centers(values, some, dist).tobytes() == kmeans_oracle.update_centers(
+            values, some, dist
+        ).tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 7, 60, 2500])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32, 128])
+    def test_seeding_distances_match_numpy_row_sums(self, d, n, order):
+        # short rows are added column by column; the bits must be numpy's own
+        rng = np.random.default_rng(1000 * d + n)
+        values = np.asarray(rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-4, 4, (n, d)), order=order)
+        scratch, out = np.empty_like(values), np.empty(n)
+        for center in values[:3]:
+            direct = ((values - center) ** 2).sum(axis=1)
+            got = clustering._row_sq_distances(values, center, scratch, out)
+            assert got.tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 32])
+    def test_few_distinct_rows_empty_a_cluster(self, monkeypatch, d):
+        # the oracle test's "few-distinct" values do reach the re-seeding branch
+        emptied = []
+        update = clustering.update_centers
+
+        def recording(values, assign, dist):
+            emptied.append(np.bincount(assign, minlength=dist.shape[1]).min() == 0)
+            return update(values, assign, dist)
+
+        monkeypatch.setattr(clustering, "update_centers", recording)
+        distinct = np.random.default_rng(d).standard_normal((3, d))
+        values = distinct[np.arange(40) % 3]
+        kmeans(values, 6, np.random.default_rng(0), restarts=2)
+        assert any(emptied)
+
+    @pytest.mark.parametrize(
+        "k, restarts, message",
+        [(0, 10, "at least 1 cluster, got k=0"), (-2, 10, "at least 1 cluster, got k=-2"),
+         (3, 0, "at least 1 restart, got restarts=0")],
+    )
+    def test_no_clusters_or_restarts_raise(self, k, restarts, message):
+        values = np.random.default_rng(0).standard_normal((20, 2))
+        with pytest.raises(ValueError, match=message):
+            kmeans(values, k, np.random.default_rng(0), restarts=restarts)
+
+    def test_overflowing_seeding_distances_raise(self):
+        # as numpy's choice did on the NaN probabilities, not a NaN inertia
+        values = np.random.default_rng(0).standard_normal((50, 3)) * 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="squared distances sum to"):
+                kmeans(values, 3, np.random.default_rng(0))
 
 
 class TestSharedContract:

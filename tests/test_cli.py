@@ -648,6 +648,26 @@ def test_seed_in_a_method_section_exit_two(runner, tmp_path, command, method):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "section, message",
+    [({"gammma": 10}, "gammma"), ({"gammma": 10, "seed": 4}, "seed is set by --seed")],
+    ids=["misspelled-key", "seed"],
+)
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_section_of_a_method_not_run_is_checked(runner, tmp_path, command, section, message):
+    # confusion runs, yet a fault in the domino section still exits 2
+    grid = synth_grid(runner, tmp_path, seeds=1, n=200, d=4)
+    method_cfg = tmp_path / "methods.json"
+    method_cfg.write_text(json.dumps({"methods": {"domino": section}}))
+    out = tmp_path / "out"
+    where = (["--setting", str(grid / "rare_a0.1_r0"), "--method", "confusion"] if command == "run"
+             else ["--manifest", str(grid / "manifest.json"), "--methods", "confusion"])
+    result = runner.invoke(main, [command, *where, "--config", str(method_cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "bad domino configuration" in result.output and message in result.output
+    assert not out.exists()
+
+
 class TestEval:
     def test_settings_times_methods_rows(self, runner, tmp_path):
         grid = synth_grid(runner, tmp_path, alphas={"rare": [0.05, 0.1]}, seeds=2, n=200, d=4)
