@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import evaluate as ev
-from .errors import AlphaOutOfRange, SchemaError, SliceKitError
+from .errors import AlphaOutOfRange, RowCountMismatch, SchemaError, SliceKitError
 from .fileio import (
     duplicates,
     from_json,
@@ -188,12 +188,20 @@ def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int
     config = build_config(GenConfig, cfg, "gen")
     try:
         base = load_base_table(base_path, config.target, config.attribute)
-        # gen only gathers base rows, so the payload stays float32 until then
-        embeddings = load_embeddings(emb_path, dtype=np.float32)
-        setting = build_setting(config.slice_type, base, embeddings, config.alpha, config.n,
-                                config.seed, config.mu_a, config.mu_b)
+        # The rows are sampled from the base table first; only they are kept
+        # from the embeddings file, in float32 until the setting upcasts them.
+        setting = build_setting(
+            config.slice_type, base,
+            lambda keep: load_embeddings(emb_path, dtype=np.float32, keep=keep),
+            config.alpha, config.n, config.seed, config.mu_a, config.mu_b,
+        )
         if isinstance(config.model, IngestedModel):
             preds, probs = load_ingested_predictions(config.model.predictions)
+            if preds.shape[0] != base.n_base:
+                raise RowCountMismatch(
+                    f"{config.model.predictions}: predictions have {preds.shape[0]} rows, "
+                    f"base table has {base.n_base}"
+                )
             setting = apply_ingested_predictions(setting, preds, probs)
         else:
             setting = apply_synthetic_model(setting, config.model)

@@ -59,6 +59,18 @@ def keep_arrays(obj: Any, **arrays: np.ndarray | None) -> None:
         object.__setattr__(obj, name, arr)
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """True when no entry of ``values`` is NaN or Inf.
+
+    A NaN or Inf entry makes the sum non-finite, so the elementwise check,
+    with its temporary as large as ``values``, runs only for a bad entry or
+    an overflowing sum.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    return bool(np.isfinite(total) or np.all(np.isfinite(values)))
+
+
 def storage_dtype(dtype: Any) -> np.dtype:
     """``dtype`` as a numpy dtype; ValueError unless it is float64 or float32."""
     dtype = np.dtype(dtype)
@@ -90,12 +102,7 @@ class EmbeddingMatrix:
             raise ValueError(f"embeddings must be 2-d, got shape {values.shape}")
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError(f"embeddings need n >= 1 and d >= 1, got {values.shape}")
-        # A NaN or Inf entry makes the sum non-finite, so the elementwise
-        # check, with its n x d temporary, runs only for a bad entry or an
-        # overflowing sum.
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = values.sum()
-        if not np.isfinite(total) and not np.all(np.isfinite(values)):
+        if not all_finite(values):
             raise NonFiniteValue("embedding matrix contains NaN or Inf")
         keep_arrays(self, values=values)
 

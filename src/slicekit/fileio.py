@@ -6,10 +6,12 @@ EMB1 binary embeddings: bytes 0-3 ASCII ``EMB1``; bytes 4-7 uint32 LE
 version (= 1); bytes 8-15 uint64 LE row count n; bytes 16-19 uint32 LE
 dimensionality d; then n*d IEEE-754 float32 LE values in row-major order.
 A read checks the declared size against the file's before it allocates,
-then streams the payload in fixed chunks into one float64 matrix, so it never
-holds a second copy of the whole payload; a float32 read fills its result
-directly. Files with a ``.csv`` suffix fall back to headerless CSV with d
-decimal floats per row, always read as float64.
+then streams the payload in whole-row chunks through one reused float32
+buffer into one float64 matrix, so it never holds a second copy of the whole
+payload; a float32 read fills its result directly. A read of selected rows
+(``keep``) streams and checks every row the same way but holds only the rows
+it keeps. Files with a ``.csv`` suffix fall back to headerless CSV with d
+decimal floats per row, always read as float64 and parsed whole.
 
 Tables (CSV with a header, ``id`` running 0..n-1, one row per example):
 the labels CSV ``id,y,y_hat[,p_0..p_{C-1}][,s_<name>...]``, the base table
@@ -54,6 +56,7 @@ from .data import (
     LabeledSplit,
     SliceScores,
     SliceSetting,
+    all_finite,
     check_pair,
     storage_dtype,
 )
@@ -61,6 +64,7 @@ from .errors import (
     IoError,
     MagicMismatch,
     NonFiniteValue,
+    RowCountMismatch,
     SchemaError,
     SliceKitError,
     TruncatedFile,
@@ -70,7 +74,8 @@ from .settings import BaseTable
 _MAGIC = b"EMB1"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQI")
-# float32 values per EMB1 read: 4 MiB, through one reused buffer for float64
+# float32 values per EMB1 chunk (4 MiB), rounded down to whole rows but at
+# least one; a chunk goes through one reused buffer unless it is read in place
 _CHUNK_VALUES = 1 << 20
 
 
@@ -194,23 +199,49 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def load_embeddings(path: str | Path, *, dtype: type = np.float64) -> EmbeddingMatrix:
+def load_embeddings(
+    path: str | Path, *, dtype: type = np.float64, keep: np.ndarray | None = None
+) -> EmbeddingMatrix:
     """Read an EMB1 binary file, or headerless CSV for a .csv path.
 
     ``dtype=np.float32`` keeps an EMB1 payload as stored (see ``data``); a
     CSV file is read as float64 either way. Any other ``dtype`` is a
-    ValueError.
+    ValueError. ``keep``, one bool per row of the file, returns only the rows
+    it marks, in file order. Every row is still read and checked, and a file
+    with another row count than ``keep`` raises RowCountMismatch once the
+    payload has passed every other check.
     """
     dtype = storage_dtype(dtype)
     path = Path(path)
-    values = _read_embeddings_csv(path) if path.suffix == ".csv" else _read_emb1(path, dtype)
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
     try:
+        if path.suffix == ".csv":
+            values = _read_embeddings_csv(path, keep)
+        else:
+            values = _read_emb1(path, dtype, keep)
         return EmbeddingMatrix(values, dtype=values.dtype.type)
     except NonFiniteValue as exc:
         raise NonFiniteValue(f"{path}: embedding payload contains NaN or Inf") from exc
 
 
-def _read_emb1(path: Path, dtype: np.dtype) -> np.ndarray:
+def _check_selection(path: Path, n: int, finite: bool, keep: np.ndarray) -> None:
+    """Raise for a NaN or Inf in any of the ``n`` rows read, kept or not, then
+    for a ``keep`` whose length is not ``n``."""
+    if not finite:
+        raise NonFiniteValue("embedding payload contains NaN or Inf")
+    if len(keep) != n:
+        raise RowCountMismatch(f"{path}: embeddings have {n} rows, expected {len(keep)}")
+
+
+def _read_emb1(path: Path, dtype: np.dtype, keep: np.ndarray | None) -> np.ndarray:
+    """Every row of the payload, or those ``keep`` marks, read in whole-row chunks.
+
+    The size check runs before anything is allocated. Each chunk goes through
+    one reused float32 buffer of about ``_CHUNK_VALUES`` values, so a
+    selection never holds the whole payload; a float32 read of every row
+    fills its result directly.
+    """
     try:
         with path.open("rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -227,25 +258,40 @@ def _read_emb1(path: Path, dtype: np.dtype) -> np.ndarray:
             expected = _HEADER.size + 4 * n * d
             if size != expected:
                 raise TruncatedFile(f"{path}: {size} bytes, expected {expected}")
-            count = n * d
-            direct = dtype == np.float32
-            values = np.empty(count, dtype="<f4" if direct else np.float64)
-            buf = None if direct else np.empty(min(_CHUNK_VALUES, count), dtype="<f4")
-            for start in range(0, count, _CHUNK_VALUES):
-                stop = min(start + _CHUNK_VALUES, count)
+            step = min(max(1, _CHUNK_VALUES // d), n)
+            direct = keep is None and dtype == np.float32
+            rows = n if keep is None else int(np.count_nonzero(keep))
+            # a selection is gathered as stored, then widened to ``dtype``
+            wide = keep is None and not direct
+            values = np.empty((rows, d), dtype=np.float64 if wide else "<f4")
+            buf = None if direct else np.empty((step, d), dtype="<f4")
+            finite, filled = True, 0
+            for start in range(0, n, step):
+                stop = min(start + step, n)
                 chunk = values[start:stop] if direct else buf[: stop - start]
                 got = fh.readinto(chunk.data)
                 if got != chunk.nbytes:
-                    end = _HEADER.size + 4 * start + got
+                    end = _HEADER.size + 4 * start * d + got
                     raise TruncatedFile(f"{path}: ended at byte {end}, expected {expected}")
-                if not direct:
-                    values[start:stop] = chunk
+                if keep is None:
+                    if not direct:
+                        values[start:stop] = chunk
+                    continue
+                finite = finite and all_finite(chunk)
+                # past the end of a short keep nothing is kept; RowCountMismatch follows
+                marks = keep[start:stop]
+                count = int(np.count_nonzero(marks))
+                np.compress(marks, chunk, axis=0, out=values[filled : filled + count])
+                filled += count
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    return values.reshape(n, d)
+    if keep is not None:
+        _check_selection(path, n, finite, keep)
+    return values.astype(dtype, copy=False)
 
 
-def _read_embeddings_csv(path: Path) -> np.ndarray:
+def _read_embeddings_csv(path: Path, keep: np.ndarray | None) -> np.ndarray:
+    """Every row of a headerless CSV, or those ``keep`` marks once all are parsed."""
     rows: list[list[float]] = []
     for lineno, line in enumerate(read_lines(path)):
         line = line.strip()
@@ -260,7 +306,11 @@ def _read_embeddings_csv(path: Path) -> np.ndarray:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise SchemaError(f"{path}: ragged rows (widths {sorted(widths)})")
-    return np.asarray(rows, dtype=np.float64)
+    values = np.asarray(rows, dtype=np.float64)
+    if keep is None:
+        return values
+    _check_selection(path, len(rows), all_finite(values), keep)
+    return values[keep]
 
 
 # --- tables: the labels, base-table and predictions CSVs ---------------------
@@ -377,7 +427,7 @@ def save_split(split: LabeledSplit, path: str | Path) -> None:
     try:
         with Path(path).open("w", newline="") as fh:
             fh.write(",".join(columns) + "\n")
-            fh.writelines(",".join(row) + "\n" for row in rows)
+            fh.write("\n".join(map(",".join, rows)) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

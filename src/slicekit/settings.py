@@ -9,7 +9,9 @@ calibrated to target sensitivity/specificity inside and outside the slice.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
 
@@ -148,9 +150,15 @@ def _split_indices(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.nda
     return np.sort(perm[:half]), np.sort(perm[half:])
 
 
+# The base's embeddings: a matrix with one row per base-table row, or a
+# function that returns the rows a boolean mask over the base table marks,
+# such as ``slicekit gen``'s read of just those rows from its file.
+BaseEmbeddings = EmbeddingMatrix | Callable[[np.ndarray], EmbeddingMatrix]
+
+
 def _materialize(
     base: BaseTable,
-    embeddings: EmbeddingMatrix,
+    embeddings: BaseEmbeddings,
     chosen: np.ndarray,
     labels: np.ndarray,
     slice_col: np.ndarray,
@@ -160,20 +168,26 @@ def _materialize(
     provenance: dict,
     original_labels: np.ndarray | None = None,
 ) -> SliceSetting:
-    """Split the chosen base rows 50/50; the slice is named after the attribute.
+    """Gather the chosen base rows' embeddings once and split them 50/50.
 
-    ``provenance`` adds generator-specific fields to the common ones.
-    ``embeddings`` may be float32 storage: the gathered rows become float64.
+    The slice is named after the attribute. ``provenance`` adds
+    generator-specific fields to the common ones. ``embeddings`` may be
+    float32 storage: the gathered rows become float64.
     """
-    if embeddings.n != base.n_base:
-        raise RowCountMismatch(
-            f"embeddings have {embeddings.n} rows, base table has {base.n_base}"
-        )
+    keep = np.zeros(base.n_base, dtype=bool)
+    keep[chosen] = True
+    if isinstance(embeddings, EmbeddingMatrix):
+        if embeddings.n != base.n_base:
+            raise RowCountMismatch(
+                f"embeddings have {embeddings.n} rows, base table has {base.n_base}"
+            )
+        gathered = embeddings.values[keep]
+    else:
+        gathered = embeddings(keep).values
     rng = derive_rng(seed, "settings", slice_type, "split")
     valid_idx, test_idx = _split_indices(chosen.shape[0], rng)
 
     def build(idx: np.ndarray) -> tuple[EmbeddingMatrix, LabeledSplit]:
-        rows = chosen[idx]
         split = LabeledSplit(
             labels=labels[idx],
             predictions=labels[idx].copy(),
@@ -181,7 +195,7 @@ def _materialize(
             slice_names=(base.attribute,),
             num_classes=2,
         )
-        return EmbeddingMatrix(embeddings.values[rows]), split
+        return EmbeddingMatrix(gathered[idx]), split
 
     valid_emb, valid_split = build(valid_idx)
     test_emb, test_split = build(test_idx)
@@ -195,13 +209,13 @@ def _materialize(
         **provenance,
     }
     provenance["base_rows"] = {
-        "valid": [int(v) for v in chosen[valid_idx]],
-        "test": [int(v) for v in chosen[test_idx]],
+        "valid": chosen[valid_idx].tolist(),
+        "test": chosen[test_idx].tolist(),
     }
     if original_labels is not None:
         provenance["original_labels"] = {
-            "valid": [int(v) for v in original_labels[valid_idx]],
-            "test": [int(v) for v in original_labels[test_idx]],
+            "valid": original_labels[valid_idx].tolist(),
+            "test": original_labels[test_idx].tolist(),
         }
     return SliceSetting(
         valid_emb=valid_emb,
@@ -218,7 +232,7 @@ def _materialize(
 
 def build_correlation_setting(
     base: BaseTable,
-    embeddings: EmbeddingMatrix,
+    embeddings: BaseEmbeddings,
     alpha: float,
     mu_a: float,
     mu_b: float,
@@ -244,7 +258,7 @@ def build_correlation_setting(
 
 def build_rare_setting(
     base: BaseTable,
-    embeddings: EmbeddingMatrix,
+    embeddings: BaseEmbeddings,
     alpha: float,
     n: int,
     seed: int,
@@ -265,7 +279,7 @@ def build_rare_setting(
 
 def build_noisy_setting(
     base: BaseTable,
-    embeddings: EmbeddingMatrix,
+    embeddings: BaseEmbeddings,
     alpha: float,
     n: int,
     seed: int,
@@ -305,7 +319,7 @@ def build_noisy_setting(
 def build_setting(
     slice_type: str,
     base: BaseTable,
-    embeddings: EmbeddingMatrix,
+    embeddings: BaseEmbeddings,
     alpha: float,
     n: int,
     seed: int,
@@ -355,11 +369,14 @@ class SyntheticModelSpec:
         return cls(seed=seed, **MEDICAL_RATES)
 
 
+@functools.lru_cache(maxsize=256)
 def solve_beta(target_rate: float, kappa: float) -> tuple[float, float]:
     """Shape parameters (a, b) with a + b = kappa and P(X > 0.5) = target_rate.
 
     Solved by bisection on a: the survival mass above 0.5 increases
-    monotonically in a for fixed a + b.
+    monotonically in a for fixed a + b. The result depends on the two
+    arguments alone, so it is cached: a ``synth`` grid solves the same few
+    pairs for every setting. A call that raises is not cached.
     """
     # scipy.special is imported here, its only use, so that importing
     # slicekit does not pay for it

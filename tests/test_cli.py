@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -342,6 +343,88 @@ class TestGen:
             tracemalloc.stop()
         assert result.exit_code == 0, result.output
         assert peak < 8 * n_base * d, f"peak {peak / (8 * n_base * d):.2f} x the base in float64"
+
+    def test_only_the_sampled_rows_are_held(self, runner, tmp_path):
+        # the payload streams through a buffer of whole rows, and only the
+        # sampled rows are kept, so gen never holds the base's payload
+        n_base, d = 8000, 512
+        base, emb_path, _ = write_base(tmp_path, n_base, d, seed=5)
+        tracemalloc.start()
+        try:
+            result = run_gen(runner, tmp_path, base, emb_path, {
+                "slice_type": "rare", "alpha": 0.1, "target": "target",
+                "attribute": "tube", "n": 400, "seed": 1, "model": GEN_MODEL,
+            })
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert peak < 0.5 * 4 * n_base * d, f"peak {peak / (4 * n_base * d):.2f} x the payload"
+
+    def test_nan_in_an_unsampled_row_fails(self, runner, tmp_path):
+        base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
+        cfg = {"slice_type": "rare", "alpha": 0.1, "target": "target", "attribute": "tube",
+               "n": 100, "seed": 2, "model": GEN_MODEL}
+        assert run_gen(runner, tmp_path, base, emb_path, cfg).exit_code == 0
+        rows = json.loads((tmp_path / "setting" / "setting.json").read_text())["provenance"]["base_rows"]
+        unsampled = sorted(set(range(400)) - set(rows["valid"]) - set(rows["test"]))[0]
+        payload = bytearray(emb_path.read_bytes())
+        payload[20 + 4 * 3 * unsampled : 24 + 4 * 3 * unsampled] = np.float32(np.nan).tobytes()
+        emb_path.write_bytes(bytes(payload))
+        shutil.rmtree(tmp_path / "setting")
+        result = run_gen(runner, tmp_path, base, emb_path, cfg)
+        assert result.exit_code == 1, result.output
+        assert f"{emb_path}: embedding payload contains NaN or Inf" in result.output
+        assert not (tmp_path / "setting").exists()
+        # with a second fault in the base table, that one is reported
+        result = run_gen(runner, tmp_path, base, emb_path, {**cfg, "n": 1000})
+        assert result.exit_code == 1, result.output
+        assert "has 100 base rows, 450 requested" in result.output
+        assert not (tmp_path / "setting").exists()
+
+    def test_truncated_base_embeddings_fail(self, runner, tmp_path):
+        base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
+        emb_path.write_bytes(emb_path.read_bytes()[:-4])
+        result = run_gen(runner, tmp_path, base, emb_path, {
+            "slice_type": "rare", "alpha": 0.1, "target": "target", "attribute": "tube",
+            "n": 100, "model": GEN_MODEL,
+        })
+        assert result.exit_code == 1, result.output
+        assert "4816 bytes, expected 4820" in result.output
+        assert not (tmp_path / "setting").exists()
+
+    @pytest.mark.parametrize("rows", [399, 401])
+    def test_base_embeddings_of_another_row_count_fail(self, runner, tmp_path, rows):
+        base, _, _ = write_base(tmp_path, 400, 3, seed=0)
+        emb_path = tmp_path / "other.emb"
+        save_embeddings(EmbeddingMatrix(np.ones((rows, 3))), emb_path)
+        result = run_gen(runner, tmp_path, base, emb_path, {
+            "slice_type": "rare", "alpha": 0.1, "target": "target", "attribute": "tube",
+            "n": 100, "model": GEN_MODEL,
+        })
+        assert result.exit_code == 1, result.output
+        assert f"embeddings have {rows} rows, expected 400" in result.output
+        assert not (tmp_path / "setting").exists()
+
+    @pytest.mark.parametrize("longer", [False, True], ids=["short", "long"])
+    def test_predictions_of_another_row_count_fail(self, runner, tmp_path, longer):
+        # the short file covers every sampled row, yet the README asks for
+        # one row per base-table row
+        base, emb_path, _ = write_base(tmp_path, 1200, 4, seed=1)
+        cfg = {"slice_type": "rare", "alpha": 0.1, "target": "target", "attribute": "tube",
+               "n": 40, "seed": 0}
+        assert run_gen(runner, tmp_path, base, emb_path, {**cfg, "model": GEN_MODEL}).exit_code == 0
+        sampled = json.loads((tmp_path / "setting" / "setting.json").read_text())["provenance"]["base_rows"]
+        shutil.rmtree(tmp_path / "setting")
+        rows = 1210 if longer else max(sampled["valid"] + sampled["test"]) + 1
+        assert rows != 1200
+        preds = tmp_path / "preds.csv"
+        preds.write_text("id,y_hat\n" + "".join(f"{i},{i % 2}\n" for i in range(rows)))
+        result = run_gen(runner, tmp_path, base, emb_path,
+                         {**cfg, "model": {"kind": "ingested", "predictions": str(preds)}})
+        assert result.exit_code == 1, result.output
+        assert f"predictions have {rows} rows, base table has 1200" in result.output
+        assert not (tmp_path / "setting").exists()
 
     def test_ingested_predictions(self, runner, tmp_path):
         n_base = 1200

@@ -149,8 +149,10 @@ class TestEmbeddingFormat:
 class TestStreamingRead:
     """EMB1 reads fill one float64 matrix through a reused float32 buffer.
 
-    A float32 read (``load_both``) fills its result in the same chunks. An
-    11 x 5 matrix read 7 values at a time puts chunk edges inside rows.
+    A float32 read (``load_both``) fills its result in the same chunks.
+    Chunks hold whole rows, as many as fit in ``_CHUNK_VALUES`` values and at
+    least one, so an 11 x 5 matrix is read one row at a time at 7 values and
+    two rows at a time at 12, which puts a chunk edge between rows 1 and 2.
     """
 
     N, D = 11, 5
@@ -173,6 +175,65 @@ class TestStreamingRead:
         values = load_both(path).values
         assert values.shape == (self.N, self.D)
         assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 12, 1 << 20])
+    @pytest.mark.parametrize(
+        "rows", [[0], [10], [0, 10], [1, 2, 5, 6], list(range(11))],
+        ids=["first", "last", "first-last", "chunk-edges", "all"],
+    )
+    def test_selection_is_bit_equal_to_indexing_a_whole_read(self, tmp_path, monkeypatch, chunk, rows):
+        monkeypatch.setattr(fileio, "_CHUNK_VALUES", chunk)
+        keep = np.zeros(self.N, dtype=bool)
+        keep[rows] = True
+        for name in ("e.emb", "e.csv"):
+            path = tmp_path / name
+            save_embeddings(EmbeddingMatrix(np.frombuffer(self._payload(), "<f4").reshape(self.N, self.D)), path)
+            whole = load_embeddings(path).values[keep]
+            for dtype in (np.float32, np.float64):
+                got = load_embeddings(path, dtype=dtype, keep=keep).values
+                assert got.dtype == (np.float64 if name == "e.csv" else dtype)
+                assert got.astype(np.float64).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("name", ["e.emb", "e.csv"])
+    def test_a_selection_checks_the_rows_it_drops(self, tmp_path, name):
+        values = np.frombuffer(self._payload(), dtype="<f4").reshape(self.N, self.D).copy()
+        values[4, 2] = np.nan
+        path = tmp_path / name
+        if name == "e.emb":
+            path.write_bytes(_header(self.N, self.D) + values.tobytes())
+        else:
+            path.write_text("".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+        keep = np.ones(self.N, dtype=bool)
+        keep[4] = False
+        message = re.escape(f"{path}: embedding payload contains NaN or Inf")
+        for dtype in (np.float32, np.float64):
+            with pytest.raises(NonFiniteValue, match=message):
+                load_embeddings(path, dtype=dtype, keep=keep)
+            # the payload is checked before the row count
+            with pytest.raises(NonFiniteValue, match=message):
+                load_embeddings(path, dtype=dtype, keep=keep[:-1])
+
+    @pytest.mark.parametrize("name", ["e.emb", "e.csv"])
+    @pytest.mark.parametrize("rows", [10, 12])
+    def test_a_selection_of_another_row_count(self, tmp_path, name, rows):
+        path = tmp_path / name
+        save_embeddings(EmbeddingMatrix(np.frombuffer(self._payload(), "<f4").reshape(self.N, self.D)), path)
+        keep = np.ones(rows, dtype=bool)
+        for dtype in (np.float32, np.float64):
+            with pytest.raises(RowCountMismatch, match=f"embeddings have 11 rows, expected {rows}"):
+                load_embeddings(path, dtype=dtype, keep=keep)
+
+    def test_truncated_selection(self, tmp_path, monkeypatch):
+        path = tmp_path / "e.emb"
+        path.write_bytes(_header(self.N, self.D) + self._payload()[:-10])
+        keep = np.zeros(self.N, dtype=bool)
+        keep[0] = True
+        with pytest.raises(TruncatedFile, match="230 bytes, expected 240"):
+            load_embeddings(path, dtype=np.float32, keep=keep)
+        stat = SimpleNamespace(st_size=len(_header(self.N, self.D)) + 4 * self.N * self.D)
+        monkeypatch.setattr(fileio, "os", SimpleNamespace(fstat=lambda fd: stat))
+        with pytest.raises(TruncatedFile, match="ended at byte 230, expected 240"):
+            load_embeddings(path, dtype=np.float32, keep=keep)
 
     def test_truncated_inside_a_chunk(self, tmp_path):
         path = tmp_path / "e.emb"

@@ -23,6 +23,7 @@ from slicekit.errors import (
     AlphaOutOfRange,
     InfeasibleCounts,
     InsufficientBase,
+    NoConvergence,
     NotBinary,
 )
 
@@ -260,6 +261,17 @@ class TestSolveBeta:
         a, b = solve_beta(0.9999, 5.0)
         survival = 1.0 - special.betainc(a, b, 0.5)
         assert abs(survival - 0.999) <= 1e-6
+
+    def test_solutions_are_cached_and_failures_are_not(self, monkeypatch):
+        solve_beta.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(special, "betainc", lambda a, b, x: np.nan)
+            with pytest.raises(NoConvergence):
+                solve_beta(0.6, 7.0)
+        first = solve_beta(0.6, 7.0)
+        assert solve_beta(0.6, 7.0) is first
+        assert solve_beta.cache_info().hits == 1
+        assert 1.0 - special.betainc(*first, 0.5) == pytest.approx(0.6, abs=1e-6)
 
     @hsettings(max_examples=30, deadline=None)
     @given(rate=st.floats(0.01, 0.99), kappa=st.floats(0.5, 30.0))
