@@ -261,14 +261,14 @@ def run(
 # --- eval -------------------------------------------------------------------
 
 
-def _eval_task(args: tuple) -> ev.SettingResult | dict:
-    """The task's result, or the error record of its failure."""
+def _eval_task(args: tuple) -> ev.SettingResult | ev.ErrorRow:
+    """The task's result, or the error row of its failure."""
     setting_path, setting_id, method, method_cfg, k, beta = args
     try:
         setting = load_setting(setting_path)
         return ev.run_setting(setting, method, method_cfg, k=k, beta=beta, setting_id=setting_id)
     except Exception as exc:  # per-setting failures must not abort the batch
-        return {"setting_id": setting_id, "method": method, "error": str(exc)}
+        return ev.ErrorRow(setting_id, method, str(exc))
 
 
 @main.command(name="eval")
@@ -327,12 +327,9 @@ def eval_cmd(
             outcomes = list(pool.map(_eval_task, tasks))
 
     results = [o for o in outcomes if isinstance(o, ev.SettingResult)]
-    errors = [o for o in outcomes if isinstance(o, dict)]
+    errors = [o for o in outcomes if isinstance(o, ev.ErrorRow)]
     for error in errors:
-        click.echo(
-            f"error: {error['setting_id']} [{error['method']}]: {error['error']}",
-            err=True,
-        )
+        click.echo(f"error: {error.setting_id} [{error.method}]: {error.error}", err=True)
     if not results:
         raise click.ClickException("all settings failed")
 

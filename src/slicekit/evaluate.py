@@ -124,6 +124,15 @@ class SettingResult:
 
 
 @dataclass(frozen=True)
+class ErrorRow:
+    """A setting/method pair that failed, with the failure's message."""
+
+    setting_id: str
+    method: str
+    error: str
+
+
+@dataclass(frozen=True)
 class AggregateReport:
     method: str
     slice_type: str
@@ -251,7 +260,7 @@ def result_to_dict(result: SettingResult) -> dict:
 _REPORT_KEYS = make_dataclass("ReportKeys", [("k", int), ("seed", int)], frozen=True)
 
 
-def read_report_document(doc: Any) -> tuple[list[SettingResult], list[dict], dict]:
+def read_report_document(doc: Any) -> tuple[list[SettingResult], list[ErrorRow], dict]:
     """The results, errors and config of a ``report_document``; SchemaError if malformed.
 
     The config, returned as it is, holds the ``k`` and bootstrap ``seed`` the report was built with.
@@ -261,10 +270,7 @@ def read_report_document(doc: Any) -> tuple[list[SettingResult], list[dict], dic
         keys = {name: config[name] for name in ("k", "seed")} if isinstance(config, dict) else config
         if from_json(_REPORT_KEYS, keys, "config").k < 1:
             raise ValueError(f"k must be at least 1, got {config['k']}")
-        errors = [
-            {**e, "setting_id": str(e["setting_id"]), "method": str(e["method"])}
-            for e in doc.get("errors", [])
-        ]
+        errors = [from_json(ErrorRow, e, "error row") for e in doc.get("errors", [])]
         # a row's ``excluded`` is derived from its other keys, so it is not a field
         rows = [{k: v for k, v in r.items() if k != "excluded"} if isinstance(r, dict) else r
                 for r in doc["results"]]
@@ -282,13 +288,13 @@ def read_report_document(doc: Any) -> tuple[list[SettingResult], list[dict], dic
 def report_document(
     results: Sequence[SettingResult],
     reports: Sequence[AggregateReport],
-    errors: Sequence[Mapping] = (),
+    errors: Sequence[ErrorRow] = (),
     config: Mapping | None = None,
 ) -> dict:
     return {
         "config": dict(config or {}),
         "results": [result_to_dict(r) for r in sorted(results, key=lambda r: (r.setting_id, r.method))],
-        "errors": sorted((dict(e) for e in errors), key=lambda e: (e["setting_id"], e["method"])),
+        "errors": [asdict(e) for e in sorted(errors, key=lambda e: (e.setting_id, e.method))],
         "aggregates": [
             {
                 **asdict(rep),

@@ -10,8 +10,7 @@ then streams the payload in whole-row chunks through one reused float32
 buffer into one float64 matrix, so it never holds a second copy of the whole
 payload; a float32 read fills its result directly. A read of selected rows
 (``keep``) streams and checks every row the same way but holds only the rows
-it keeps. Files with a ``.csv`` suffix fall back to headerless CSV with d
-decimal floats per row, always read as float64 and parsed whole.
+it keeps. EMB1 is the only embeddings format.
 
 Tables (CSV with a header, ``id`` running 0..n-1, one row per example):
 the labels CSV ``id,y,y_hat[,p_0..p_{C-1}][,s_<name>...]``, the base table
@@ -26,9 +25,10 @@ Scores document: JSON with fields ``method``, ``n``, ``k_hat``, ``scores``
 and optional ``slice_descriptions``.
 
 Typed JSON objects: :func:`from_json` builds a dataclass by its type hints
-from ``setting.json``, a report row or ``k``/``seed``, or a config file. An
-unknown or missing key, or a value of the wrong JSON kind, is a ValueError:
-true and 2.5 are not integers, and an integer in a number field is a float.
+from ``setting.json``, a scores document, a manifest, a report row, error
+row or ``k``/``seed``, or a config file. An unknown or missing key, or a
+value of the wrong JSON kind, is a ValueError: true and 2.5 are not
+integers, and an integer in a number field is a float.
 
 Every reader fails with a :class:`SliceKitError`: :class:`IoError` when the
 file cannot be read, :class:`SchemaError` or a subclass when it is malformed.
@@ -46,6 +46,7 @@ import struct
 import types
 import typing
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -127,8 +128,9 @@ def _field_value(name: str, hint, value):
 
     A JSON true is a Python int, and 2.5 would pass an int field's bounds, so
     neither counts as an integer; an integer in a float field becomes a float.
-    An array fills a list or tuple field, and an object for a dataclass field
-    picks the dataclass by its ``kind`` key. ``Any`` takes every value.
+    An array fills a list or tuple field, and an object fills a dataclass
+    field; among dataclasses with a ``kind`` it picks one by its ``kind`` key.
+    ``Any`` takes every value.
     """
     if hint is Any:
         return value
@@ -140,11 +142,14 @@ def _field_value(name: str, hint, value):
         entry = typing.get_args(fits[0])[0]
         return typing.get_origin(fits[0])(_field_value(f"{name} entry", entry, v) for v in value)
     if fits and container is dict and dataclasses.is_dataclass(fits[0]):
-        kind = value.get("kind", fits[0].kind)
-        chosen = [o for o in fits if o.kind == kind]
-        if not chosen:
-            raise ValueError(f"{name} kind must be {' or '.join(repr(o.kind) for o in fits)}, got {kind!r}")
-        return from_json(chosen[0], {k: v for k, v in value.items() if k != "kind"}, name, f"{name} ")
+        chosen = fits[0]
+        if hasattr(chosen, "kind"):
+            kind = value.get("kind", chosen.kind)
+            chosen = next((o for o in fits if o.kind == kind), None)
+            if chosen is None:
+                raise ValueError(f"{name} kind must be {' or '.join(repr(o.kind) for o in fits)}, got {kind!r}")
+            value = {k: v for k, v in value.items() if k != "kind"}
+        return from_json(chosen, value, name, f"{name} ")
     if fits and container is dict:
         return {k: _field_value(f"{name}[{k!r}]", typing.get_args(fits[0])[1], v) for k, v in value.items()}
     if container is object and (bool in fits or not isinstance(value, bool)):
@@ -182,19 +187,12 @@ def from_json(cls, values: Any, label: str, prefix: str = "", **given):
 
 
 def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
-    """Write an embedding matrix; EMB1 binary unless the path ends in .csv."""
-    path = Path(path)
+    """Write an embedding matrix as an EMB1 file."""
+    payload = np.ascontiguousarray(emb.values, dtype="<f4")
     try:
-        if path.suffix == ".csv":
-            with path.open("w", newline="") as fh:
-                for row in emb.values:
-                    fh.write(",".join(repr(float(v)) for v in row))
-                    fh.write("\n")
-        else:
-            payload = np.ascontiguousarray(emb.values, dtype="<f4")
-            with path.open("wb") as fh:
-                fh.write(_HEADER.pack(_MAGIC, _VERSION, emb.n, emb.d))
-                fh.write(payload.data)
+        with Path(path).open("wb") as fh:
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, emb.n, emb.d))
+            fh.write(payload.data)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -202,36 +200,22 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
 def load_embeddings(
     path: str | Path, *, dtype: type = np.float64, keep: np.ndarray | None = None
 ) -> EmbeddingMatrix:
-    """Read an EMB1 binary file, or headerless CSV for a .csv path.
+    """Read an EMB1 file.
 
-    ``dtype=np.float32`` keeps an EMB1 payload as stored (see ``data``); a
-    CSV file is read as float64 either way. Any other ``dtype`` is a
-    ValueError. ``keep``, one bool per row of the file, returns only the rows
-    it marks, in file order. Every row is still read and checked, and a file
-    with another row count than ``keep`` raises RowCountMismatch once the
-    payload has passed every other check.
+    ``dtype=np.float32`` keeps the payload as stored (see ``data``). Any
+    other ``dtype`` is a ValueError. ``keep``, one bool per row of the file,
+    returns only the rows it marks, in file order. Every row is still read
+    and checked, and a file with another row count than ``keep`` raises
+    RowCountMismatch once the payload has passed every other check.
     """
     dtype = storage_dtype(dtype)
     path = Path(path)
     if keep is not None:
         keep = np.asarray(keep, dtype=bool)
     try:
-        if path.suffix == ".csv":
-            values = _read_embeddings_csv(path, keep)
-        else:
-            values = _read_emb1(path, dtype, keep)
-        return EmbeddingMatrix(values, dtype=values.dtype.type)
+        return EmbeddingMatrix(_read_emb1(path, dtype, keep), dtype=dtype)
     except NonFiniteValue as exc:
         raise NonFiniteValue(f"{path}: embedding payload contains NaN or Inf") from exc
-
-
-def _check_selection(path: Path, n: int, finite: bool, keep: np.ndarray) -> None:
-    """Raise for a NaN or Inf in any of the ``n`` rows read, kept or not, then
-    for a ``keep`` whose length is not ``n``."""
-    if not finite:
-        raise NonFiniteValue("embedding payload contains NaN or Inf")
-    if len(keep) != n:
-        raise RowCountMismatch(f"{path}: embeddings have {n} rows, expected {len(keep)}")
 
 
 def _read_emb1(path: Path, dtype: np.dtype, keep: np.ndarray | None) -> np.ndarray:
@@ -240,7 +224,9 @@ def _read_emb1(path: Path, dtype: np.dtype, keep: np.ndarray | None) -> np.ndarr
     The size check runs before anything is allocated. Each chunk goes through
     one reused float32 buffer of about ``_CHUNK_VALUES`` values, so a
     selection never holds the whole payload; a float32 read of every row
-    fills its result directly.
+    fills its result directly. A selection raises for a NaN or Inf in any
+    row, kept or not, then for a ``keep`` of another length than the file's
+    row count; a whole read leaves its finiteness check to EmbeddingMatrix.
     """
     try:
         with path.open("rb") as fh:
@@ -250,7 +236,7 @@ def _read_emb1(path: Path, dtype: np.dtype, keep: np.ndarray | None) -> np.ndarr
                 raise TruncatedFile(f"{path}: shorter than the {_HEADER.size}-byte header")
             magic, version, n, d = _HEADER.unpack(header)
             if magic != _MAGIC:
-                raise MagicMismatch(f"{path}: bad magic {magic!r}")
+                raise MagicMismatch(f"{path}: bad magic {magic!r}, not an EMB1 file")
             if version != _VERSION:
                 raise MagicMismatch(f"{path}: unsupported version {version}")
             if n < 1 or d < 1:
@@ -285,32 +271,11 @@ def _read_emb1(path: Path, dtype: np.dtype, keep: np.ndarray | None) -> np.ndarr
                 filled += count
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    if keep is not None:
-        _check_selection(path, n, finite, keep)
+    if not finite:
+        raise NonFiniteValue("embedding payload contains NaN or Inf")
+    if keep is not None and len(keep) != n:
+        raise RowCountMismatch(f"{path}: embeddings have {n} rows, expected {len(keep)}")
     return values.astype(dtype, copy=False)
-
-
-def _read_embeddings_csv(path: Path, keep: np.ndarray | None) -> np.ndarray:
-    """Every row of a headerless CSV, or those ``keep`` marks once all are parsed."""
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(read_lines(path)):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise SchemaError(f"{path}:{lineno + 1}: {exc}") from exc
-    if not rows:
-        raise TruncatedFile(f"{path}: no rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise SchemaError(f"{path}: ragged rows (widths {sorted(widths)})")
-    values = np.asarray(rows, dtype=np.float64)
-    if keep is None:
-        return values
-    _check_selection(path, len(rows), all_finite(values), keep)
-    return values[keep]
 
 
 # --- tables: the labels, base-table and predictions CSVs ---------------------
@@ -492,22 +457,33 @@ def save_scores(scores: SliceScores, path: str | Path) -> None:
     write_json(path, doc)
 
 
+@dataclasses.dataclass(frozen=True)
+class _ScoresDocument:
+    """A scores document's fields. ``scores`` is checked in one pass by ``load_scores``."""
+
+    method: str
+    n: int
+    k_hat: int
+    scores: Any
+    slice_descriptions: list[list[str]] | None = None
+
+
 def load_scores(path: str | Path) -> SliceScores:
-    doc = read_json(path)
     try:
-        for key in ("method", "n", "k_hat", "scores"):
-            if not isinstance(doc, dict) or key not in doc:
-                raise SchemaError(f"{path}: scores document missing {key!r}")
-        scores = np.asarray(doc["scores"], dtype=np.float64)
-        if scores.ndim != 2 or scores.shape != (doc["n"], doc["k_hat"]):
-            raise SchemaError(
-                f"{path}: scores shape {scores.shape} does not match n/k_hat fields"
-            )
-        descriptions = doc.get("slice_descriptions")
+        doc = from_json(_ScoresDocument, read_json(path), "scores document")
+        rows = doc.scores
+        # one C-level scan of the kinds, not one typed read per value
+        if not (isinstance(rows, list) and set(map(type, rows)) <= {list}
+                and set(map(type, chain.from_iterable(rows))) <= {int, float}):
+            raise ValueError("scores must be a list of lists of numbers")
+        scores = np.asarray(rows, dtype=np.float64)
+        if scores.ndim != 2 or scores.shape != (doc.n, doc.k_hat):
+            raise ValueError(f"scores shape {scores.shape} does not match n/k_hat fields")
+        descriptions = doc.slice_descriptions
         if descriptions is not None:
-            descriptions = tuple(tuple(d) for d in descriptions)
-        return SliceScores(scores, method=doc["method"], slice_descriptions=descriptions)
-    except (OverflowError, TypeError, ValueError) as exc:
+            descriptions = tuple(map(tuple, descriptions))
+        return SliceScores(scores, method=doc.method, slice_descriptions=descriptions)
+    except (OverflowError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
@@ -562,23 +538,44 @@ def duplicates(names: list[str]) -> list[str]:
     return sorted(name for name, count in Counter(names).items() if count > 1)
 
 
+@dataclasses.dataclass(frozen=True)
+class ManifestEntry:
+    """One setting of a manifest: its id and its directory, relative to the manifest.
+
+    ``path`` defaults to the id. ``synth`` also records each setting's
+    ``slice_type``, ``alpha`` and ``replicate``, which ``eval`` does not read.
+    """
+
+    id: str
+    path: str | None = None
+    slice_type: str | None = None
+    alpha: float | None = None
+    replicate: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("id", "path"):
+            if getattr(self, name) == "":
+                raise ValueError(f"a manifest setting's {name} must not be empty")
+
+
+@dataclasses.dataclass(frozen=True)
+class _Manifest:
+    settings: list[ManifestEntry]
+
+
 def load_manifest(path: str | Path) -> list[tuple[str, Path]]:
     """(id, directory) of every setting a manifest lists, in manifest order."""
     path = Path(path)
-    doc = read_json(path)
-    entries = doc.get("settings") if isinstance(doc, dict) else None
-    if not entries or not isinstance(entries, list) or not all(
-        isinstance(e, dict) and isinstance(e.get("id"), str) and isinstance(e.get("path", ""), str)
-        for e in entries
-    ):
-        raise SchemaError(
-            f"{path}: a manifest is a JSON object whose 'settings' list is non-empty "
-            "and holds a string 'id' (and optional 'path') per setting"
-        )
-    repeated = duplicates([e["id"] for e in entries])
+    try:
+        entries = from_json(_Manifest, read_json(path), "manifest").settings
+    except (OverflowError, ValueError) as exc:
+        raise SchemaError(f"{path}: bad manifest: {exc}") from exc
+    if not entries:
+        raise SchemaError(f"{path}: manifest lists no settings")
+    repeated = duplicates([e.id for e in entries])
     if repeated:
         raise SchemaError(f"{path}: manifest lists setting ids more than once: {', '.join(repeated)}")
-    settings = [(e["id"], path.parent / e.get("path", e["id"])) for e in entries]
+    settings = [(e.id, path.parent / (e.path or e.id)) for e in entries]
     repeated = duplicates([str(directory.resolve()) for _, directory in settings])
     if repeated:
         raise SchemaError(

@@ -28,10 +28,6 @@ from .errors import (
 )
 from .seeding import derive_rng
 
-# Threshold-crossing rates for the synthetic model, by domain.
-NATURAL_IMAGE_RATES = {"sens_in": 0.4, "spec_in": 0.4, "sens_out": 0.75, "spec_out": 0.75}
-MEDICAL_RATES = {"sens_in": 0.4, "spec_in": 0.4, "sens_out": 0.8, "spec_out": 0.8}
-
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
@@ -341,7 +337,11 @@ def build_setting(
 
 @dataclass(frozen=True)
 class SyntheticModelSpec:
-    """Target rates for the four beta distributions of a simulated classifier."""
+    """Target rates for the four beta distributions of a simulated classifier.
+
+    Each rate lies in [0, 1]. One below 0.001 or above 0.999, such as 0 or 1,
+    is taken as 0.001 or 0.999, which the beta solve can reach.
+    """
 
     kind: ClassVar[str] = "synthetic"
     sens_in: float
@@ -356,17 +356,9 @@ class SyntheticModelSpec:
             raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
         for name in ("sens_in", "spec_in", "sens_out", "spec_out"):
             value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value}")
+            if not 0.0 <= value <= 1.0:  # false for NaN too
+                raise ValueError(f"{name} must be a number in [0, 1], got {value}")
             object.__setattr__(self, name, min(max(value, 0.001), 0.999))
-
-    @classmethod
-    def natural_defaults(cls, seed: int = 0) -> "SyntheticModelSpec":
-        return cls(seed=seed, **NATURAL_IMAGE_RATES)
-
-    @classmethod
-    def medical_defaults(cls, seed: int = 0) -> "SyntheticModelSpec":
-        return cls(seed=seed, **MEDICAL_RATES)
 
 
 @functools.lru_cache(maxsize=256)

@@ -4,7 +4,15 @@ import numpy as np
 
 from slicekit.data import EmbeddingMatrix, LabeledSplit, SliceSetting
 from slicekit.seeding import derive_rng
-from slicekit.settings import _round_half_up, apply_synthetic_model
+from slicekit.settings import SyntheticModelSpec, _round_half_up, apply_synthetic_model
+
+# Threshold-crossing rates of a natural-image model: 0.4 inside the slice, 0.75 outside.
+NATURAL_RATES = {"sens_in": 0.4, "spec_in": 0.4, "sens_out": 0.75, "spec_out": 0.75}
+
+
+def natural_model(seed=0):
+    """The synthetic model with ``NATURAL_RATES``."""
+    return SyntheticModelSpec(seed=seed, **NATURAL_RATES)
 
 
 def gaussian_split(means, offset, sigma, groups, seed, name="planted"):

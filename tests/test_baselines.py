@@ -30,6 +30,7 @@ from slicekit.errors import DegenerateLoss, ProbOnBoundary, SchemaError, TooFewP
 from slicekit.seeding import derive_rng
 
 import kmeans_oracle
+from planted import natural_model
 
 
 def split_with_probs(labels, prob_one, slices=None):
@@ -498,7 +499,7 @@ class TestGeorge:
     def test_transform_assigns_new_points(self):
         setting = make_synthetic_setting(
             "rare", 0.1, n=400, d=4, seed=2,
-            model=SyntheticModelSpec.natural_defaults(seed=2),
+            model=natural_model(seed=2),
         )
         cfg = GeorgeConfig(clusters_per_class=3, seed=1)
         model = GeorgeSDM(cfg).fit(setting.valid_emb, setting.valid_split)
@@ -610,7 +611,7 @@ class TestSharedContract:
     def test_all_methods_emit_valid_scores(self):
         setting = make_synthetic_setting(
             "correlation", 0.6, n=600, d=6, seed=3,
-            model=SyntheticModelSpec.natural_defaults(seed=3),
+            model=natural_model(seed=3),
         )
         emb, split = setting.valid_emb, setting.valid_split
         models = [

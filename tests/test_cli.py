@@ -119,7 +119,10 @@ class TestSynth:
          {"model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
                     "sens_out": 0.75, "spec_out": 0.75, "kappa": True}},
          # a base numpy cannot hold as one array; never a size it could try to allocate
-         {"n": 10**30}, {"d": 10**30}],
+         {"n": 10**30}, {"d": 10**30},
+         # rates outside [0, 1] are not clamped into it
+         {"model": {"kind": "synthetic", "sens_in": 7.5, "spec_in": 0.4,
+                    "sens_out": 0.75, "spec_out": -2}}],
     )
     def test_non_numeric_config_exit_two(self, runner, tmp_path, change):
         cfg = synth_config(tmp_path, **{"slice_types": ["rare"], "alphas": {"rare": [0.05]}, **change})
@@ -505,7 +508,10 @@ class TestGen:
          # float() takes numeric strings and booleans; a JSON number field takes neither
          {"slice_type": "correlation", "alpha": "0.6"}, {"mu_a": "0.5"},
          {"model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
-                    "sens_out": "0.75", "spec_out": 0.75}}],
+                    "sens_out": "0.75", "spec_out": 0.75}},
+         # rates outside [0, 1] are not clamped into it
+         {"model": {"kind": "synthetic", "sens_in": 7.5, "spec_in": 0.4,
+                    "sens_out": 0.75, "spec_out": -2}}],
     )
     def test_non_numeric_config_exit_two(self, runner, tmp_path, change):
         base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
@@ -1080,6 +1086,18 @@ class TestReportCommand:
              "bad report document: ValueError: result row must be a JSON object, got None"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "precisions": []}]},
              "bad report document: ValueError: precisions must be non-empty and lie in [0, 1], got ()"),
+            # an error row was written back with str() of its id, and with unknown keys
+            ({"config": {"k": 10, "seed": 0}, "results": [ROW],
+              "errors": [{"setting_id": 5, "method": "domino", "error": "missing"}]},
+             "bad report document: ValueError: setting_id must be a string, got 5"),
+            ({"config": {"k": 10, "seed": 0}, "results": [ROW],
+              "errors": [{"setting_id": "c", "method": "domino"}]},
+             "bad report document: ValueError: error is required"),
+            ({"config": {"k": 10, "seed": 0}, "results": [ROW],
+              "errors": [{"setting_id": "c", "method": "domino", "error": "missing", "at": 1}]},
+             "bad report document: ValueError: unknown error row parameters: at"),
+            ({"config": {"k": 10, "seed": 0}, "results": [ROW], "errors": ["c: missing"]},
+             "bad report document: ValueError: error row must be a JSON object, got 'c: missing'"),
         ],
     )
     def test_malformed_document_exit_two(self, runner, tmp_path, doc, message):

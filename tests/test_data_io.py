@@ -39,9 +39,9 @@ from slicekit.errors import (
 from slicekit import fileio
 from slicekit.fileio import load_setting, save_setting
 from slicekit.mixture import MixtureParams, Responsibilities
-from slicekit.settings import BaseTable, SyntheticModelSpec, make_synthetic_setting
+from slicekit.settings import BaseTable, make_synthetic_setting
 
-from planted import planted_setting
+from planted import natural_model, planted_setting
 
 
 def _header(n, d, magic=b"EMB1", version=1):
@@ -100,12 +100,6 @@ class TestEmbeddingFormat:
             path.write_bytes(_header(1, 2) + payload)
             with pytest.raises(NonFiniteValue, match=message):
                 load_both(path)
-        path = tmp_path / "e.csv"
-        message = re.escape(f"{path}: embedding payload contains NaN or Inf")
-        for bad in ("nan", "inf", "-inf"):
-            path.write_text(f"1.0,{bad}\n")
-            with pytest.raises(NonFiniteValue, match=message):
-                load_both(path)
 
     def test_round_trip_byte_identical(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -116,18 +110,14 @@ class TestEmbeddingFormat:
         save_embeddings(load_embeddings(first), second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_csv_fallback(self, tmp_path):
+    def test_csv_is_not_an_emb1_file(self, tmp_path):
+        # EMB1 is the only embeddings format, whatever the suffix
         path = tmp_path / "e.csv"
-        path.write_text("1.5,2.0\n-3.25,4.0\n")
-        emb = load_embeddings(path)
-        assert np.array_equal(emb.values, [[1.5, 2.0], [-3.25, 4.0]])
-
-    def test_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        emb = EmbeddingMatrix(rng.standard_normal((5, 4)))
-        path = tmp_path / "e.csv"
-        save_embeddings(emb, path)
-        assert np.array_equal(load_embeddings(path).values, emb.values)
+        path.write_text("1.5,2.0,0.5\n-3.25,4.0,8.0\n")
+        with pytest.raises(MagicMismatch, match=re.escape(f"{path}: bad magic b'1.5,', not an EMB1 file")):
+            load_both(path)
+        save_embeddings(EmbeddingMatrix(np.loadtxt(path, delimiter=",", ndmin=2)), tmp_path / "x.emb")
+        assert np.array_equal(load_embeddings(tmp_path / "x.emb").values, [[1.5, 2.0, 0.5], [-3.25, 4.0, 8.0]])
 
     @hsettings(max_examples=25, deadline=None)
     @given(
@@ -185,24 +175,20 @@ class TestStreamingRead:
         monkeypatch.setattr(fileio, "_CHUNK_VALUES", chunk)
         keep = np.zeros(self.N, dtype=bool)
         keep[rows] = True
-        for name in ("e.emb", "e.csv"):
-            path = tmp_path / name
-            save_embeddings(EmbeddingMatrix(np.frombuffer(self._payload(), "<f4").reshape(self.N, self.D)), path)
-            whole = load_embeddings(path).values[keep]
-            for dtype in (np.float32, np.float64):
-                got = load_embeddings(path, dtype=dtype, keep=keep).values
-                assert got.dtype == (np.float64 if name == "e.csv" else dtype)
-                assert got.astype(np.float64).tobytes() == whole.tobytes()
+        path = tmp_path / "e.emb"
+        save_embeddings(EmbeddingMatrix(np.frombuffer(self._payload(), "<f4").reshape(self.N, self.D)), path)
+        whole = load_embeddings(path).values[keep]
+        for dtype in (np.float32, np.float64):
+            got = load_embeddings(path, dtype=dtype, keep=keep).values
+            assert got.dtype == dtype
+            assert got.astype(np.float64).tobytes() == whole.tobytes()
 
-    @pytest.mark.parametrize("name", ["e.emb", "e.csv"])
+    @pytest.mark.parametrize("name", ["e.emb"])
     def test_a_selection_checks_the_rows_it_drops(self, tmp_path, name):
         values = np.frombuffer(self._payload(), dtype="<f4").reshape(self.N, self.D).copy()
         values[4, 2] = np.nan
         path = tmp_path / name
-        if name == "e.emb":
-            path.write_bytes(_header(self.N, self.D) + values.tobytes())
-        else:
-            path.write_text("".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+        path.write_bytes(_header(self.N, self.D) + values.tobytes())
         keep = np.ones(self.N, dtype=bool)
         keep[4] = False
         message = re.escape(f"{path}: embedding payload contains NaN or Inf")
@@ -213,7 +199,7 @@ class TestStreamingRead:
             with pytest.raises(NonFiniteValue, match=message):
                 load_embeddings(path, dtype=dtype, keep=keep[:-1])
 
-    @pytest.mark.parametrize("name", ["e.emb", "e.csv"])
+    @pytest.mark.parametrize("name", ["e.emb"])
     @pytest.mark.parametrize("rows", [10, 12])
     def test_a_selection_of_another_row_count(self, tmp_path, name, rows):
         path = tmp_path / name
@@ -326,11 +312,10 @@ class TestFloat32Storage:
     def test_only_float64_and_float32(self, tmp_path):
         with pytest.raises(ValueError, match="float64 or float32, not float16"):
             EmbeddingMatrix(np.ones((2, 2), np.float16), dtype=np.float16)
-        # the reader refuses the same dtypes with the same error, CSV included
-        for name in ("e.emb", "e.csv"):
-            save_embeddings(EmbeddingMatrix(np.ones((2, 2))), tmp_path / name)
-            with pytest.raises(ValueError, match="float64 or float32, not float16"):
-                load_embeddings(tmp_path / name, dtype=np.float16)
+        # the reader refuses the same dtypes with the same error
+        save_embeddings(EmbeddingMatrix(np.ones((2, 2))), tmp_path / "e.emb")
+        with pytest.raises(ValueError, match="float64 or float32, not float16"):
+            load_embeddings(tmp_path / "e.emb", dtype=np.float16)
 
     def test_replace_upcasts(self):
         narrow = EmbeddingMatrix(np.ones((2, 2), np.float32), dtype=np.float32)
@@ -347,7 +332,7 @@ class TestFloat32Storage:
 
     def test_fitting_paths_reject_it(self):
         setting = make_synthetic_setting("rare", 0.1, n=200, d=4, seed=0,
-                                         model=SyntheticModelSpec.natural_defaults(seed=1))
+                                         model=natural_model(seed=1))
         split = setting.valid_split
         narrow = EmbeddingMatrix(setting.valid_emb.values.astype(np.float32), dtype=np.float32)
         calls = {
@@ -632,7 +617,7 @@ class TestSettingDirectory:
     def test_save_load_round_trip(self, tmp_path):
         setting = make_synthetic_setting(
             "rare", 0.1, n=80, d=4, seed=5,
-            model=SyntheticModelSpec.natural_defaults(seed=1),
+            model=natural_model(seed=1),
         )
         save_setting(setting, tmp_path / "s0")
         loaded = load_setting(tmp_path / "s0")
@@ -649,7 +634,7 @@ class TestSettingDirectory:
     def test_planted_setting_round_trip(self, tmp_path):
         setting = planted_setting(
             200, 4, seed=3, slice_frac=0.2,
-            model=SyntheticModelSpec.natural_defaults(seed=3),
+            model=natural_model(seed=3),
         )
         save_setting(setting, tmp_path / "p")
         loaded = load_setting(tmp_path / "p")
@@ -660,7 +645,7 @@ class TestSettingDirectory:
         for name in ("a", "b"):
             setting = make_synthetic_setting(
                 "correlation", 0.4, n=80, d=4, seed=9,
-                model=SyntheticModelSpec.natural_defaults(seed=2),
+                model=natural_model(seed=2),
             )
             save_setting(setting, tmp_path / name)
         for fname in ("valid.emb", "valid.csv", "test.emb", "test.csv", "setting.json"):

@@ -461,18 +461,19 @@ class TestBlockedRanking:
         assert described[0].slice_descriptions == described[1].slice_descriptions
 
     def test_corpus_file_dtypes(self, tmp_path):
-        # an EMB1 corpus stays float32; a CSV corpus is read as float64. Both
-        # hold the same values and rank alike, bit for bit, over three row
-        # blocks (512 rows each at d=64).
+        # an EMB1 corpus stays float32; a library caller's array is float64.
+        # Both hold the same values and rank alike, bit for bit, over three
+        # row blocks (512 rows each at d=64).
         n, d = 1030, 64
         rng = np.random.default_rng(5)
         (tmp_path / "phrases.tsv").write_text("".join(f"p{i}\n" for i in range(n)))
         values = (rng.integers(-64, 64, (n, d)) / 8).astype(np.float32)
         queries = rng.standard_normal((3, d))
+        save_embeddings(EmbeddingMatrix(values), tmp_path / "phrases.emb")
+        from_file = load_phrase_corpus(tmp_path / "phrases.tsv", tmp_path / "phrases.emb")
+        from_array = PhraseCorpus(from_file.phrases, EmbeddingMatrix(values.astype(np.float64)))
         ranked = []
-        for name, dtype in (("phrases.emb", np.float32), ("phrases.csv", np.float64)):
-            save_embeddings(EmbeddingMatrix(values), tmp_path / name)
-            corpus = load_phrase_corpus(tmp_path / "phrases.tsv", tmp_path / name)
+        for corpus, dtype in ((from_file, np.float32), (from_array, np.float64)):
             assert corpus.embeddings.values.dtype == dtype
             assert np.array_equal(corpus.embeddings.values, values)
             stack = rank_phrases(queries, np.zeros_like(queries), corpus, top=n)

@@ -13,7 +13,6 @@ from slicekit import (
     LabeledSplit,
     MixtureSDM,
     SliceScores,
-    SyntheticModelSpec,
     aggregate,
     check_degradation,
     make_synthetic_setting,
@@ -22,6 +21,7 @@ from slicekit import (
 )
 from slicekit.errors import EmptyGroup, KTooLarge
 from slicekit.evaluate import (
+    ErrorRow,
     SettingResult,
     is_excluded,
     read_report_document,
@@ -31,7 +31,7 @@ from slicekit.evaluate import (
 )
 from slicekit.seeding import derive_rng
 
-from planted import planted_setting
+from planted import natural_model, planted_setting
 
 
 class TestPrecisionAtK:
@@ -111,7 +111,7 @@ class TestRunSetting:
     def test_identity_sdm_upper_bound(self):
         setting = make_synthetic_setting(
             "rare", 0.1, n=600, d=4, seed=1,
-            model=SyntheticModelSpec.natural_defaults(seed=1),
+            model=natural_model(seed=1),
         )
         truth = setting.test_split.slices[:, 0].astype(float)
         identity = SliceScores(scores=truth[:, None], method="identity")
@@ -122,7 +122,7 @@ class TestRunSetting:
     def test_random_scores_near_prevalence(self):
         setting = make_synthetic_setting(
             "correlation", 0.6, n=1000, d=4, seed=2,
-            model=SyntheticModelSpec.natural_defaults(seed=2),
+            model=natural_model(seed=2),
         )
         split = setting.test_split
         prevalence = split.slices[:, 0].mean()
@@ -139,7 +139,7 @@ class TestRunSetting:
 
     def test_planted_recovery_through_harness(self):
         setting = planted_setting(
-            2000, 16, seed=3, model=SyntheticModelSpec.natural_defaults(seed=3)
+            2000, 16, seed=3, model=natural_model(seed=3)
         )
         result = run_setting(
             setting, "domino", FitConfig(seed=3), k=10, setting_id="planted-3"
@@ -151,7 +151,7 @@ class TestRunSetting:
 
     def test_scores_come_from_validation_fit_only(self):
         setting = planted_setting(
-            800, 8, seed=4, model=SyntheticModelSpec.natural_defaults(seed=4)
+            800, 8, seed=4, model=natural_model(seed=4)
         )
         cfg = FitConfig(k_bar=8, k_hat=3, seed=4)
         via_harness = run_setting(setting, "domino", cfg, k=10)
@@ -257,12 +257,10 @@ class TestReportDocuments:
             make_result("a", method="domino"),
         ]
         reports = aggregate(results)
-        doc = report_document(results, reports, errors=[
-            {"setting_id": "z", "method": "domino", "error": "missing"}
-        ])
+        doc = report_document(results, reports, errors=[ErrorRow("z", "domino", "missing")])
         assert [r["setting_id"] for r in doc["results"]] == ["a", "b"]
         assert "wall_time" not in doc["results"][0]
-        assert doc["errors"][0]["setting_id"] == "z"
+        assert doc["errors"] == [{"setting_id": "z", "method": "domino", "error": "missing"}]
         assert {a["method"] for a in doc["aggregates"]} == {"domino", "confusion"}
 
     def test_read_back_without_the_cli(self):
@@ -270,7 +268,7 @@ class TestReportDocuments:
             make_result("b", method="confusion", model_kind="trained_ingested", degraded=False),
             make_result("a", alpha=0.05, precision=0.9),
         ]
-        errors = [{"setting_id": "z", "method": "domino", "error": "missing"}]
+        errors = [ErrorRow("z", "domino", "missing")]
         config = {"k": 5, "seed": 3, "beta": 0.5}
         doc = report_document(results, aggregate(results), errors=errors, config=config)
         assert read_report_document(doc) == (results[::-1], errors, config)

@@ -27,7 +27,6 @@ from slicekit import (
     MixtureParams,
     MixtureSDM,
     PhraseCorpus,
-    SyntheticModelSpec,
     describe_slices,
     fit,
     make_synthetic_setting,
@@ -35,6 +34,8 @@ from slicekit import (
 from slicekit.baselines import GeorgeSDM
 from slicekit.cli import main
 from slicekit.fileio import save_embeddings
+
+from planted import natural_model
 
 
 def sha256(array: np.ndarray) -> str:
@@ -58,7 +59,7 @@ GEORGE_CENTER_DIGESTS = {
 def golden_setting():
     return make_synthetic_setting(
         "rare", 0.1, n=400, d=8, seed=2,
-        model=SyntheticModelSpec.natural_defaults(seed=2),
+        model=natural_model(seed=2),
     )
 
 
@@ -167,6 +168,28 @@ def test_report_bytes_are_pinned(tmp_path, monkeypatch):
     assert digests == REPORT_DIGESTS
 
 
+SPOTLIGHT_DIGEST = "29f2fb4c7eb6b3eb7ac60c444dff992133b47359cfb488b6e5792671346ce587"
+
+
+def test_spotlight_scores_are_pinned(tmp_path, monkeypatch):
+    # The report pin above leaves Spotlight out, as too slow for a grid; this
+    # pins its fitted scores on one small synth setting, as run writes them.
+    monkeypatch.chdir(tmp_path)
+    Path("synth.json").write_text(json.dumps({
+        "slice_types": ["rare"], "alphas": {"rare": [0.1]}, "n": 400, "d": 8, "seed": 2,
+        "model": {"sens_in": 0.4, "spec_in": 0.4, "sens_out": 0.75, "spec_out": 0.75},
+    }))
+    runner = CliRunner()
+    for args in (
+        ["synth", "--config", "synth.json", "--out", "grid"],
+        ["run", "--setting", "grid/rare_a0.1_r0", "--method", "spotlight", "--seed", "1",
+         "--out", "scores.json"],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    assert hashlib.sha256(Path("scores.json").read_bytes()).hexdigest() == SPOTLIGHT_DIGEST
+
+
 GEN_DIGESTS = {
     "rare-synthetic": "3583e805ba7edbfe117370d28b137bf4abf3f8d190a409d933acbfa29f84152c",
     "rare-ingested": "a23e9fd81feb6832f771ca0999e055ae638b95add05f4d828a0cffcbd56dce1b",
@@ -249,7 +272,7 @@ def wide_fit_digests() -> dict:
     """
     setting = make_synthetic_setting(
         "rare", 0.1, n=2800, d=300, seed=3,
-        model=SyntheticModelSpec.natural_defaults(seed=3),
+        model=natural_model(seed=3),
     )
     emb, split = setting.valid_emb, setting.valid_split
     assert min(np.bincount(split.labels)) >= 2 * emb.d

@@ -21,9 +21,9 @@ from slicekit import (
     select_slices,
 )
 from slicekit.errors import DimensionMismatch, RowCountMismatch, TooFewSlices
-from slicekit.settings import SyntheticModelSpec, synth_predictions
+from slicekit.settings import synth_predictions
 
-from planted import gaussian_split, planted_setting
+from planted import gaussian_split, natural_model, planted_setting
 
 
 def simple_split(labels, predictions, num_classes=2):
@@ -369,7 +369,7 @@ def planted_single_class_slice(n, d, seed, offset_norm=4.0):
     groups = ((0, 0, n - n_pos), (1, 0, n_pos - n_slice), (1, 1, n_slice))
     emb, split = gaussian_split(means, offset, 1.0, groups, seed)
     split = synth_predictions(
-        split, SyntheticModelSpec.natural_defaults(seed=seed)
+        split, natural_model(seed=seed)
     )
     return emb, split
 
@@ -570,7 +570,7 @@ class TestSelection:
         # were picked on rounding.
         setting = make_synthetic_setting(
             "rare", 0.1, n=2000, d=32, seed=0,
-            model=SyntheticModelSpec.natural_defaults(seed=0),
+            model=natural_model(seed=0),
         )
         params, _ = fit(setting.valid_emb, setting.valid_split, FitConfig(seed=0))
         divergence = np.abs(params.pred_probs - params.label_probs).sum(axis=1)
@@ -609,7 +609,7 @@ class TestSelection:
 class TestScore:
     def test_idempotent_on_validation(self):
         setting = planted_setting(
-            800, 8, seed=3, model=SyntheticModelSpec.natural_defaults(seed=3)
+            800, 8, seed=3, model=natural_model(seed=3)
         )
         cfg = FitConfig(k_bar=8, k_hat=3, seed=1)
         params, diag = fit(setting.valid_emb, setting.valid_split, cfg)
@@ -631,7 +631,7 @@ class TestScore:
 
     def test_planted_top10_mostly_slice(self):
         setting = planted_setting(
-            2000, 16, seed=8, model=SyntheticModelSpec.natural_defaults(seed=8)
+            2000, 16, seed=8, model=natural_model(seed=8)
         )
         cfg = FitConfig(seed=8)
         params, diag = fit(setting.valid_emb, setting.valid_split, cfg)

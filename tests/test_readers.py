@@ -18,7 +18,7 @@ from slicekit import EmbeddingMatrix, LabeledSplit, SliceScores, fileio
 from slicekit.cli import main
 from slicekit.describe import load_phrase_corpus
 from slicekit.errors import IoError, SchemaError, SliceKitError
-from slicekit.evaluate import SettingResult, aggregate, report_document
+from slicekit.evaluate import ErrorRow, SettingResult, aggregate, report_document
 from slicekit.fileio import (
     load_base_table,
     load_embeddings,
@@ -47,7 +47,7 @@ def _save_tiny_report(path):
         SettingResult("a", "domino", "rare", 0.1, "synthetic", (0.5, 1.0), (0, 2), False, True),
         SettingResult("b", "domino", "rare", 0.05, "trained_ingested", (0.2,), (1,), True, False),
     ]
-    errors = [{"setting_id": "c", "method": "domino", "error": "missing"}]
+    errors = [ErrorRow("c", "domino", "missing")]
     config = {"k": 10, "seed": 0}
     write_json(path, report_document(results, aggregate(results), errors=errors, config=config))
 
@@ -74,7 +74,6 @@ def _write_valid_inputs(root):
     """
     emb = EmbeddingMatrix(np.arange(6, dtype=np.float64).reshape(3, 2) / 4)
     save_embeddings(emb, root / "e.emb")
-    save_embeddings(emb, root / "e.csv")
     save_embeddings(EmbeddingMatrix(np.ones((2, 2))), root / "labels.emb")
     (root / "labels.csv").write_text(LABELS_CSV)
     save_scores(SliceScores(np.full((2, 1), 0.5), "domino", (("a", "b"),)), root / "s.json")
@@ -87,7 +86,6 @@ def _write_valid_inputs(root):
     corpus = (root / "phrases.tsv", root / "e.emb")
     return {
         "emb1": (root / "e.emb", lambda: load_embeddings(root / "e.emb")),
-        "emb_csv": (root / "e.csv", lambda: load_embeddings(root / "e.csv")),
         "labels": (root / "labels.csv",
                    lambda: load_split(root / "labels.csv", root / "labels.emb")),
         "scores": (root / "s.json", lambda: load_scores(root / "s.json")),
@@ -155,6 +153,30 @@ def test_corrupt_scores_json(tmp_path):
     path = tmp_path / "s.json"
     path.write_text('{"method": "domino", "n": ')
     with pytest.raises(SchemaError, match="s.json"):
+        load_scores(path)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [({"k_hat": True}, "k_hat must be an integer, got True"),
+     ({"n": 2.0}, "n must be an integer, got 2.0"),
+     ({"method": 5}, "method must be a string, got 5"),
+     ({"scores": [["0.5"], [0.5]]}, "scores must be a list of lists of numbers"),
+     ({"scores": [[True], [0.5]]}, "scores must be a list of lists of numbers"),
+     ({"scores": [0.5, 0.5]}, "scores must be a list of lists of numbers"),
+     ({"scores": "0.5"}, "scores must be a list of lists of numbers"),
+     # a string is not a list of phrases: "ab" was read as ("a", "b")
+     ({"slice_descriptions": ["ab"]}, "slice_descriptions entry must be a list, got 'ab'"),
+     ({"slice_descriptions": [[1]]}, "slice_descriptions entry entry must be a string, got 1"),
+     ({"k": 1}, "unknown scores document parameters: k")],
+    ids=["k_hat-true", "n-float", "method-int", "score-string", "score-true", "flat-scores",
+         "scores-string", "description-string", "phrase-int", "unknown-key"],
+)
+def test_scores_field_of_wrong_kind(tmp_path, change, message):
+    path = tmp_path / "s.json"
+    save_scores(SliceScores(np.full((2, 1), 0.5), "domino", (("a", "b"),)), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
         load_scores(path)
 
 
@@ -226,6 +248,39 @@ def test_manifest_with_a_repeated_id(tmp_path):
     path.write_text(json.dumps({"settings": [{"id": "a"}, {"id": "b", "path": "./x/../a"}]}))
     with pytest.raises(SchemaError, match="directories more than once: /.*/a$"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [({"id": "a", "pth": "x"}, "unknown settings entry parameters: pth"),
+     ({"id": ""}, "a manifest setting's id must not be empty"),
+     ({"id": "a", "path": ""}, "a manifest setting's path must not be empty"),
+     ({"id": 5}, "settings entry id must be a string, got 5"),
+     ({"id": "a", "replicate": 0.5}, "settings entry replicate must be an integer, got 0.5"),
+     ({"path": "a"}, "settings entry id is required")],
+    ids=["misspelled-path", "empty-id", "empty-path", "id-int", "replicate-float", "no-id"],
+)
+def test_manifest_entry_of_wrong_kind(tmp_path, entry, message):
+    # a misspelled "path" used the id as the directory
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"settings": [entry]}))
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: bad manifest: {message}")):
+        load_manifest(path)
+    result = CliRunner().invoke(main, [
+        "eval", "--manifest", str(path), "--methods", "confusion", "--out", str(tmp_path / "o"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_manifest_without_settings(tmp_path):
+    path = tmp_path / "manifest.json"
+    for doc, message in (({"settings": []}, "manifest lists no settings"),
+                         ({}, "bad manifest: settings is required")):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
+            load_manifest(path)
 
 
 def test_emb1_with_empty_shape(tmp_path):
@@ -379,7 +434,7 @@ def _mutate(data: bytes, edits) -> bytes:
 
 @pytest.mark.parametrize(
     "name",
-    ["emb1", "emb_csv", "labels", "scores", "setting_json", "valid_csv", "base",
+    ["emb1", "labels", "scores", "setting_json", "valid_csv", "base",
      "predictions", "phrases", "manifest", "report"],
 )
 @hsettings(max_examples=80, deadline=None)

@@ -1,5 +1,8 @@
 """Setting generation: correlation counts, subsampling, synthetic models."""
 
+import re
+
+import click
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings
@@ -26,8 +29,10 @@ from slicekit.errors import (
     NoConvergence,
     NotBinary,
 )
+from slicekit.cli import build_config
+from slicekit.settings import GenConfig, SynthConfig
 
-from planted import gaussian_split, planted_setting
+from planted import NATURAL_RATES, gaussian_split, natural_model, planted_setting
 
 
 def materialize(counts):
@@ -296,12 +301,29 @@ def four_cell_split(m_per_cell, seed=0):
 
 
 class TestSynthPredictions:
-    def test_default_rate_constants(self):
-        natural = SyntheticModelSpec.natural_defaults()
-        assert (natural.sens_in, natural.spec_in) == (0.4, 0.4)
-        assert (natural.sens_out, natural.spec_out) == (0.75, 0.75)
-        medical = SyntheticModelSpec.medical_defaults()
-        assert (medical.sens_out, medical.spec_out) == (0.8, 0.8)
+    @pytest.mark.parametrize(
+        "rates, message",
+        [({"sens_in": 7.5}, "sens_in must be a number in [0, 1], got 7.5"),
+         ({"spec_out": -2}, "spec_out must be a number in [0, 1], got -2.0"),
+         ({"spec_in": 1.0000001}, "spec_in must be a number in [0, 1], got 1.0000001"),
+         ({"sens_out": -1e-9}, "sens_out must be a number in [0, 1], got -1e-09")],
+        ids=["above", "below", "just-above", "just-below"],
+    )
+    def test_rates_outside_the_unit_interval_rejected(self, rates, message):
+        # they were clamped to 0.999 and 0.001, so such a config generated silently
+        model = {**NATURAL_RATES, **rates}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SyntheticModelSpec(**model)
+        synth = {"alphas": [0.05], "slice_types": ["rare"], "model": model}
+        gen = {"slice_type": "rare", "alpha": 0.05, "target": "t", "attribute": "a", "n": 100,
+               "model": model}
+        for cls, values, label in ((SynthConfig, synth, "synth"), (GenConfig, gen, "gen")):
+            with pytest.raises(click.UsageError, match=re.escape(f"bad {label} configuration: {message}")):
+                build_config(cls, values, label)
+
+    def test_rates_of_zero_and_one_are_clamped(self):
+        spec = SyntheticModelSpec(sens_in=0, spec_in=1, sens_out=1.0, spec_out=0.0)
+        assert (spec.sens_in, spec.spec_in, spec.sens_out, spec.spec_out) == (0.001, 0.999, 0.999, 0.001)
 
     def test_out_of_slice_specificity_band(self):
         # 20000 out-of-slice negatives at spec_out = 0.75
@@ -313,13 +335,13 @@ class TestSynthPredictions:
             slice_names=("s",),
             num_classes=2,
         )
-        out = synth_predictions(split, SyntheticModelSpec.natural_defaults(seed=5))
+        out = synth_predictions(split, natural_model(seed=5))
         specificity = (out.predictions == 0).mean()
         assert 0.72 <= specificity <= 0.78
 
     def test_rates_per_cell(self):
         split = four_cell_split(5000)
-        out = synth_predictions(split, SyntheticModelSpec.natural_defaults(seed=9))
+        out = synth_predictions(split, natural_model(seed=9))
         y, s, yh = out.labels, out.slices[:, 0], out.predictions
         sens_in = yh[(y == 1) & (s == 1)].mean()
         spec_out = (yh[(y == 0) & (s == 0)] == 0).mean()
@@ -330,7 +352,7 @@ class TestSynthPredictions:
 
     def test_probs_consistent_with_predictions(self):
         split = four_cell_split(100)
-        out = synth_predictions(split, SyntheticModelSpec.natural_defaults(seed=3))
+        out = synth_predictions(split, natural_model(seed=3))
         assert np.array_equal(out.predictions, np.argmax(out.prediction_probs, axis=1))
 
     def test_not_binary(self):
@@ -342,7 +364,7 @@ class TestSynthPredictions:
             num_classes=3,
         )
         with pytest.raises(NotBinary):
-            synth_predictions(split, SyntheticModelSpec.natural_defaults())
+            synth_predictions(split, natural_model())
 
 
 class TestSynthEmbeddings:
@@ -395,7 +417,7 @@ class TestSyntheticSettingPipeline:
     def test_setting_is_degraded_with_natural_rates(self):
         setting = make_synthetic_setting(
             "rare", 0.1, n=2000, d=8, seed=0,
-            model=SyntheticModelSpec.natural_defaults(seed=0),
+            model=natural_model(seed=0),
         )
         split = setting.test_split
         correct = split.predictions == split.labels
@@ -411,11 +433,11 @@ class TestSyntheticSettingPipeline:
     def test_generators_are_pure(self):
         a = make_synthetic_setting(
             "noisy_label", 0.2, n=400, d=4, seed=12,
-            model=SyntheticModelSpec.natural_defaults(seed=1),
+            model=natural_model(seed=1),
         )
         b = make_synthetic_setting(
             "noisy_label", 0.2, n=400, d=4, seed=12,
-            model=SyntheticModelSpec.natural_defaults(seed=1),
+            model=natural_model(seed=1),
         )
         assert np.array_equal(a.valid_split.predictions, b.valid_split.predictions)
         assert np.array_equal(a.test_emb.values, b.test_emb.values)
