@@ -36,10 +36,8 @@ from slicekit.data import EmbeddingMatrix
 from slicekit.errors import InfeasibleCounts
 from slicekit.seeding import derive_rng
 
-from planted import planted_setting
+from planted import NATURAL_RATES, planted_setting
 from test_mixture import plain_gmm
-
-NATURAL = dict(sens_in=0.4, spec_in=0.4, sens_out=0.75, spec_out=0.75)
 
 
 def report(line):
@@ -122,7 +120,7 @@ def test_criterion_2_planted_slice_recovery():
     n_seeds = 100
     perfect = 0
     for seed in range(n_seeds):
-        best, _ = _planted_best_precision(seed, offset_sigmas=4.0, rates=NATURAL)
+        best, _ = _planted_best_precision(seed, offset_sigmas=4.0, rates=NATURAL_RATES)
         perfect += best == 1.0
     assert perfect >= 95, f"only {perfect}/100 seeds reached precision 1.0"
 
@@ -201,13 +199,13 @@ def test_criterion_4_synthetic_model_calibration():
         num_classes=2,
     )
     targets = {
-        (1, 1): NATURAL["sens_in"],
-        (1, 0): NATURAL["sens_out"],
-        (0, 1): NATURAL["spec_in"],
-        (0, 0): NATURAL["spec_out"],
+        (1, 1): NATURAL_RATES["sens_in"],
+        (1, 0): NATURAL_RATES["sens_out"],
+        (0, 1): NATURAL_RATES["spec_in"],
+        (0, 0): NATURAL_RATES["spec_out"],
     }
     for seed in range(20):
-        out = synth_predictions(base_split, SyntheticModelSpec(seed=seed, **NATURAL))
+        out = synth_predictions(base_split, SyntheticModelSpec(seed=seed, **NATURAL_RATES))
         for (y, s), p in targets.items():
             cell = (out.labels == y) & (out.slices[:, 0] == s)
             agree = out.predictions[cell] == y
@@ -253,7 +251,7 @@ def test_criterion_5_baseline_sanity_ordering():
     for seed in range(50):
         setting = make_synthetic_setting(
             "rare", 0.1, n=2000, d=32, seed=seed,
-            model=SyntheticModelSpec(seed=seed, **NATURAL),
+            model=SyntheticModelSpec(seed=seed, **NATURAL_RATES),
         )
         domino_values.append(
             run_setting(setting, "domino", FitConfig(seed=seed), setting_id=str(seed)).precision
@@ -284,7 +282,7 @@ def test_criterion_6_description_ranking():
         setting = planted_setting(
             1200, d, seed,
             slice_frac=0.2,
-            model=SyntheticModelSpec(seed=seed, **NATURAL),
+            model=SyntheticModelSpec(seed=seed, **NATURAL_RATES),
         )
         cfg = FitConfig(seed=seed)
         params, diag = fit(setting.valid_emb, setting.valid_split, cfg)
@@ -372,7 +370,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
         "n": 240,
         "d": 8,
         "seed": 99,
-        "model": {"kind": "synthetic", **NATURAL, "kappa": 5.0},
+        "model": {"kind": "synthetic", **NATURAL_RATES, "kappa": 5.0},
     }
     cfg_path = tmp_path / "synth.json"
     cfg_path.write_text(json.dumps(config))

@@ -15,10 +15,8 @@ import pytest
 import slicekit
 from slicekit import SyntheticModelSpec
 
-from planted import planted_setting
+from planted import NATURAL_RATES, planted_setting
 from test_mixture import planted_single_class_slice
-
-NATURAL = dict(sens_in=0.4, spec_in=0.4, sens_out=0.75, spec_out=0.75)
 
 
 def sha256(array: np.ndarray) -> str:
@@ -49,7 +47,7 @@ SINGLE_CLASS = "f6b13dafa1491b0a ae10865504721fe2 baca449bd8ce86b9 4ff34303e71ee
     ids=["criterion-2", "criterion-6"],
 )
 def test_planted_setting_bits(n, d, digests):
-    setting = planted_setting(n, d, 0, slice_frac=0.2, model=SyntheticModelSpec(seed=0, **NATURAL))
+    setting = planted_setting(n, d, 0, slice_frac=0.2, model=SyntheticModelSpec(seed=0, **NATURAL_RATES))
     assert {
         "valid": split_digests(setting.valid_emb, setting.valid_split),
         "test": split_digests(setting.test_emb, setting.test_split),
@@ -57,7 +55,7 @@ def test_planted_setting_bits(n, d, digests):
     assert setting.provenance == dict(
         generator="planted", slice_frac=0.2, offset_sigmas=4.0, class_sep_sigmas=4.0,
         sigma=1.0, n=n, d=d, seed=0,
-        model={"kind": "synthetic", **NATURAL, "kappa": 5.0, "seed": 0},
+        model={"kind": "synthetic", **NATURAL_RATES, "kappa": 5.0, "seed": 0},
     )
     assert (setting.slice_type, setting.alpha, setting.model_kind, setting.seed) == (
         "rare", 0.2, "synthetic", 0,
