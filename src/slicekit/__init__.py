@@ -17,6 +17,7 @@ from .data import (
     check_alpha,
 )
 from .baselines import (
+    ConfusionConfig,
     GeorgeConfig,
     MultiaccuracyConfig,
     SpotlightConfig,

@@ -4,7 +4,9 @@ Four baselines: confusion-matrix cells, loss-seeking Gaussian spotlights,
 multiaccuracy-style residual boosting, and class-conditional clustering on a
 two-dimensional principal-component reduction (method id ``george-pca``).
 Each is one SDM class whose ``fit`` learns from the validation split and whose
-``transform`` scores any split; ``evaluate.METHODS`` registers them.
+``transform`` scores any split. Each class names its frozen config dataclass
+in ``Config``, which it builds when given none and keeps as ``cfg``;
+``evaluate.METHODS`` maps each method name to its class.
 
 The spotlight weights exp(-|x - mu|^2 / (2 sigma^2)) are computed in one
 place, ``_gaussian_weights``. Each ascent step weighs the data once, for the
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -93,10 +96,20 @@ def example_losses(split: LabeledSplit) -> np.ndarray:
 # --- confusion SDM ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ConfusionConfig:
+    """Confusion cells take no settings, only the seed every method's config holds."""
+
+    seed: int = 0
+
+
 class ConfusionSDM:
     """One slicing column per confusion-matrix cell, row-major over (y, y_hat)."""
 
-    def __init__(self, cfg: object = None):
+    Config: ClassVar[type] = ConfusionConfig
+
+    def __init__(self, cfg: ConfusionConfig | None = None):
+        self.cfg = cfg or self.Config()
         self.num_classes: int | None = None
 
     def fit(self, emb: EmbeddingMatrix | None, split: LabeledSplit) -> "ConfusionSDM":
@@ -129,8 +142,10 @@ def _gaussian_weights(
 class SpotlightSDM:
     """Gradient ascent on soft-weighted mean loss over Gaussian spotlights."""
 
+    Config: ClassVar[type] = SpotlightConfig
+
     def __init__(self, cfg: SpotlightConfig | None = None):
-        self.cfg = cfg or SpotlightConfig()
+        self.cfg = cfg or self.Config()
         self.spotlights: list[tuple[np.ndarray, float]] = []
         self.degenerate = False
         # per spotlight: (mean loss, barrier active, step accepted) per step
@@ -263,8 +278,10 @@ class MultiaccuracySDM:
     multiplicatively, and emits |f| rank-normalized to [0, 1] as one slice.
     """
 
+    Config: ClassVar[type] = MultiaccuracyConfig
+
     def __init__(self, cfg: MultiaccuracyConfig | None = None):
-        self.cfg = cfg or MultiaccuracyConfig()
+        self.cfg = cfg or self.Config()
         self.coefs: list[np.ndarray] = []
 
     def fit(self, emb: EmbeddingMatrix, split: LabeledSplit) -> "MultiaccuracySDM":
@@ -313,8 +330,10 @@ class MultiaccuracySDM:
 class GeorgeSDM:
     """Per-class k-means over a 2-d principal-component reduction."""
 
+    Config: ClassVar[type] = GeorgeConfig
+
     def __init__(self, cfg: GeorgeConfig | None = None):
-        self.cfg = cfg or GeorgeConfig()
+        self.cfg = cfg or self.Config()
         self.by_class: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.num_classes = 0
 

@@ -3,7 +3,8 @@
 All randomness flows from the ``--seed`` flag through named derivation, so
 reruns with identical inputs are byte-identical and the evaluation worker
 count never changes any emitted number. Exit codes: 0 success, 1 runtime
-failure, 2 usage or configuration error.
+failure, 2 usage or configuration error. The command group maps every
+library error and OSError to exit 1, so no command restates that mapping.
 """
 
 from __future__ import annotations
@@ -67,10 +68,6 @@ def build_config(cls, values: dict, label: str):
         raise click.UsageError(f"bad {label} configuration: {exc}") from exc
 
 
-# The config of a method that takes only a seed.
-_SEED_ONLY = dataclasses.make_dataclass("SeedOnly", [("seed", int, 0)], frozen=True)
-
-
 @dataclasses.dataclass(frozen=True)
 class _ConfigFile:
     """A ``run`` or ``eval`` --config file: each method's config section by method name."""
@@ -82,42 +79,43 @@ class _ConfigFile:
             ev.check_method(method)
 
 
-def _method_sections(config_path: str | None) -> dict[str, dict]:
-    """The method sections of a --config file; none without one."""
-    return build_config(_ConfigFile, _load_json(config_path), "--config").methods if config_path else {}
+def _method_configs(config_path: str | None, methods: list[str], seed: int) -> tuple[dict, dict]:
+    """The method sections of a --config file (none without one), and each method's config by name.
 
-
-def _method_configs(sections: dict[str, dict], methods: list[str], seed: int) -> dict:
-    """Each method's config by name, seeded with ``seed``.
-
-    Every section is built, whether or not its method runs, so a misspelled
-    key or a seed in any section is a usage error.
+    Each config is seeded with ``seed``. Every section is built, whether or not
+    its method runs, so a misspelled key or a seed in any section is a usage error.
     """
+    sections = build_config(_ConfigFile, _load_json(config_path), "--config").methods if config_path else {}
     names = dict.fromkeys([*methods, *sections])
-    return {m: _build_method_cfg(m, sections.get(m, {}), seed) for m in names}
+    return sections, {m: _build_method_cfg(m, sections.get(m, {}), seed) for m in names}
 
 
 def _build_method_cfg(method: str, section: dict, seed: int):
-    """The method's config from its --config section, seeded with ``seed``.
+    """The method's ``Config`` from its --config section, seeded with ``seed``.
 
-    None for a method without a config, which takes only a seed. A fit's seed
-    comes from --seed alone, so a section that sets one is a usage error.
+    An unknown method name is a usage error. A fit's seed comes from --seed
+    alone, so a section that sets one is a usage error too.
     """
-    if "seed" in section:
-        raise click.UsageError(f"bad {method} configuration: seed is set by --seed, not by --config")
-    cfg_cls = ev.METHODS[method].config
-    cfg = build_config(cfg_cls or _SEED_ONLY, {**section, "seed": seed}, method)
-    return cfg if cfg_cls else None
-
-
-def _check_method(method: str) -> None:
     try:
         ev.check_method(method)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    if "seed" in section:
+        raise click.UsageError(f"bad {method} configuration: seed is set by --seed, not by --config")
+    return build_config(ev.METHODS[method].Config, {**section, "seed": seed}, method)
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group; a library error or OSError in a command exits 1 with its message."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (SliceKitError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Slice discovery benchmark generation, fitting, and evaluation."""
 
@@ -186,30 +184,27 @@ def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int
     if seed is not None:
         cfg["seed"] = seed
     config = build_config(GenConfig, cfg, "gen")
-    try:
-        base = load_base_table(base_path, config.target, config.attribute)
-        # The rows are sampled from the base table first; only they are kept
-        # from the embeddings file, in float32 until the setting upcasts them.
-        setting = build_setting(
-            config.slice_type, base,
-            lambda keep: load_embeddings(emb_path, dtype=np.float32, keep=keep),
-            config.alpha, config.n, config.seed, config.mu_a, config.mu_b,
-        )
-        if isinstance(config.model, IngestedModel):
-            preds, probs = load_ingested_predictions(config.model.predictions)
-            if preds.shape[0] != base.n_base:
-                raise RowCountMismatch(
-                    f"{config.model.predictions}: predictions have {preds.shape[0]} rows, "
-                    f"base table has {base.n_base}"
-                )
-            setting = apply_ingested_predictions(setting, preds, probs)
-        else:
-            setting = apply_synthetic_model(setting, config.model)
-        out = Path(out_dir)
-        save_setting(setting, out)
-        write_json(out / "gen_config.json", {**cfg, "seed": config.seed})
-    except SliceKitError as exc:
-        raise click.ClickException(str(exc)) from exc
+    base = load_base_table(base_path, config.target, config.attribute)
+    # The rows are sampled from the base table first; only they are kept
+    # from the embeddings file, in float32 until the setting upcasts them.
+    setting = build_setting(
+        config.slice_type, base,
+        lambda keep: load_embeddings(emb_path, dtype=np.float32, keep=keep),
+        config.alpha, config.n, config.seed, config.mu_a, config.mu_b,
+    )
+    if isinstance(config.model, IngestedModel):
+        preds, probs = load_ingested_predictions(config.model.predictions)
+        if preds.shape[0] != base.n_base:
+            raise RowCountMismatch(
+                f"{config.model.predictions}: predictions have {preds.shape[0]} rows, "
+                f"base table has {base.n_base}"
+            )
+        setting = apply_ingested_predictions(setting, preds, probs)
+    else:
+        setting = apply_synthetic_model(setting, config.model)
+    out = Path(out_dir)
+    save_setting(setting, out)
+    write_json(out / "gen_config.json", {**cfg, "seed": config.seed})
     click.echo(f"wrote setting to {out_dir}")
 
 
@@ -234,28 +229,20 @@ def run(
     seed: int,
 ) -> None:
     """Fit one method on a setting and write its scores document."""
-    _check_method(method)
-    method_cfg = _method_configs(_method_sections(config_path), [method], seed)[method]
+    method_cfg = _method_configs(config_path, [method], seed)[1][method]
 
-    try:
-        setting = load_setting(setting_dir)
-        sdm = ev.make_sdm(method, method_cfg)
-        sdm.fit(setting.valid_emb, setting.valid_split)
-        if score_split == "test":
-            emb, split = setting.test_emb, setting.test_split
-        else:
-            emb, split = setting.valid_emb, setting.valid_split
-        scores = sdm.transform(emb, split)
-        precisions, best_columns = ev.score_setting(scores, split, k)
-        for name, precision, best in zip(split.slice_names, precisions, best_columns):
-            click.echo(
-                f"slice {name!r}: precision@{k} = {precision:.4f} (discovered slice {best})"
-            )
-        if out_path is not None:
-            save_scores(scores, out_path)
-            click.echo(f"wrote scores to {out_path}")
-    except SliceKitError as exc:
-        raise click.ClickException(str(exc)) from exc
+    setting = load_setting(setting_dir)
+    sdm = ev.make_sdm(method, method_cfg)
+    sdm.fit(setting.valid_emb, setting.valid_split)
+    emb, split = ((setting.test_emb, setting.test_split) if score_split == "test"
+                  else (setting.valid_emb, setting.valid_split))
+    scores = sdm.transform(emb, split)
+    precisions, best_columns = ev.score_setting(scores, split, k)
+    for name, precision, best in zip(split.slice_names, precisions, best_columns):
+        click.echo(f"slice {name!r}: precision@{k} = {precision:.4f} (discovered slice {best})")
+    if out_path is not None:
+        save_scores(scores, out_path)
+        click.echo(f"wrote scores to {out_path}")
 
 
 # --- eval -------------------------------------------------------------------
@@ -294,30 +281,25 @@ def eval_cmd(
     if not 0.0 <= beta < 1.0:  # false for NaN too
         raise click.BadParameter(f"{beta} is not a finite number in [0, 1)", param_hint="'--beta'")
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
-    for method in method_list:
-        _check_method(method)
     if not method_list:
         raise click.UsageError("no methods selected")
     repeated = duplicates(method_list)
     if repeated:
         raise click.UsageError(f"--methods names {', '.join(repeated)} more than once")
+    # Every config is built before any task runs, so an unknown method or a
+    # bad section is a usage error; each task then replaces the seed with its
+    # own derived one.
+    sections, configs = _method_configs(config_path, method_list, seed)
 
     try:
         entries = load_manifest(manifest_path)
     except SliceKitError as exc:
         raise click.UsageError(str(exc)) from exc
-    sections = _method_sections(config_path)
-    # Every config is built before any task runs, so a bad section is a usage
-    # error; each task then replaces the seed with its own derived one.
-    configs = _method_configs(sections, method_list, seed)
 
     tasks = []
     for setting_id, setting_path in entries:
         for method in method_list:
-            task_seed = derive_seed(seed, "eval", setting_id, method)
-            cfg = configs[method]
-            if cfg is not None:
-                cfg = dataclasses.replace(cfg, seed=task_seed)
+            cfg = dataclasses.replace(configs[method], seed=derive_seed(seed, "eval", setting_id, method))
             tasks.append((str(setting_path), setting_id, method, cfg, k, beta))
 
     if jobs == 1:
@@ -369,16 +351,11 @@ def describe(
     top: int,
 ) -> None:
     """Rank corpus phrases for each slice of a validation-split scores file."""
-    try:
-        setting = load_setting(setting_dir)
-        scores = load_scores(scores_path)
-        corpus = load_phrase_corpus(phrases_path, phrase_emb_path)
-        described = describe_slices(
-            setting.valid_emb, setting.valid_split, scores, corpus, top=top
-        )
-        save_scores(described, out_path)
-    except SliceKitError as exc:
-        raise click.ClickException(str(exc)) from exc
+    setting = load_setting(setting_dir)
+    scores = load_scores(scores_path)
+    corpus = load_phrase_corpus(phrases_path, phrase_emb_path)
+    described = describe_slices(setting.valid_emb, setting.valid_split, scores, corpus, top=top)
+    save_scores(described, out_path)
     for j, phrases in enumerate(described.slice_descriptions):
         head = ", ".join(phrases[:3])
         click.echo(f"slice {j}: {head}")

@@ -14,41 +14,21 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import (
-    ConfusionSDM,
-    GeorgeConfig,
-    GeorgeSDM,
-    MultiaccuracyConfig,
-    MultiaccuracySDM,
-    SpotlightConfig,
-    SpotlightSDM,
-)
+from .baselines import ConfusionSDM, GeorgeSDM, MultiaccuracySDM, SpotlightSDM
 from .data import MODEL_KINDS, SLICE_TYPES, LabeledSplit, SliceScores, SliceSetting
 from .errors import EmptyGroup, KTooLarge, SchemaError
 from .fileio import duplicates, from_json
-from .mixture import FitConfig, MixtureSDM
+from .mixture import MixtureSDM
 from .seeding import derive_rng
 
-
-@dataclass(frozen=True)
-class Method:
-    """One registered slice discovery method.
-
-    ``config`` is the method's config dataclass (None when it takes no
-    settings).
-    """
-
-    sdm: type
-    config: type | None
-
-
-# The single method registry, in the order the CLI lists methods.
-METHODS: dict[str, Method] = {
-    "domino": Method(MixtureSDM, FitConfig),
-    "confusion": Method(ConfusionSDM, None),
-    "spotlight": Method(SpotlightSDM, SpotlightConfig),
-    "multiacc": Method(MultiaccuracySDM, MultiaccuracyConfig),
-    "george": Method(GeorgeSDM, GeorgeConfig),
+# The single method table, in the order the CLI lists methods: each name's
+# SDM class, which names its config dataclass in ``Config``.
+METHODS: dict[str, type] = {
+    "domino": MixtureSDM,
+    "confusion": ConfusionSDM,
+    "spotlight": SpotlightSDM,
+    "multiacc": MultiaccuracySDM,
+    "george": GeorgeSDM,
 }
 
 
@@ -59,9 +39,9 @@ def check_method(method: str) -> None:
 
 
 def make_sdm(method: str, cfg: object = None):
-    """Instantiate the named method; each method builds its default config."""
+    """Instantiate the named method; without ``cfg`` it builds its default ``Config()``."""
     check_method(method)
-    return METHODS[method].sdm(cfg)
+    return METHODS[method](cfg)
 
 
 def precision_at_k(scores: np.ndarray, truth: np.ndarray, k: int) -> float:
@@ -258,6 +238,8 @@ def result_to_dict(result: SettingResult) -> dict:
 
 # The report config fields ``report`` reads back: the ``k`` of precision@k and the bootstrap seed.
 _REPORT_KEYS = make_dataclass("ReportKeys", [("k", int), ("seed", int)], frozen=True)
+# A report document's rows; a malformed one is named by its index, such as ``results[2]``.
+_REPORT_ROWS = make_dataclass("ReportRows", [("errors", list[ErrorRow]), ("results", list[SettingResult])])
 
 
 def read_report_document(doc: Any) -> tuple[list[SettingResult], list[ErrorRow], dict]:
@@ -270,19 +252,18 @@ def read_report_document(doc: Any) -> tuple[list[SettingResult], list[ErrorRow],
         keys = {name: config[name] for name in ("k", "seed")} if isinstance(config, dict) else config
         if from_json(_REPORT_KEYS, keys, "config").k < 1:
             raise ValueError(f"k must be at least 1, got {config['k']}")
-        errors = [from_json(ErrorRow, e, "error row") for e in doc.get("errors", [])]
         # a row's ``excluded`` is derived from its other keys, so it is not a field
-        rows = [{k: v for k, v in r.items() if k != "excluded"} if isinstance(r, dict) else r
-                for r in doc["results"]]
-        results = [from_json(SettingResult, row, "result row") for row in rows]
+        results = [{k: v for k, v in r.items() if k != "excluded"} if isinstance(r, dict) else r
+                   for r in doc["results"]]
+        rows = from_json(_REPORT_ROWS, {"errors": doc.get("errors", []), "results": results}, "report document")
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad report document: {type(exc).__name__}: {exc}") from exc
-    if not results:
+    if not rows.results:
         raise SchemaError("no results to aggregate")
-    repeated = duplicates([f"{r.setting_id} [{r.method}]" for r in results])
+    repeated = duplicates([f"{r.setting_id} [{r.method}]" for r in rows.results])
     if repeated:
         raise SchemaError(f"rows repeat setting/method pairs: {', '.join(repeated)}")
-    return results, errors, config
+    return rows.results, rows.errors, config
 
 
 def report_document(

@@ -140,7 +140,7 @@ def _field_value(name: str, hint, value):
     fits = [o for o in options if _container(o) is container]
     if fits and container is list:
         entry = typing.get_args(fits[0])[0]
-        return typing.get_origin(fits[0])(_field_value(f"{name} entry", entry, v) for v in value)
+        return typing.get_origin(fits[0])(_field_value(f"{name}[{i}]", entry, v) for i, v in enumerate(value))
     if fits and container is dict and dataclasses.is_dataclass(fits[0]):
         chosen = fits[0]
         if hasattr(chosen, "kind"):
@@ -168,7 +168,9 @@ def from_json(cls, values: Any, label: str, prefix: str = "", **given):
     """The dataclass ``cls`` from the parsed JSON object ``values``; raises ValueError.
 
     ``given`` holds fields that are already typed, such as a setting's splits,
-    which ``values`` may not set. ``prefix`` starts each field's name.
+    which ``values`` may not set. ``prefix`` starts each field's name, and
+    also the message of an entry's own check: an entry is named by its index
+    or key, such as ``settings[2]``.
     """
     if not isinstance(values, dict):
         raise ValueError(f"{label} must be a JSON object, got {values!r}")
@@ -180,7 +182,11 @@ def from_json(cls, values: Any, label: str, prefix: str = "", **given):
         if f.default is f.default_factory is dataclasses.MISSING and f.name not in {**given, **values}:
             raise ValueError(f"{prefix}{f.name} is required")
     hints = _type_hints(cls)
-    return cls(**given, **{name: _field_value(prefix + name, hints[name], v) for name, v in values.items()})
+    typed = {name: _field_value(prefix + name, hints[name], v) for name, v in values.items()}
+    try:
+        return cls(**given, **typed)
+    except ValueError as exc:  # an entry is one of many, so its own check names it: ``settings[2]``
+        raise ValueError(f"{prefix}{exc}") if label.endswith("]") else exc
 
 
 # --- embeddings -------------------------------------------------------------
@@ -501,7 +507,10 @@ def write_json(path: str | Path, payload: Any) -> None:
 def save_setting(setting: SliceSetting, directory: str | Path) -> None:
     """Materialize one setting directory: valid/test files plus setting.json."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot make {directory}: {exc}") from exc
     save_embeddings(setting.valid_emb, directory / "valid.emb")
     save_split(setting.valid_split, directory / "valid.csv")
     save_embeddings(setting.test_emb, directory / "test.emb")
@@ -555,7 +564,7 @@ class ManifestEntry:
     def __post_init__(self) -> None:
         for name in ("id", "path"):
             if getattr(self, name) == "":
-                raise ValueError(f"a manifest setting's {name} must not be empty")
+                raise ValueError(f"{name} must not be empty")
 
 
 @dataclasses.dataclass(frozen=True)

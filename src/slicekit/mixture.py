@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -484,8 +484,10 @@ def score(
 class MixtureSDM:
     """fit/transform wrapper used by the evaluation harness."""
 
+    Config: ClassVar[type] = FitConfig
+
     def __init__(self, cfg: FitConfig | None = None):
-        self.cfg = cfg or FitConfig()
+        self.cfg = cfg or self.Config()
         self.params: MixtureParams | None = None
         self.diagnostics: FitDiagnostics | None = None
         self.selected: np.ndarray | None = None

@@ -1,5 +1,6 @@
 """Command-line interface: synth, gen, run, eval, describe, report."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -139,7 +140,7 @@ class TestSynth:
          ({"seed": 7.5}, "seed must be an integer, got 7.5"),
          ({"seed": True}, "seed must be an integer, got True"),
          ({"seeds": 2.5}, "seeds must be an integer, got 2.5"),
-         ({"seeds": [0, 1.5]}, "seeds entry must be an integer, got 1.5"),
+         ({"seeds": [0, 1.5]}, "seeds[1] must be an integer, got 1.5"),
          ({"model": {"kind": "synthetic", "sens_in": 0.4, "spec_in": 0.4,
                     "sens_out": 0.75, "spec_out": 0.75, "seed": 1.5}},
           "model seed must be an integer, got 1.5")],
@@ -1040,7 +1041,7 @@ class TestReportCommand:
         [
             ({"results": [{"setting_id": "a"}]}, "bad report document: KeyError: 'config'"),
             ({"config": {"k": 10, "seed": 0}, "results": [{"setting_id": "a"}]},
-             "bad report document: ValueError: method is required"),
+             "bad report document: ValueError: results[0] method is required"),
             ({"config": {"seed": 0}, "results": []}, "bad report document: KeyError: 'k'"),
             ({"config": {"k": "five", "seed": 0}, "results": []},
              "bad report document: ValueError: k must be an integer, got 'five'"),
@@ -1050,25 +1051,25 @@ class TestReportCommand:
             # a trained-model row read as degraded would be counted, not excluded
             ({"config": {"k": 10, "seed": 0},
               "results": [{**ROW, "model_kind": "trained_ingested", "degraded": "false"}]},
-             "bad report document: ValueError: degraded must be true or false, got 'false'"),
+             "bad report document: ValueError: results[0] degraded must be true or false, got 'false'"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "success_at_beta": 1}]},
-             "bad report document: ValueError: success_at_beta must be true or false, got 1"),
+             "bad report document: ValueError: results[0] success_at_beta must be true or false, got 1"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "best_slices": [1.9]}]},
-             "bad report document: ValueError: best_slices entry must be an integer, got 1.9"),
+             "bad report document: ValueError: results[0] best_slices[0] must be an integer, got 1.9"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "best_slices": [True]}]},
-             "bad report document: ValueError: best_slices entry must be an integer, got True"),
+             "bad report document: ValueError: results[0] best_slices[0] must be an integer, got True"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "precisions": [True, "0.5"]}]},
-             "bad report document: ValueError: precisions entry must be a number, got True"),
+             "bad report document: ValueError: results[0] precisions[0] must be a number, got True"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "alpha": "0.1"}]},
-             "bad report document: ValueError: alpha must be a number, got '0.1'"),
+             "bad report document: ValueError: results[0] alpha must be a number, got '0.1'"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "alpha": float("nan")}]},
-             "bad report document: ValueError: alpha must be a finite number, got nan"),
+             "bad report document: ValueError: results[0] alpha must be a finite number, got nan"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "slice_type": "rarest"}]},
-             "bad report document: ValueError: slice_type must be one of rare, correlation, "
+             "bad report document: ValueError: results[0] slice_type must be one of rare, correlation, "
              "noisy_label, got 'rarest'"),
             # an unknown model kind would never be excluded
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "model_kind": "trained"}]},
-             "bad report document: ValueError: model_kind must be one of trained_ingested, "
+             "bad report document: ValueError: results[0] model_kind must be one of trained_ingested, "
              "synthetic, got 'trained'"),
             ({"config": {"k": True, "seed": 0}, "results": [ROW]},
              "bad report document: ValueError: k must be an integer, got True"),
@@ -1083,21 +1084,21 @@ class TestReportCommand:
             ({"config": [10, 0], "results": [ROW]},
              "bad report document: ValueError: config must be a JSON object, got [10, 0]"),
             ({"config": {"k": 10, "seed": 0}, "results": [None]},
-             "bad report document: ValueError: result row must be a JSON object, got None"),
+             "bad report document: ValueError: results[0] must be an object, got None"),
             ({"config": {"k": 10, "seed": 0}, "results": [{**ROW, "precisions": []}]},
-             "bad report document: ValueError: precisions must be non-empty and lie in [0, 1], got ()"),
+             "bad report document: ValueError: results[0] precisions must be non-empty and lie in [0, 1], got ()"),
             # an error row was written back with str() of its id, and with unknown keys
             ({"config": {"k": 10, "seed": 0}, "results": [ROW],
               "errors": [{"setting_id": 5, "method": "domino", "error": "missing"}]},
-             "bad report document: ValueError: setting_id must be a string, got 5"),
+             "bad report document: ValueError: errors[0] setting_id must be a string, got 5"),
             ({"config": {"k": 10, "seed": 0}, "results": [ROW],
               "errors": [{"setting_id": "c", "method": "domino"}]},
-             "bad report document: ValueError: error is required"),
+             "bad report document: ValueError: errors[0] error is required"),
             ({"config": {"k": 10, "seed": 0}, "results": [ROW],
               "errors": [{"setting_id": "c", "method": "domino", "error": "missing", "at": 1}]},
-             "bad report document: ValueError: unknown error row parameters: at"),
+             "bad report document: ValueError: unknown errors[0] parameters: at"),
             ({"config": {"k": 10, "seed": 0}, "results": [ROW], "errors": ["c: missing"]},
-             "bad report document: ValueError: error row must be a JSON object, got 'c: missing'"),
+             "bad report document: ValueError: errors[0] must be an object, got 'c: missing'"),
         ],
     )
     def test_malformed_document_exit_two(self, runner, tmp_path, doc, message):
@@ -1130,6 +1131,38 @@ Options:
 """
 
 
+def out_args(runner, tmp_path, command):
+    """Arguments that run ``command`` to success, all but its --out."""
+    if command == "synth":
+        return ["synth", "--config", str(synth_config(tmp_path, slice_types=["rare"],
+                                                      alphas={"rare": [0.05]}, seeds=1))]
+    if command == "gen":
+        base, emb_path, _ = write_base(tmp_path, 400, 3, seed=0)
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"slice_type": "rare", "alpha": 0.1, "target": "target",
+                                   "attribute": "tube", "n": 100, "model": GEN_MODEL}))
+        return ["gen", "--base", str(base), "--embeddings", str(emb_path), "--config", str(cfg)]
+    evaluate = ["eval", "--manifest", str(synth_grid(runner, tmp_path, seeds=1, n=200, d=4) / "manifest.json"),
+                "--methods", "confusion"]
+    if command == "eval":
+        return evaluate
+    assert runner.invoke(main, evaluate + ["--out", str(tmp_path / "report")]).exit_code == 0
+    return ["report", "--results", str(tmp_path / "report" / "report.json")]
+
+
+@pytest.mark.parametrize("command", ["synth", "gen", "eval", "report"])
+def test_out_that_cannot_be_made_exits_one_with_a_message(runner, tmp_path, command):
+    # a raw FileExistsError escaped each of these, eval's after it had fitted every setting
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    result = runner.invoke(main, out_args(runner, tmp_path, command) + ["--out", str(afile)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Error:" in result.output and "File exists" in result.output
+    assert "Traceback" not in result.output
+    assert afile.read_text() == ""
+
+
 class TestRegistry:
     @pytest.fixture()
     def grid(self, runner, tmp_path):
@@ -1149,6 +1182,15 @@ class TestRegistry:
         sdm = make_sdm(method).fit(setting.valid_emb, setting.valid_split)
         scores = sdm.transform(setting.test_emb, setting.test_split)
         assert scores.n == setting.test_emb.n
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_each_method_names_its_frozen_config(self, method):
+        config = METHODS[method].Config
+        assert dataclasses.is_dataclass(config) and config.__dataclass_params__.frozen
+        assert {f.name: f.default for f in dataclasses.fields(config)}["seed"] == 0
+        cfg = dataclasses.replace(config(), seed=3)
+        assert make_sdm(method, cfg).cfg is cfg
+        assert make_sdm(method).cfg == config()
 
     def test_run_and_eval_accept_exactly_the_registry(self, runner, grid, tmp_path):
         fast = tmp_path / "fast.json"

@@ -18,7 +18,7 @@ from slicekit import EmbeddingMatrix, LabeledSplit, SliceScores, fileio
 from slicekit.cli import main
 from slicekit.describe import load_phrase_corpus
 from slicekit.errors import IoError, SchemaError, SliceKitError
-from slicekit.evaluate import ErrorRow, SettingResult, aggregate, report_document
+from slicekit.evaluate import ErrorRow, SettingResult, aggregate, read_report_document, report_document
 from slicekit.fileio import (
     load_base_table,
     load_embeddings,
@@ -33,7 +33,7 @@ from slicekit.fileio import (
     save_split,
     write_json,
 )
-from slicekit.settings import make_synthetic_setting
+from slicekit.settings import SynthConfig, make_synthetic_setting
 
 import csv_oracle
 
@@ -166,8 +166,8 @@ def test_corrupt_scores_json(tmp_path):
      ({"scores": [0.5, 0.5]}, "scores must be a list of lists of numbers"),
      ({"scores": "0.5"}, "scores must be a list of lists of numbers"),
      # a string is not a list of phrases: "ab" was read as ("a", "b")
-     ({"slice_descriptions": ["ab"]}, "slice_descriptions entry must be a list, got 'ab'"),
-     ({"slice_descriptions": [[1]]}, "slice_descriptions entry entry must be a string, got 1"),
+     ({"slice_descriptions": ["ab"]}, "slice_descriptions[0] must be a list, got 'ab'"),
+     ({"slice_descriptions": [[1]]}, "slice_descriptions[0][0] must be a string, got 1"),
      ({"k": 1}, "unknown scores document parameters: k")],
     ids=["k_hat-true", "n-float", "method-int", "score-string", "score-true", "flat-scores",
          "scores-string", "description-string", "phrase-int", "unknown-key"],
@@ -252,12 +252,60 @@ def test_manifest_with_a_repeated_id(tmp_path):
 
 @pytest.mark.parametrize(
     "entry, message",
-    [({"id": "a", "pth": "x"}, "unknown settings entry parameters: pth"),
-     ({"id": ""}, "a manifest setting's id must not be empty"),
-     ({"id": "a", "path": ""}, "a manifest setting's path must not be empty"),
-     ({"id": 5}, "settings entry id must be a string, got 5"),
-     ({"id": "a", "replicate": 0.5}, "settings entry replicate must be an integer, got 0.5"),
-     ({"path": "a"}, "settings entry id is required")],
+    [({"id": 5}, "settings[2] id must be a string, got 5"),
+     ({"id": "c", "path": ""}, "settings[2] path must not be empty")],
+    ids=["id-int", "empty-path"],
+)
+def test_a_bad_manifest_entry_is_named_by_its_index(tmp_path, entry, message):
+    # the message named "settings entry", which did not say which entry failed
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"settings": [{"id": "a"}, {"id": "b"}, entry]}))
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: bad manifest: {message}")):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "rows, row, message",
+    [("results", {"alpha": "0.1"}, "results[1] alpha must be a number, got '0.1'"),
+     ("results", {"precisions": []}, "results[1] precisions must be non-empty"),
+     ("errors", {"setting_id": 5}, "errors[1] setting_id must be a string, got 5")],
+    ids=["result-field", "result-check", "error-field"],
+)
+def test_a_bad_report_row_is_named_by_its_index(tmp_path, rows, row, message):
+    path = tmp_path / "report.json"
+    _save_tiny_report(path)
+    doc = json.loads(path.read_text())
+    doc["errors"].append(dict(doc["errors"][0], setting_id="d"))
+    doc[rows][1].update(row)
+    with pytest.raises(SchemaError, match=re.escape(f"bad report document: ValueError: {message}")):
+        read_report_document(doc)
+
+
+def test_a_bad_synth_seed_is_named_by_its_index():
+    values = {"alphas": [0.05], "model": {"sens_in": 0.4, "spec_in": 0.4, "sens_out": 0.75, "spec_out": 0.75},
+              "seeds": [0, 1, "2"]}
+    with pytest.raises(ValueError, match=re.escape("seeds[2] must be an integer, got '2'")):
+        fileio.from_json(SynthConfig, values, "synth")
+
+
+@pytest.mark.parametrize("target", ["afile", "afile/sub"])
+def test_save_setting_that_cannot_make_its_directory_raises_ioerror(tmp_path, target):
+    # mkdir's FileExistsError escaped raw, while the writers it calls raise IoError
+    (tmp_path / "afile").write_text("")
+    setting = make_synthetic_setting("rare", 0.1, n=40, d=3, seed=0)
+    with pytest.raises(IoError, match=re.escape(f"cannot make {tmp_path / target}")):
+        save_setting(setting, tmp_path / target)
+    assert (tmp_path / "afile").read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [({"id": "a", "pth": "x"}, "unknown settings[0] parameters: pth"),
+     ({"id": ""}, "settings[0] id must not be empty"),
+     ({"id": "a", "path": ""}, "settings[0] path must not be empty"),
+     ({"id": 5}, "settings[0] id must be a string, got 5"),
+     ({"id": "a", "replicate": 0.5}, "settings[0] replicate must be an integer, got 0.5"),
+     ({"path": "a"}, "settings[0] id is required")],
     ids=["misspelled-path", "empty-id", "empty-path", "id-int", "replicate-float", "no-id"],
 )
 def test_manifest_entry_of_wrong_kind(tmp_path, entry, message):

@@ -41,7 +41,7 @@ def test_readme_config_examples_build():
     assert set(sections) == set(METHODS)
     for method, section in sections.items():
         cfg = _build_method_cfg(method, section, seed=5)
-        assert cfg is None if METHODS[method].config is None else cfg.seed == 5
+        assert isinstance(cfg, METHODS[method].Config) and cfg.seed == 5
     synth = build_config(SynthConfig, json.loads(examples["synth.json"]), "synth")
     assert isinstance(synth.model, SyntheticModelSpec) and len(synth.grid()) == 30
     gen = json.loads(examples["gen.json"])
