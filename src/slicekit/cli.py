@@ -1,6 +1,7 @@
 """Command-line entry point for generation, fitting, evaluation, and reports.
 
-All randomness flows from the ``--seed`` flag through named derivation, so
+All randomness flows from one seed through named derivation (the config's
+``seed`` for ``synth`` and ``gen``, ``--seed`` for ``run`` and ``eval``), so
 reruns with identical inputs are byte-identical and the evaluation worker
 count never changes any emitted number. Exit codes: 0 success, 1 runtime
 failure, 2 usage or configuration error. The command group maps every
@@ -19,9 +20,10 @@ import click
 import numpy as np
 
 from . import evaluate as ev
-from .errors import AlphaOutOfRange, RowCountMismatch, SchemaError, SliceKitError
+from .data import duplicates
+from .errors import AlphaOutOfRange, SchemaError, SliceKitError
 from .fileio import (
-    duplicates,
+    ManifestEntry,
     from_json,
     load_base_table,
     load_embeddings,
@@ -30,6 +32,7 @@ from .fileio import (
     load_scores,
     load_setting,
     read_json,
+    save_manifest,
     save_scores,
     save_setting,
     write_json,
@@ -126,19 +129,11 @@ def main() -> None:
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None, help="Override the config master seed.")
-def synth(config_path: str, out_dir: str, seed: int | None) -> None:
+def synth(config_path: str, out_dir: str) -> None:
     """Generate a grid of fully synthetic slice discovery settings."""
     cfg = _load_json(config_path)
-    if seed is not None:
-        cfg["seed"] = seed
     config = build_config(SynthConfig, cfg, "synth")
     grid = config.grid()
-    if not grid:
-        raise click.UsageError("synth grid is empty")
-    repeated = duplicates([setting_id for setting_id, *_ in grid])
-    if repeated:
-        raise click.UsageError(f"synth grid repeats setting ids: {', '.join(repeated)}")
     names = ("n", "d", "offset_sigmas", "class_sep_sigmas", "sigma", "mu_a", "mu_b")
     sizes = {name: getattr(config, name) for name in names}
 
@@ -160,13 +155,10 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
             shutil.rmtree(path, ignore_errors=True)
         raise click.ClickException(f"generation failed: {exc}") from exc
 
-    manifest = [
-        {"id": setting_id, "path": setting_id, "slice_type": slice_type, "alpha": alpha, "replicate": rep}
-        for setting_id, slice_type, alpha, rep in grid
-    ]
     write_json(out / "synth_config.json", {**cfg, "seed": config.seed})
-    write_json(out / "manifest.json", {"settings": manifest})
-    click.echo(f"wrote {len(manifest)} settings to {out}")
+    entries = [ManifestEntry(setting_id, setting_id, *point) for setting_id, *point in grid]
+    save_manifest(out / "manifest.json", entries)
+    click.echo(f"wrote {len(grid)} settings to {out}")
 
 
 # --- gen --------------------------------------------------------------------
@@ -177,12 +169,9 @@ def synth(config_path: str, out_dir: str, seed: int | None) -> None:
 @click.option("--embeddings", "emb_path", required=True, type=click.Path(exists=True))
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
-def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int | None) -> None:
+def gen(base_path: str, emb_path: str, config_path: str, out_dir: str) -> None:
     """Generate one setting from a base table CSV and its embeddings."""
     cfg = _load_json(config_path)
-    if seed is not None:
-        cfg["seed"] = seed
     config = build_config(GenConfig, cfg, "gen")
     base = load_base_table(base_path, config.target, config.attribute)
     # The rows are sampled from the base table first; only they are kept
@@ -194,12 +183,7 @@ def gen(base_path: str, emb_path: str, config_path: str, out_dir: str, seed: int
     )
     if isinstance(config.model, IngestedModel):
         preds, probs = load_ingested_predictions(config.model.predictions)
-        if preds.shape[0] != base.n_base:
-            raise RowCountMismatch(
-                f"{config.model.predictions}: predictions have {preds.shape[0]} rows, "
-                f"base table has {base.n_base}"
-            )
-        setting = apply_ingested_predictions(setting, preds, probs)
+        setting = apply_ingested_predictions(setting, preds, probs, n_base=base.n_base)
     else:
         setting = apply_synthetic_model(setting, config.model)
     out = Path(out_dir)
@@ -295,6 +279,9 @@ def eval_cmd(
         entries = load_manifest(manifest_path)
     except SliceKitError as exc:
         raise click.UsageError(str(exc)) from exc
+    # --out is made before any task runs, so one that cannot be made costs no fit
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     tasks = []
     for setting_id, setting_path in entries:
@@ -315,7 +302,6 @@ def eval_cmd(
     if not results:
         raise click.ClickException("all settings failed")
 
-    out = Path(out_dir)
     resolved = {
         "manifest": str(manifest_path),
         "methods": method_list,
@@ -325,7 +311,6 @@ def eval_cmd(
         "method_configs": sections,
     }
     _write_reports(out, results, errors, resolved)
-    write_json(out / "eval_config.json", resolved)
     click.echo(
         f"evaluated {len(results)} of {len(tasks)} setting/method pairs; "
         f"report in {out}"

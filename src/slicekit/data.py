@@ -25,6 +25,7 @@ path calls, raises ``DtypeMismatch`` for it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from typing import Any, Mapping
 
@@ -33,6 +34,7 @@ import numpy as np
 from .errors import (
     AlphaOutOfRange,
     ArgmaxInconsistent,
+    DimensionMismatch,
     DtypeMismatch,
     LabelOutOfRange,
     NonFiniteValue,
@@ -57,6 +59,11 @@ def keep_arrays(obj: Any, **arrays: np.ndarray | None) -> None:
         if arr is not None:
             arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
+
+
+def duplicates(names: list[str]) -> list[str]:
+    """The names that occur more than once, sorted."""
+    return sorted(name for name, count in Counter(names).items() if count > 1)
 
 
 def all_finite(values: np.ndarray) -> bool:
@@ -234,7 +241,7 @@ class SliceSetting:
         check_pair(self.valid_emb, self.valid_split)
         check_pair(self.test_emb, self.test_split)
         if self.valid_emb.d != self.test_emb.d:
-            raise RowCountMismatch(
+            raise DimensionMismatch(
                 f"valid d={self.valid_emb.d} but test d={self.test_emb.d}"
             )
         if self.valid_split.num_classes != self.test_split.num_classes:

@@ -15,9 +15,9 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .baselines import ConfusionSDM, GeorgeSDM, MultiaccuracySDM, SpotlightSDM
-from .data import MODEL_KINDS, SLICE_TYPES, LabeledSplit, SliceScores, SliceSetting
+from .data import MODEL_KINDS, SLICE_TYPES, LabeledSplit, SliceScores, SliceSetting, duplicates
 from .errors import EmptyGroup, KTooLarge, SchemaError
-from .fileio import duplicates, from_json
+from .fileio import from_json
 from .mixture import MixtureSDM
 from .seeding import derive_rng
 

@@ -14,7 +14,10 @@ it keeps. EMB1 is the only embeddings format.
 
 Tables (CSV with a header, ``id`` running 0..n-1, one row per example):
 the labels CSV ``id,y,y_hat[,p_0..p_{C-1}][,s_<name>...]``, the base table
-``id,<binary column>...`` and the ingested predictions ``id,y_hat[,p_0..]``.
+``id,<binary column>...`` and the ingested predictions
+``id,y_hat[,p_0..p_{C-1}]``. Both readers of probabilities take exactly the
+columns ``p_0..p_{C-1}``, in order; any other name among them is a
+SchemaError.
 A table is read once as text and split into columns. Quoted fields, CR line
 ends, NULs and fields over ``csv.field_size_limit()`` follow Python's csv
 rules; text without them is split on newlines and commas directly, which
@@ -23,6 +26,10 @@ step, every other cell through Python's ``int`` or ``float``.
 
 Scores document: JSON with fields ``method``, ``n``, ``k_hat``, ``scores``
 and optional ``slice_descriptions``.
+
+Manifest: JSON ``{"settings": [...]}``, one object per setting with the
+fields of :class:`ManifestEntry`. :func:`save_manifest` writes it and
+:func:`load_manifest` reads it, so no other module builds one.
 
 Typed JSON objects: :func:`from_json` builds a dataclass by its type hints
 from ``setting.json``, a scores document, a manifest, a report row, error
@@ -45,7 +52,6 @@ import os
 import struct
 import types
 import typing
-from collections import Counter
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator
@@ -59,6 +65,7 @@ from .data import (
     SliceSetting,
     all_finite,
     check_pair,
+    duplicates,
     storage_dtype,
 )
 from .errors import (
@@ -403,6 +410,12 @@ def save_split(split: LabeledSplit, path: str | Path) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_probability_columns(path: Path, names: list[str]) -> None:
+    """Raise SchemaError unless ``names`` are ``p_0..p_{C-1}`` in order."""
+    if names != [f"p_{c}" for c in range(len(names))]:
+        raise SchemaError(f"{path}: probability columns must be p_0..p_{{C-1}}")
+
+
 def _load_labels(path: Path) -> LabeledSplit:
     columns = _read_table(path, ("id", "y", "y_hat"))
     prob_cols = [h for h in columns if h.startswith("p_")]
@@ -410,8 +423,7 @@ def _load_labels(path: Path) -> LabeledSplit:
     unknown = [h for h in list(columns)[3:] if not h.startswith(("p_", "s_"))]
     if unknown:
         raise SchemaError(f"{path}: unknown columns {unknown}")
-    if prob_cols != [f"p_{c}" for c in range(len(prob_cols))]:
-        raise SchemaError(f"{path}: probability columns must be p_0..p_{{C-1}}")
+    _check_probability_columns(path, prob_cols)
     if not slice_cols:
         raise SchemaError(f"{path}: at least one s_<name> slice column is required")
     for name in slice_cols:
@@ -542,11 +554,6 @@ def load_setting(directory: str | Path) -> SliceSetting:
         raise SchemaError(f"{meta_path}: bad setting: {type(exc).__name__}: {exc}") from exc
 
 
-def duplicates(names: list[str]) -> list[str]:
-    """The names that occur more than once, sorted."""
-    return sorted(name for name, count in Counter(names).items() if count > 1)
-
-
 @dataclasses.dataclass(frozen=True)
 class ManifestEntry:
     """One setting of a manifest: its id and its directory, relative to the manifest.
@@ -570,6 +577,11 @@ class ManifestEntry:
 @dataclasses.dataclass(frozen=True)
 class _Manifest:
     settings: list[ManifestEntry]
+
+
+def save_manifest(path: str | Path, entries: list[ManifestEntry]) -> None:
+    """Write a manifest of ``entries``, each with all of its fields."""
+    write_json(path, {"settings": [dataclasses.asdict(e) for e in entries]})
 
 
 def load_manifest(path: str | Path) -> list[tuple[str, Path]]:
@@ -613,9 +625,14 @@ def load_base_table(path: str | Path, target: str, attribute: str) -> BaseTable:
 
 
 def load_ingested_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Predictions and optional class probabilities, one row per base-table row."""
+    """Predictions and optional class probabilities, one row per base-table row.
+
+    Every column after ``y_hat`` is a probability column: they must be
+    ``p_0..p_{C-1}``, as in a labels CSV.
+    """
     path = Path(path)
     columns = _read_table(path, ("id", "y_hat"))
     prob_cols = list(columns)[2:]
+    _check_probability_columns(path, prob_cols)
     probs = _numeric(path, columns, prob_cols, float) if prob_cols else None
     return _numeric(path, columns, ["y_hat"], int)[:, 0], probs

@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import SLICE_TYPES, EmbeddingMatrix, LabeledSplit, SliceSetting, check_alpha, keep_arrays
+from .data import SLICE_TYPES, EmbeddingMatrix, LabeledSplit, SliceSetting, check_alpha, duplicates, keep_arrays
 from .errors import (
     InfeasibleCounts,
     InsufficientBase,
@@ -467,17 +467,21 @@ def apply_ingested_predictions(
     setting: SliceSetting,
     predictions: np.ndarray,
     prediction_probs: np.ndarray | None = None,
+    *,
+    n_base: int,
 ) -> SliceSetting:
     """Attach externally produced predictions, aligned to base-table rows.
 
-    ``predictions`` (and optional per-class probabilities) are indexed by the
-    base-table row ids recorded in the setting's provenance, so they must
-    cover every row of the base the setting was subsampled from.
+    ``predictions`` (and optional per-class probabilities) hold one row per row
+    of the ``n_base``-row base table and are indexed by the base-table row ids
+    in the setting's provenance; any other row count raises RowCountMismatch.
     """
     rows = setting.provenance.get("base_rows")
     if rows is None:
         raise ValueError("setting provenance lacks base_rows; cannot ingest predictions")
     predictions = np.asarray(predictions, dtype=np.int64)
+    if predictions.shape[0] != n_base:
+        raise RowCountMismatch(f"predictions have {predictions.shape[0]} rows, base table has {n_base}")
 
     def rebuilt(split: LabeledSplit, part: str) -> LabeledSplit:
         idx = np.asarray(rows[part], dtype=np.int64)
@@ -633,6 +637,12 @@ class SynthConfig:
                 check_alpha(slice_type, alpha)
         check_sizes(self.n, self.mu_a, self.mu_b)
         check_synthetic_base(_BASE_FACTOR * self.n, self.d, self.sigma)
+        ids = [setting_id for setting_id, *_ in self.grid()]
+        if not ids:
+            raise ValueError("synth grid is empty")
+        repeated = duplicates(ids)
+        if repeated:
+            raise ValueError(f"synth grid repeats setting ids: {', '.join(repeated)}")
 
     def grid(self) -> list[tuple[str, str, float, int]]:
         """(setting id, slice type, alpha, replicate) of every setting, in generation order."""

@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 import slicekit
 from slicekit import EmbeddingMatrix, FitConfig, MixtureSDM
+from slicekit import evaluate
 from slicekit.cli import main
 from slicekit.evaluate import METHODS, make_sdm
 from slicekit.fileio import load_scores, load_setting, save_embeddings
@@ -275,6 +276,15 @@ class TestSynth:
         result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert f"repeats setting ids: {repeated}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [{"seeds": 0}, {"alphas": {"rare": []}}])
+    def test_empty_grid_exit_two(self, runner, tmp_path, overrides):
+        cfg = synth_config(tmp_path, **{"slice_types": ["rare"], **overrides})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "bad synth configuration: synth grid is empty" in result.output
         assert not out.exists()
 
 
@@ -771,6 +781,33 @@ class TestEval:
         assert len(doc["results"]) == 8  # 4 settings x 2 methods
         assert (out / "report.md").exists()
 
+    def test_out_holds_only_the_two_reports(self, runner, tmp_path):
+        # the resolved options are report.json's ``config``; no other file repeats them
+        grid = synth_grid(runner, tmp_path, seeds=1, n=200, d=4)
+        out = tmp_path / "report"
+        result = runner.invoke(main, [
+            "eval", "--manifest", str(grid / "manifest.json"), "--methods", "confusion",
+            "--out", str(out), "--k", "5",
+        ])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "report.md"]
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert config == {"manifest": str(grid / "manifest.json"), "methods": ["confusion"], "seed": 0,
+                          "k": 5, "beta": 0.5, "method_configs": {}}
+
+    def test_out_that_cannot_be_made_fails_before_any_fit(self, runner, tmp_path, monkeypatch):
+        manifest = synth_grid(runner, tmp_path, seeds=1, n=200, d=4) / "manifest.json"
+        fits = []
+        monkeypatch.setattr(evaluate, "run_setting", lambda *a, **k: fits.append(a))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        result = runner.invoke(main, [
+            "eval", "--manifest", str(manifest), "--methods", "confusion", "--out", str(afile),
+        ])
+        assert result.exit_code == 1, result.output
+        assert "File exists" in result.output
+        assert fits == []
+
     def test_missing_setting_recorded_not_fatal(self, runner, tmp_path):
         grid = synth_grid(runner, tmp_path, seeds=1, n=200, d=4)
         manifest = json.loads((grid / "manifest.json").read_text())
@@ -1161,6 +1198,25 @@ def test_out_that_cannot_be_made_exits_one_with_a_message(runner, tmp_path, comm
     assert "Error:" in result.output and "File exists" in result.output
     assert "Traceback" not in result.output
     assert afile.read_text() == ""
+
+
+# Every option of every command. A new option, or one a change leaves behind,
+# shows here first; ``synth`` and ``gen`` take their seed from the config only.
+OPTIONS = {
+    "synth": ["--config", "--out"],
+    "gen": ["--base", "--embeddings", "--config", "--out"],
+    "run": ["--setting", "--method", "--out", "--config", "--score-split", "--k", "--seed"],
+    "eval": ["--manifest", "--methods", "--out", "--config", "--jobs", "--seed", "--k", "--beta"],
+    "describe": ["--setting", "--scores", "--phrases", "--phrase-embeddings", "--out", "--top"],
+    "report": ["--results", "--out"],
+}
+
+
+def test_each_command_has_exactly_its_options():
+    options = {name: [opt for param in command.params for opt in param.opts]
+               for name, command in main.commands.items()}
+    assert options == OPTIONS
+    assert sum(map(len, options.values())) == 29
 
 
 class TestRegistry:

@@ -18,6 +18,7 @@ from slicekit import (
     LabeledSplit,
     MixtureSDM,
     SliceScores,
+    SliceSetting,
     fit,
     load_embeddings,
     load_scores,
@@ -28,6 +29,7 @@ from slicekit import (
 from slicekit.baselines import GeorgeSDM, MultiaccuracySDM, SpotlightSDM
 from slicekit.errors import (
     ArgmaxInconsistent,
+    DimensionMismatch,
     DtypeMismatch,
     LabelOutOfRange,
     MagicMismatch,
@@ -508,6 +510,66 @@ class TestInvariantEnforcement:
             emb.values[0, 0] = 3.0
 
 
+def _split(**fields):
+    """A valid two-example, two-class ``LabeledSplit`` with ``fields`` swapped in."""
+    return LabeledSplit(**{"labels": [0, 1], "predictions": [0, 1], "slices": [[0], [1]],
+                           "slice_names": ("s",), "num_classes": 2, **fields})
+
+
+@pytest.mark.parametrize(
+    "fields, error, message",
+    [
+        ({"labels": [[0, 1]]}, ValueError, "labels must be 1-d"),
+        ({"labels": [], "predictions": [], "slices": np.zeros((0, 1))}, ValueError,
+         "split must contain at least one example"),
+        ({"predictions": [0]}, RowCountMismatch, "predictions have 1 rows, labels have 2"),
+        ({"slices": [0, 1]}, RowCountMismatch, "slice matrix shape (2,) does not match n=2"),
+        ({"slices": [[0]]}, RowCountMismatch, "slice matrix shape (1, 1) does not match n=2"),
+        ({"slices": np.zeros((2, 0)), "slice_names": ()}, ValueError,
+         "at least one slice column is required"),
+        ({"labels": [0, 0], "predictions": [0, 0], "num_classes": 1}, ValueError,
+         "num_classes must be >= 2"),
+        ({"prediction_probs": [[1.0], [1.0]]}, RowCountMismatch,
+         "probability matrix shape (2, 1), expected (2, 2)"),
+        ({"prediction_probs": [[np.nan, np.nan], [0.0, 1.0]]}, NonFiniteValue,
+         "prediction probabilities contain NaN or Inf"),
+        ({"prediction_probs": [[1.0, 0.0], [0.0, np.inf]]}, NonFiniteValue,
+         "prediction probabilities contain NaN or Inf"),
+    ],
+    ids=["labels-2d", "empty", "predictions-length", "slices-1d", "slices-rows", "no-slice-column",
+         "one-class", "probs-shape", "probs-nan", "probs-inf"],
+)
+def test_labeled_split_invariants(fields, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _split(**fields)
+
+
+def _setting(**fields):
+    """A valid ``SliceSetting`` of two-example splits with ``fields`` swapped in."""
+    emb = EmbeddingMatrix(np.eye(2))
+    return SliceSetting(**{"valid_emb": emb, "valid_split": _split(), "test_emb": emb,
+                           "test_split": _split(), "slice_type": "rare", "alpha": 0.1,
+                           "model_kind": "synthetic", "seed": 0, **fields})
+
+
+@pytest.mark.parametrize(
+    "fields, error, message",
+    [
+        ({"slice_type": "tiny"}, ValueError, "unknown slice type 'tiny'"),
+        ({"test_emb": EmbeddingMatrix(np.ones((2, 3)))}, DimensionMismatch, "valid d=2 but test d=3"),
+        ({"test_split": _split(labels=[0, 2], num_classes=3)}, ValueError,
+         "valid and test disagree on the number of classes"),
+        ({"alpha": 1.0}, ValueError, "alpha 1.0 outside (-1, 1)"),
+        ({"alpha": -1.0}, ValueError, "alpha -1.0 outside (-1, 1)"),
+        ({"alpha": float("nan")}, ValueError, "alpha nan outside (-1, 1)"),
+    ],
+    ids=["slice-type", "widths", "classes", "alpha-1", "alpha-minus-1", "alpha-nan"],
+)
+def test_slice_setting_invariants(fields, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _setting(**fields)
+
+
 def _params(**arrays):
     """A valid two-component, two-class, 2-d ``MixtureParams`` with ``arrays`` swapped in."""
     return MixtureParams(**{
@@ -595,6 +657,40 @@ def test_mixture_params_reject_a_negative_entry(name):
     row[0] = -0.5
     with pytest.raises(ValueError, match=f"{name.split('.')[1]} rows must be non-negative"):
         make(a)
+
+
+@pytest.mark.parametrize(
+    "arrays, message",
+    [
+        ({"means": np.zeros((3, 2))}, "component parameter shapes disagree"),
+        ({"variances": np.ones((2, 3))}, "component parameter shapes disagree"),
+        ({"label_probs": np.full((2, 3), 1 / 3)}, "categorical parameter shapes disagree"),
+        ({"label_probs": np.full((3, 2), 0.5), "pred_probs": np.full((3, 2), 0.5)},
+         "categorical parameter shapes disagree"),
+        ({"variances": np.zeros((2, 2))}, "variances must be strictly positive"),
+        ({"variances": np.array([[1.0, 1.0], [1.0, -1.0]])}, "variances must be strictly positive"),
+    ],
+    ids=["means-rows", "variances-width", "label-probs-width", "categorical-rows",
+         "variances-zero", "variances-negative"],
+)
+def test_mixture_params_invariants(arrays, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _params(**arrays)
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        ([0.5, 0.5], "responsibilities must be 2-d"),
+        ([[[1.0]]], "responsibilities must be 2-d"),
+        ([[0.5, 0.4]], "responsibility rows must sum to 1"),
+        ([[1.0, 0.0], [0.0, 0.0]], "responsibility rows must sum to 1"),
+    ],
+    ids=["1d", "3d", "short-row", "zero-row"],
+)
+def test_responsibilities_invariants(q, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Responsibilities(q)
 
 
 def test_mixture_params_do_not_follow_a_strided_view():

@@ -226,6 +226,34 @@ def test_short_predictions_row(tmp_path):
         load_ingested_predictions(path)
 
 
+@pytest.mark.parametrize(
+    "loader, name, header",
+    [
+        (load_ingested_predictions, "preds.csv", "id,y_hat,foo,bar"),
+        (load_ingested_predictions, "preds.csv", "id,y_hat,p_1,p_0"),
+        (lambda path: fileio._load_labels(path), "labels.csv", "id,y,y_hat,p_1,p_0,s_a"),
+    ],
+)
+def test_probability_columns_must_be_p_0_to_p_c_minus_1(tmp_path, loader, name, header):
+    # a predictions CSV took every column after y_hat as a probability
+    path = tmp_path / name
+    rows = "0,0,0,0.75,0.25,0\n" if name == "labels.csv" else "0,0,0.75,0.25\n"
+    path.write_text(f"{header}\n{rows}")
+    with pytest.raises(SchemaError, match=re.escape(f"{name}: probability columns must be p_0..p_{{C-1}}")):
+        loader(path)
+
+
+def test_save_manifest_writes_what_load_manifest_reads(tmp_path):
+    entries = [fileio.ManifestEntry("a", "a", "rare", 0.1, 0), fileio.ManifestEntry("b", "x")]
+    fileio.save_manifest(tmp_path / "manifest.json", entries)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    assert doc == {"settings": [
+        {"id": "a", "path": "a", "slice_type": "rare", "alpha": 0.1, "replicate": 0},
+        {"id": "b", "path": "x", "slice_type": None, "alpha": None, "replicate": None},
+    ]}
+    assert load_manifest(tmp_path / "manifest.json") == [("a", tmp_path / "a"), ("b", tmp_path / "x")]
+
+
 def test_manifest_that_is_a_list(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps([{"id": "a", "path": "a"}]))

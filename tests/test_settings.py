@@ -28,9 +28,10 @@ from slicekit.errors import (
     InsufficientBase,
     NoConvergence,
     NotBinary,
+    RowCountMismatch,
 )
 from slicekit.cli import build_config
-from slicekit.settings import GenConfig, SynthConfig
+from slicekit.settings import GenConfig, SynthConfig, apply_ingested_predictions
 
 from planted import NATURAL_RATES, gaussian_split, natural_model, planted_setting
 
@@ -399,6 +400,54 @@ class TestSynthEmbeddings:
         a, _ = self.draw(4.0, seed=3)
         b, _ = self.draw(4.0, seed=3)
         assert np.array_equal(a.values, b.values)
+
+
+class TestSynthConfigGrid:
+    """A grid's rules hold for every caller of ``SynthConfig``, not only ``slicekit synth``."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [{"seeds": 0}, {"seeds": []}, {"alphas": {"rare": []}}, {"slice_types": []}],
+        ids=["no-replicates", "no-replicate-ids", "no-alphas", "no-slice-types"],
+    )
+    def test_empty_grid_raises(self, grid):
+        with pytest.raises(ValueError, match="^synth grid is empty$"):
+            SynthConfig(**{"alphas": [0.05], "slice_types": ["rare"], "model": natural_model(),
+                           **grid})
+
+    @pytest.mark.parametrize(
+        "grid",
+        [{"alphas": [0.05, 0.05]}, {"seeds": [0, 0]}, {"alphas": [0.05, 0.05000001]}],
+        ids=["alphas", "seeds", "alphas-equal-under-g"],
+    )
+    def test_repeated_setting_id_raises(self, grid):
+        with pytest.raises(ValueError, match="^synth grid repeats setting ids: rare_a0.05_r0$"):
+            SynthConfig(**{"alphas": [0.05], "slice_types": ["rare"], "model": natural_model(),
+                           **grid})
+
+
+class TestApplyIngestedPredictions:
+    """Ingested predictions hold one row per base-table row, for every caller."""
+
+    @pytest.fixture()
+    def setting(self):
+        # a synthetic setting at n=200 is subsampled from a 1,000-row base
+        return make_synthetic_setting("rare", 0.1, n=200, d=4, seed=0)
+
+    def test_one_row_per_base_row_is_applied(self, setting):
+        predictions = np.arange(1000) % 2
+        ingested = apply_ingested_predictions(setting, predictions, n_base=1000)
+        rows = setting.provenance["base_rows"]["valid"]
+        assert np.array_equal(ingested.valid_split.predictions, predictions[rows])
+        assert ingested.model_kind == "trained_ingested"
+
+    def test_another_row_count_raises_even_if_it_covers_the_sampled_rows(self, setting):
+        rows = setting.provenance["base_rows"]
+        covering = max(rows["valid"] + rows["test"]) + 1
+        assert covering < 1000
+        for count in (covering, 1007):
+            with pytest.raises(RowCountMismatch, match=f"^predictions have {count} rows, base table has 1000$"):
+                apply_ingested_predictions(setting, np.zeros(count, dtype=int), n_base=1000)
 
 
 class TestSyntheticSettingPipeline:
